@@ -24,30 +24,22 @@ ThreadPool* DspPreemption::pool() {
 }
 
 void DspPreemption::collect_preemptable(const Engine& engine, int node,
-                                        std::vector<Gid>& out) const {
+                                        std::vector<Gid>& out) {
   // Preemptable running tasks: suspending them for up to an epoch still
   // leaves enough allowable waiting time to meet their deadline.
   for (Gid r : engine.running(node))
     if (engine.allowable_waiting_time(r) > engine.params().epoch)
       out.push_back(r);
-  std::sort(out.begin(), out.end(), [this](Gid a, Gid b) {
-    return prio_at(a) != prio_at(b) ? prio_at(a) < prio_at(b) : a < b;
-  });
 }
 
 void DspPreemption::on_epoch(Engine& engine) {
   if (params_.straggler_mitigation) mitigate_stragglers(engine);
 
+  // Victim collection reads only engine state, so the per-node scans fan
+  // out across the pool; the mutating passes below stay serial in
+  // ascending node order, which keeps Algorithm-1 semantics and the audit
+  // trail deterministic at any thread count.
   ThreadPool* workers = pool();
-  priority_.set_thread_pool(workers);
-  const auto range = priority_.compute_all(engine, prio_);
-  if (range.live_tasks == 0) return;
-  const double pbar = range.mean_neighbor_gap();
-
-  // Victim collection reads only engine state and prio_, so the per-node
-  // scans fan out across the pool; the mutating passes below stay serial
-  // in ascending node order, which keeps Algorithm-1 semantics and the
-  // audit trail deterministic at any thread count.
   const std::size_t nodes = engine.node_count();
   victims_.resize(nodes);
   auto collect = [&](std::size_t k) {
@@ -62,10 +54,29 @@ void DspPreemption::on_epoch(Engine& engine) {
     for (std::size_t k = 0; k < nodes; ++k) collect(k);
   }
 
+  // Algorithm 1 reads priorities only to rank waiting tasks against
+  // preemptable victims, so an epoch without one makes no decision and
+  // skips Formula 12/13 entirely (adapt_delta(0, 0) is a no-op too).
+  // Skipping leaves nothing stale: simulated time advances between
+  // epochs, so every compute_all recomputes every scheduled job.
+  if (std::all_of(victims_.begin(), victims_.end(),
+                  [](const std::vector<Gid>& v) { return v.empty(); }))
+    return;
+  priority_.set_thread_pool(workers);
+  const auto range = priority_.compute_all(engine, prio_);
+  // Every victim is a running task, which compute_all counts as live.
+  assert(range.live_tasks > 0);
+  const double pbar = range.mean_neighbor_gap();
+
   std::uint64_t considered = 0, preempted = 0;
   for (std::size_t k = 0; k < nodes; ++k) {
     std::vector<Gid>& preemptable = victims_[k];
     if (preemptable.empty()) continue;
+    // Ascending (priority, gid). The passes never write prio_, so a node's
+    // order does not depend on the passes already run for earlier nodes.
+    std::sort(preemptable.begin(), preemptable.end(), [this](Gid a, Gid b) {
+      return prio_at(a) != prio_at(b) ? prio_at(a) < prio_at(b) : a < b;
+    });
     const auto node = static_cast<int>(k);
     urgent_pass(engine, node, preemptable, pbar);
     const auto [c, p] = window_pass(engine, node, preemptable, pbar);

@@ -48,6 +48,11 @@ class DspPreemption : public PreemptionPolicy {
     return CheckpointMode::kCheckpoint;
   }
 
+  /// One Algorithm-1 epoch: (1) collect every node's preemptable running
+  /// tasks; (2) return if there are none — no pass could run, so no
+  /// decision, event or delta change is skipped; (3) compute Formula
+  /// 12/13 priorities; (4) sort each node's victims by (priority, gid)
+  /// and run the urgent and window passes node by node.
   void on_epoch(Engine& engine) override;
 
   /// Current (possibly adapted) delta window.
@@ -69,17 +74,18 @@ class DspPreemption : public PreemptionPolicy {
   void mitigate_stragglers(Engine& engine) const;
 
   /// Bounds-checked priority lookup: every gid handed to the passes must
-  /// be covered by the compute_all vector sized at the top of on_epoch.
+  /// be covered by the compute_all vector filled in on_epoch.
   double prio_at(Gid g) const {
     assert(g < prio_.size());
     return prio_[g];
   }
 
-  /// Collects `node`'s preemptable running tasks (allowable waiting time
-  /// beyond the epoch) into `out`, sorted ascending by priority. Reads
-  /// engine and prio_ only — safe to fan out across nodes.
-  void collect_preemptable(const Engine& engine, int node,
-                           std::vector<Gid>& out) const;
+  /// Appends `node`'s preemptable running tasks (allowable waiting time
+  /// beyond the epoch) to `out`, unsorted. Reads engine state only, no
+  /// priorities — safe to fan out across nodes, and run before on_epoch
+  /// decides whether priorities are needed at all.
+  static void collect_preemptable(const Engine& engine, int node,
+                                  std::vector<Gid>& out);
 
   /// Lazily resolves params_.threads (<= 0 reads DSP_THREADS, default 1)
   /// and spins up the worker pool; nullptr when running serial.

@@ -15,6 +15,11 @@
 // when a ThreadPool is attached the per-job recomputes fan out across it.
 // Jobs are independent and the merge runs serially in job order, so the
 // result is bit-identical with and without threads.
+//
+// DspPreemption::on_epoch calls compute_all lazily: it first collects
+// preemptable victims and computes priorities only when some node has
+// one. Skipped epochs leave nothing stale, because simulated time moves
+// between epochs and so the next call recomputes every scheduled job.
 #pragma once
 
 #include <cstdint>

@@ -23,6 +23,11 @@ std::string ClusterSpec::validate() const {
   if (mem_mips_equiv_ <= 0.0)
     return "ClusterSpec: mem_mips_equiv=" + std::to_string(mem_mips_equiv_) +
            " must be positive (MIPS-equivalent of 1 GB/s memory bandwidth)";
+  if (nodes_.size() > kMaxNodes)
+    return "ClusterSpec: " + std::to_string(nodes_.size()) +
+           " nodes exceed the limit of " + std::to_string(kMaxNodes) +
+           " (event node ids are 16-bit; the largest id is " +
+           std::to_string(kMaxNodes - 1) + ")";
   for (std::size_t k = 0; k < nodes_.size(); ++k) {
     const NodeSpec& n = nodes_[k];
     if (n.slots <= 0)

@@ -44,6 +44,11 @@ class ClusterSpec {
   /// a well-formed spec, else a message describing the first defect.
   std::string validate() const;
 
+  /// Largest node count validate() accepts: the flight recorder stores
+  /// node ids in obs::Event's 16-bit `node`/`node2` fields, so ids beyond
+  /// 32767 would silently wrap in the event stream.
+  static constexpr std::size_t kMaxNodes = 32768;
+
   std::size_t size() const { return nodes_.size(); }
   const NodeSpec& node(std::size_t k) const { return nodes_.at(k); }
   const std::vector<NodeSpec>& nodes() const { return nodes_; }

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -37,7 +38,11 @@ const char* to_string(PreemptResult r) {
 namespace {
 
 // Node ids are small; the flight recorder stores them as int16 to keep
-// obs::Event compact.
+// obs::Event compact. ClusterSpec::validate() rejects clusters whose ids
+// would not fit, so the cast never wraps.
+static_assert(ClusterSpec::kMaxNodes - 1 ==
+              static_cast<std::size_t>(
+                  std::numeric_limits<decltype(obs::Event::node)>::max()));
 std::int16_t n16(int node) { return static_cast<std::int16_t>(node); }
 
 }  // namespace

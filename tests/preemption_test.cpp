@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "baselines/preempt_baselines.h"
+#include "bench_common.h"
 #include "core/dsp_system.h"
 #include "core/preemption.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "trace/workload.h"
 
@@ -178,6 +180,38 @@ TEST(DspPreemptionTest, NamesReflectPpFlag) {
 TEST(DspPreemptionTest, CheckpointModeIsCheckpoint) {
   DspPreemption dsp{DspParams{}};
   EXPECT_EQ(dsp.checkpoint_mode(), CheckpointMode::kCheckpoint);
+}
+
+// fig8's DSP cell on the EC2 profile (DSP_SCALE=0.1, seed 42). The EC2
+// cluster saturates early: once every running task has blown its deadline,
+// no victim has t^a beyond an epoch, Algorithm 1 has nothing to preempt,
+// and the preemption counts stop growing with the job count. Those idle
+// epochs must also skip the Formula 12/13 recompute.
+TEST(DspPreemptionTest, Fig8Ec2CellsPinPreemptionCountsAndSkipIdlePriorities) {
+  bench::BenchEnv env;
+  env.scale = 0.1;
+  env.seed = 42;
+  obs::Histo* priority =
+      obs::default_registry().histogram("priority.compute_all_s");
+  obs::Histo* epochs = obs::default_registry().histogram("engine.epoch_s");
+  for (const std::size_t jobs : {std::size_t{500}, std::size_t{1000}}) {
+    SCOPED_TRACE(jobs);
+    const std::uint64_t priority_before = priority->snapshot().count;
+    const std::uint64_t epochs_before = epochs->snapshot().count;
+    const RunMetrics m = run_standard_scenario(bench::scheduler_scenario(
+        SchedKind::kDsp, ClusterProfile::kEc2, jobs, env));
+    EXPECT_EQ(m.preemptions, 961u);
+    EXPECT_EQ(m.suppressed_preemptions, 416u);
+    EXPECT_EQ(m.preempt_evaluations, 35663u);
+    EXPECT_EQ(m.disorders, 0u);
+#ifndef DSP_OBS_DISABLED
+    const std::uint64_t priority_calls =
+        priority->snapshot().count - priority_before;
+    const std::uint64_t epoch_calls = epochs->snapshot().count - epochs_before;
+    EXPECT_GT(priority_calls, 0u);
+    EXPECT_LT(priority_calls, epoch_calls);
+#endif
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -135,6 +135,23 @@ TEST(ClusterTest, ValidationRejectsNonPositiveCpuAndMem) {
   EXPECT_THROW(ClusterSpec({bad}), std::invalid_argument);
 }
 
+TEST(ClusterTest, ValidationRejectsClustersWiderThanEventNodeIds) {
+  // Event node ids are int16: 32768 nodes (ids 0..32767) is the widest
+  // cluster whose ids survive the flight recorder unwrapped.
+  NodeSpec node;
+  node.capacity = Resources{2.0, 4.0, 100.0, 100.0};
+  EXPECT_EQ(ClusterSpec::kMaxNodes, 32768u);
+  EXPECT_NO_THROW(
+      ClusterSpec(std::vector<NodeSpec>(ClusterSpec::kMaxNodes, node)));
+  try {
+    ClusterSpec spec(std::vector<NodeSpec>(ClusterSpec::kMaxNodes + 1, node));
+    FAIL() << "a cluster wider than the event node-id range must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("32769 nodes"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("limit of 32768"), std::string::npos);
+  }
+}
+
 TEST(ClusterTest, ResourcesFitsAndArithmetic) {
   const Resources cap{4, 16, 100, 100};
   EXPECT_TRUE(cap.fits({4, 16, 100, 100}));

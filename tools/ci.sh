@@ -42,7 +42,10 @@
 #            same-seed logs, which must report zero divergence
 #   sweep-smoke  dsp_sweep over a small scenario grid at --threads 1
 #            and 4: the two --json reports must be byte-identical (the
-#            grid runner's determinism contract) and pass json_check
+#            grid runner's determinism contract) and pass json_check;
+#            then an EC2 dsp,dsp-nopp grid with --event-log-dir at
+#            DSP_THREADS=1 and =4, whose per-scenario JSONL event
+#            streams must be byte-identical pair by pair
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -319,6 +322,25 @@ if ! skipped sweep-smoke; then
 
   "$JSON_CHECK" "$sweep_tmp/t1.json" \
     sweep.scale sweep.scenarios scenarios
+
+  # EC2 saturates early, so most DSP epochs find no preemptable victim
+  # and return before computing priorities; the per-scenario event
+  # streams must not depend on the DspPreemption worker-pool size.
+  echo "dsp_sweep EC2 dsp,dsp-nopp event streams at DSP_THREADS=1 and 4"
+  mkdir -p "$sweep_tmp/ev1" "$sweep_tmp/ev4"
+  for n in 1 4; do
+    DSP_THREADS=$n "$SWEEP" --cluster ec2 --sched dsp --policy dsp,dsp-nopp \
+      --jobs 150,300 --seeds 42 --scale 0.1 --threads 1 \
+      --event-log-dir "$sweep_tmp/ev$n" >/dev/null
+  done
+  streams=0
+  for f in "$sweep_tmp"/ev1/*.jsonl; do
+    cmp "$f" "$sweep_tmp/ev4/$(basename "$f")"
+    streams=$((streams + 1))
+  done
+  if [[ $streams -ne 4 ]]; then
+    echo "ci: expected 4 event streams, found $streams"; exit 1
+  fi
   rm -rf "$sweep_tmp"
 fi
 
