@@ -162,9 +162,9 @@ BENCHMARK(BM_SimplexWarmRestart)->Arg(30)->Arg(60);
 
 void BM_MilpSolve(benchmark::State& state) {
   // Full branch & bound over the paper's §III model on an instance whose
-  // relaxation is fractional. Arg toggles warm starting (child nodes from
-  // the parent basis, the root from the previous solve): 0 = everything
-  // cold, 1 = warm. Serial so the comparison isolates the basis reuse.
+  // relaxation is fractional. Arg toggles warm starting of child nodes
+  // from the parent basis: 0 = every node cold (the reference path),
+  // 1 = warm.
   IlpProblem p;
   p.machine_rates = {1.0, 1.4};
   p.tasks.resize(5);
@@ -179,7 +179,6 @@ void BM_MilpSolve(benchmark::State& state) {
   const lp::Model m = build_ilp_model(p, /*enforce_deadlines=*/true);
   lp::MilpSolver::Options o;
   o.warm_start = state.range(0) != 0;
-  o.threads = 1;
   lp::MilpSolver solver(o);
   for (auto _ : state) benchmark::DoNotOptimize(solver.solve(m));
   state.SetItemsProcessed(state.iterations() * solver.last_nodes());

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <sstream>
 
 namespace dsp::analysis {
 
@@ -66,7 +64,7 @@ std::vector<Line> lex_lines(std::string_view text) {
                !(std::isalnum(static_cast<unsigned char>(
                      line.code[line.code.size() - 2])) ||
                  line.code[line.code.size() - 2] == '_'))) {
-            raw_delim = ")";
+            raw_delim = ')';
             std::size_t j = i + 1;
             while (j < text.size() && text[j] != '(') raw_delim += text[j++];
             raw_delim += '"';
@@ -163,23 +161,6 @@ std::vector<std::string> parse_allows(const std::string& comment) {
 
 bool allowed(const std::vector<std::string>& allows, std::string_view id) {
   return std::find(allows.begin(), allows.end(), id) != allows.end();
-}
-
-const SourceCache::Entry& SourceCache::load_file(const std::string& path) {
-  auto it = entries_.find(path);
-  if (it != entries_.end()) return it->second;
-  Entry entry;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    entry.error = "cannot open file: " + path;
-  } else {
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    entry.text = buf.str();
-    entry.lines = lex_lines(entry.text);
-    entry.ok = true;
-  }
-  return entries_.emplace(path, std::move(entry)).first->second;
 }
 
 }  // namespace dsp::analysis

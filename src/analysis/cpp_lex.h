@@ -1,15 +1,12 @@
-// Shared lexical front end of the source-level analyses (srclint's
-// line rules and dsp-flow's interprocedural passes).
+// Lexical front end of srclint's line rules.
 //
-// Both scanners work on the same stripped view of a C++ file: comments,
+// The scanner works on a stripped view of a C++ file: comments,
 // string/char literal bodies and raw strings are blanked to spaces (so
 // rule text inside doc comments or format strings never matches),
 // preprocessor lines are marked, and the comment text of each line is
-// kept for `dsp-tidy: allow(ID)` suppression parsing. Factored out of
-// srclint.cpp so cpp_index.cpp sees byte-identical token streams.
+// kept for `dsp-tidy: allow(ID)` suppression parsing.
 #pragma once
 
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,27 +40,5 @@ std::string normalize_path(std::string_view path);
 /// matches both the .h and the .cpp); otherwise the match must also end
 /// at a component boundary, so "src" does not match "srclint".
 bool path_has(const std::string& path, std::string_view pat);
-
-/// Read-and-lex-once cache keyed by path. dsp_tidy's srclint, flow and
-/// dataflow modes all consume the same stripped line stream; running a
-/// three-mode scan through one SourceCache lexes each file exactly once
-/// instead of once per mode.
-class SourceCache {
- public:
-  struct Entry {
-    std::string text;
-    std::vector<Line> lines;
-    bool ok = false;
-    std::string error;
-  };
-
-  /// Loads (or returns the cached) entry for `path`. Failures are cached
-  /// too: `ok` is false and `error` says why. The reference stays valid
-  /// for the cache's lifetime.
-  const Entry& load_file(const std::string& path);
-
- private:
-  std::map<std::string, Entry> entries_;
-};
 
 }  // namespace dsp::analysis

@@ -116,11 +116,6 @@ void Report::write_json(std::ostream& out, std::string_view input_kind,
     out << '}';
   }
   out << (diagnostics_.empty() ? "]" : "\n  ]");
-  if (scan_seconds_ >= 0.0) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.3f", scan_seconds_);
-    out << ",\n  \"scan\": {\"seconds\": " << buf << "}";
-  }
   out << ",\n  \"summary\": {\"error\": " << count(Severity::kError)
       << ", \"warning\": " << count(Severity::kWarning)
       << ", \"info\": " << count(Severity::kInfo) << "}\n}\n";

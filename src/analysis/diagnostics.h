@@ -54,11 +54,6 @@ class Report {
   /// Merges another report's diagnostics (subject to this report's filter).
   void merge(const Report& other);
 
-  /// Wall time of the scan that produced this report; when set (>= 0)
-  /// write_json adds a "scan": {"seconds": n} section.
-  void set_scan_seconds(double seconds) { scan_seconds_ = seconds; }
-  double scan_seconds() const { return scan_seconds_; }
-
   /// Compiler-style text, one line per diagnostic:
   ///   W003 deadline-infeasible-by-critical-path error job 2: ...
   /// followed by a one-line summary.
@@ -77,7 +72,6 @@ class Report {
 
   std::vector<Diagnostic> diagnostics_;
   std::vector<std::string> rule_filter_;
-  double scan_seconds_ = -1.0;
 };
 
 }  // namespace dsp::analysis

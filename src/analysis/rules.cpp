@@ -85,11 +85,6 @@ constexpr RuleInfo kCatalog[] = {
      "<random> engine or distribution: outputs are not specified "
      "bit-exactly across standard libraries — use util/rng",
      "§V reproducibility"},
-    {"D006", "nondet-reachable", Severity::kError,
-     "a core/sim entry point reaches a nondeterminism source (wall clock, "
-     "libc random, hash-order container) through its call chain, even "
-     "though no single function trips D000-D003 locally",
-     "§V reproducibility"},
     // ---- Source concurrency/robustness lint (dsp_tidy) -----------------
     {"C000", "unguarded-global-state", Severity::kError,
      "mutable file-scope state without a DSP_GUARDED_BY annotation (or "
@@ -114,72 +109,6 @@ constexpr RuleInfo kCatalog[] = {
     {"C005", "manual-lock", Severity::kError,
      "manual mutex lock()/unlock() instead of RAII (MutexLock / "
      "scoped_lock, Core Guidelines CP.20)",
-     "-"},
-    // ---- Interprocedural lock-flow analysis (dsp_tidy --flow) ----------
-    {"L000", "lock-order-inversion", Severity::kError,
-     "two call paths acquire the same pair of mutexes in opposite order; "
-     "running them concurrently can deadlock",
-     "-"},
-    {"L001", "recursive-acquire", Severity::kError,
-     "a call path re-acquires a non-recursive mutex it already holds; "
-     "self-deadlock on the same instance",
-     "-"},
-    {"L002", "io-under-lock-reachable", Severity::kError,
-     "a call made while a lock is held reaches blocking or console I/O in "
-     "a callee (the interprocedural form of C001)",
-     "-"},
-    {"L003", "parallel-for-unguarded-write", Severity::kError,
-     "a parallel_for callback reaches a write to shared member state that "
-     "carries no DSP_GUARDED_BY annotation and is not atomic; concurrent "
-     "chunks race",
-     "§IV Algorithm 1 determinism"},
-    {"L004", "requires-not-held", Severity::kError,
-     "a function annotated DSP_REQUIRES(mu) is called on a path that does "
-     "not hold mu",
-     "-"},
-    // ---- Value-range dataflow analysis (dsp_tidy --dataflow) -----------
-    {"V000", "div-by-witnessed-zero", Severity::kError,
-     "divisor's interval carries a zero witness — some concrete path "
-     "(a `= 0` literal, a callee returning 0.0, an `== 0` branch) reaches "
-     "this division with a hard zero",
-     "§IV Formula 13 (1/t_rem leaf priority)"},
-    {"V001", "unsigned-sub-wrap", Severity::kError,
-     "unsigned subtraction a - b where the analyzed ranges admit a < b; "
-     "the result wraps to a huge value instead of going negative",
-     "§III t^a = t^d - t^rem deadline chain"},
-    {"V002", "narrowing-cast-overflow", Severity::kError,
-     "cast to a narrower integer type whose analyzed range exceeds the "
-     "target's representable range",
-     "-"},
-    {"V003", "float-equality", Severity::kError,
-     "== or != on floating-point operands; rounding makes the comparison "
-     "unstable — compare against an epsilon or restructure",
-     "-"},
-    {"V004", "shift-out-of-range", Severity::kError,
-     "shift amount's analyzed range reaches or exceeds the width of the "
-     "shifted operand's type (undefined behavior)",
-     "-"},
-    {"V005", "loop-counter-narrow", Severity::kError,
-     "32-bit loop counter compared against a 64-bit bound whose analyzed "
-     "range exceeds INT32_MAX; the loop may never terminate",
-     "-"},
-    // ---- Taint dataflow analysis (dsp_tidy --dataflow) -----------------
-    {"T000", "tainted-index", Severity::kError,
-     "array/vector subscript derives from an untrusted source (env var, "
-     "workload CSV field, parsed text) with no clamp or comparison guard "
-     "on the path",
-     "-"},
-    {"T001", "tainted-loop-bound", Severity::kError,
-     "loop bound derives from an untrusted source with no validation; a "
-     "hostile config makes the loop run unbounded",
-     "-"},
-    {"T002", "tainted-alloc-size", Severity::kError,
-     "allocation/resize size derives from an untrusted source with no "
-     "validation; a hostile config triggers an OOM",
-     "-"},
-    {"T003", "env-unvalidated", Severity::kError,
-     "numeric env knob (env_int/env_double) used without any clamp or "
-     "comparison guard between read and use",
      "-"},
 };
 

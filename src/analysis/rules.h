@@ -20,17 +20,6 @@
 //        discipline (unguarded globals, I/O under a lock, manual
 //        lock/unlock), raw new/delete, unchecked hot-path indexing, and
 //        console output bypassing util/log.
-//   V* — value-range rules (dsp_tidy --dataflow, valueflow.h): interval
-//        abstract interpretation over per-function CFGs catches the
-//        numeric traps the scheduler math invites — division by a
-//        witnessed zero (a t_rem or rate that a real path zeroes),
-//        unsigned subtraction that wraps on tick/deadline chains,
-//        narrowing casts, float ==, oversized shifts and 32-bit loop
-//        counters bounded by 64-bit quantities.
-//   T* — taint rules (dsp_tidy --dataflow): values entering from env
-//        vars, workload CSV fields or parsed text must pass a clamp or
-//        comparison guard before becoming an array index, loop bound or
-//        allocation size.
 // IDs are stable: tools, CI filters and fixtures reference them by name.
 #pragma once
 

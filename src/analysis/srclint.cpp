@@ -9,7 +9,6 @@
 #include <string>
 
 #include "analysis/cpp_lex.h"
-#include "obs/json.h"
 
 namespace dsp::analysis {
 namespace {
@@ -135,8 +134,9 @@ const std::regex& index_guard_re() {
 // Scanner
 // ---------------------------------------------------------------------------
 
-void scan_source_lines(std::string_view path, const std::vector<Line>& lines,
-                       Report& report) {
+void scan_source(std::string_view path, std::string_view text,
+                 Report& report) {
+  const std::vector<Line> lines = lex_lines(text);
   const std::string npath = normalize_path(path);
   const bool hot = in_hot_scope(npath);
   // C001 path scoping: util/log's line emitter and obs/events' JSONL sink
@@ -206,11 +206,6 @@ void scan_source_lines(std::string_view path, const std::vector<Line>& lines,
   }
 }
 
-void scan_source(std::string_view path, std::string_view text,
-                 Report& report) {
-  scan_source_lines(path, lex_lines(text), report);
-}
-
 bool scan_source_file(const std::string& path, Report& report,
                       std::string* error) {
   std::ifstream in(path, std::ios::binary);
@@ -250,51 +245,6 @@ bool collect_sources(const std::vector<std::string>& paths,
       }
     } else {
       out.push_back(normalize_path(path));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return true;
-}
-
-bool collect_sources_from_compdb(const std::string& compdb_path,
-                                 std::vector<std::string>& out,
-                                 std::string* error) {
-  namespace fs = std::filesystem;
-  std::ifstream in(compdb_path, std::ios::binary);
-  if (!in) {
-    if (error) *error = "cannot open compilation database: " + compdb_path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  obs::json::Value doc;
-  std::string parse_error;
-  if (!obs::json::parse(buf.str(), doc, &parse_error) || !doc.is_array()) {
-    if (error)
-      *error = compdb_path + ": not a compile_commands.json array (" +
-               (parse_error.empty() ? "top-level value is not an array"
-                                    : parse_error) +
-               ")";
-    return false;
-  }
-  for (const auto& entry : doc.array) {
-    const obs::json::Value* file = entry.find("file");
-    if (file == nullptr || !file->is_string()) continue;
-    fs::path p(file->string);
-    if (p.is_relative()) {
-      const obs::json::Value* dir = entry.find("directory");
-      if (dir != nullptr && dir->is_string()) p = fs::path(dir->string) / p;
-    }
-    out.push_back(normalize_path(p.string()));
-    // The TU's sibling header, when present: annotations and inline
-    // method bodies live there.
-    for (const char* ext : {".h", ".hh", ".hpp"}) {
-      fs::path header = p;
-      header.replace_extension(ext);
-      std::error_code ec;
-      if (fs::is_regular_file(header, ec))
-        out.push_back(normalize_path(header.string()));
     }
   }
   std::sort(out.begin(), out.end());

@@ -23,7 +23,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/cpp_lex.h"
 #include "analysis/diagnostics.h"
 
 namespace dsp::analysis {
@@ -36,11 +35,6 @@ namespace dsp::analysis {
 /// util/log and obs/events for the single-fwrite-under-own-mutex emit
 /// paths C001 otherwise forbids).
 void scan_source(std::string_view path, std::string_view text, Report& report);
-
-/// Same scan over pre-lexed lines (shared SourceCache — lex once, scan
-/// in every mode).
-void scan_source_lines(std::string_view path, const std::vector<Line>& lines,
-                       Report& report);
 
 /// Reads `path` from disk and scans it. Returns false (and sets `error`
 /// when non-null) if the file cannot be read; the report is unchanged.
@@ -55,16 +49,5 @@ bool scan_source_file(const std::string& path, Report& report,
 bool collect_sources(const std::vector<std::string>& paths,
                      std::vector<std::string>& out,
                      std::string* error = nullptr);
-
-/// Expands a CMake compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS)
-/// into the list of sources to scan: every entry's "file", plus the
-/// same-stem header next to it when one exists (the compilation database
-/// lists only translation units, but headers carry the thread-safety
-/// annotations and inline bodies the analyses need). Sorted and deduped
-/// like collect_sources. Returns false and sets `error` on unreadable or
-/// malformed databases.
-bool collect_sources_from_compdb(const std::string& compdb_path,
-                                 std::vector<std::string>& out,
-                                 std::string* error = nullptr);
 
 }  // namespace dsp::analysis

@@ -16,7 +16,6 @@ const char* to_string(ScheduleMode m) {
     case ScheduleMode::kHeuristic: return "heuristic";
     case ScheduleMode::kRelaxRound: return "relax-round";
     case ScheduleMode::kExact: return "exact";
-    case ScheduleMode::kAuto: return "auto";
   }
   return "?";
 }
@@ -38,19 +37,15 @@ std::vector<double> DspScheduler::dependency_weights(const Job& job,
 std::vector<TaskPlacement> DspScheduler::schedule(
     const std::vector<JobId>& jobs, Engine& engine) {
   ScheduleMode mode = options_.mode;
-  if (mode == ScheduleMode::kAuto || mode == ScheduleMode::kExact ||
-      mode == ScheduleMode::kRelaxRound) {
+  if (mode == ScheduleMode::kExact) {
     // Size the would-be ILP instance.
     std::size_t tasks = 0;
     for (JobId j : jobs) tasks += engine.job(j).task_count();
     std::size_t machines = 0;
     for (std::size_t k = 0; k < engine.node_count(); ++k)
       machines += static_cast<std::size_t>(engine.cluster().node(k).slots);
-    const bool exact_ok =
-        tasks <= options_.exact_max_tasks && machines <= options_.exact_max_machines;
-    if (mode == ScheduleMode::kAuto)
-      mode = exact_ok ? ScheduleMode::kExact : ScheduleMode::kHeuristic;
-    else if (mode == ScheduleMode::kExact && !exact_ok) {
+    if (tasks > options_.exact_max_tasks ||
+        machines > options_.exact_max_machines) {
       DSP_INFO("ILP instance too large for exact mode (%zu tasks, %zu machines);"
                " using heuristic", tasks, machines);
       mode = ScheduleMode::kHeuristic;
@@ -260,20 +255,8 @@ std::vector<TaskPlacement> DspScheduler::schedule_ilp(
     }
   }
 
-  IlpScheduleResult result;
-  if (exact) {
-    if (exact_solver_ == nullptr) {
-      lp::MilpSolver::Options mo;
-      mo.warm_start = options_.warm_start;
-      mo.parallel_nodes = options_.ilp_parallel_nodes;
-      mo.threads = options_.ilp_threads;
-      exact_solver_ = std::make_unique<lp::MilpSolver>(mo);
-    }
-    result = solve_ilp_schedule(problem, IlpSolveOptions{}, *exact_solver_);
-  } else {
-    result = solve_relax_round(
-        problem, options_.warm_start ? &relax_basis_ : nullptr);
-  }
+  const IlpScheduleResult result = exact ? solve_ilp_schedule(problem)
+                                         : solve_relax_round(problem);
   if (!result.ok()) {
     DSP_WARN("ILP solve failed (%s); falling back to heuristic",
              lp::to_string(result.status));

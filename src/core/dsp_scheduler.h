@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "core/ilp_model.h"
 #include "core/params.h"
@@ -34,7 +33,6 @@ enum class ScheduleMode {
   kHeuristic,
   kRelaxRound,
   kExact,
-  kAuto,  ///< kExact when the instance is small enough, else kHeuristic.
 };
 
 const char* to_string(ScheduleMode m);
@@ -58,14 +56,6 @@ class DspScheduler : public Scheduler {
     /// remote-fetch cost, steering tasks toward the nodes holding their
     /// inputs.
     bool locality_aware = true;
-    /// Warm-start LP bases across branch-and-bound nodes and scheduling
-    /// periods in the exact/relax modes (off = cold-start everything,
-    /// for A/B benching).
-    bool warm_start = true;
-    /// Exact solver's B&B wave width (lp::MilpSolver::Options::
-    /// parallel_nodes) and worker threads (<= 0 reads DSP_THREADS).
-    int ilp_parallel_nodes = 8;
-    int ilp_threads = 0;
   };
 
   DspScheduler() = default;
@@ -92,12 +82,6 @@ class DspScheduler : public Scheduler {
 
   Options options_;
   ScheduleMode last_mode_ = ScheduleMode::kHeuristic;
-
-  // Cross-period warm-start state: the exact solver persists so its root
-  // relaxation reuses the previous period's basis; the relax-round basis
-  // is threaded through solve_relax_round the same way.
-  std::unique_ptr<lp::MilpSolver> exact_solver_;
-  lp::Basis relax_basis_;
 };
 
 }  // namespace dsp

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <queue>
 
+#include "lp/milp.h"
 #include "util/log.h"
 
 namespace dsp {
@@ -151,22 +152,13 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
 
 IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem,
                                      const IlpSolveOptions& options) {
-  lp::MilpSolver::Options milp_opts;
-  milp_opts.max_nodes = options.max_bb_nodes;
-  milp_opts.warm_start = options.warm_start;
-  milp_opts.parallel_nodes = options.parallel_nodes;
-  milp_opts.threads = options.threads;
-  lp::MilpSolver solver(milp_opts);
-  return solve_ilp_schedule(problem, options, solver);
-}
-
-IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem,
-                                     const IlpSolveOptions& options,
-                                     lp::MilpSolver& solver) {
   assert(!problem.tasks.empty() && !problem.machine_rates.empty());
   const std::size_t T = problem.tasks.size();
   const std::size_t M = problem.machine_rates.size();
 
+  lp::MilpSolver::Options milp_opts;
+  milp_opts.max_nodes = options.max_bb_nodes;
+  const lp::MilpSolver solver(milp_opts);
   lp::Model model = build_ilp_model(problem, options.enforce_deadlines);
   lp::Solution sol = solver.solve(model);
   if (sol.status == lp::SolveStatus::kInfeasible && options.enforce_deadlines &&
@@ -217,8 +209,7 @@ double list_schedule_fixed(const IlpProblem& problem,
   return makespan;
 }
 
-IlpScheduleResult solve_relax_round(const IlpProblem& problem,
-                                    lp::Basis* warm_basis) {
+IlpScheduleResult solve_relax_round(const IlpProblem& problem) {
   const std::size_t T = problem.tasks.size();
   const std::size_t M = problem.machine_rates.size();
 
@@ -270,10 +261,7 @@ IlpScheduleResult solve_relax_round(const IlpProblem& problem,
   }
 
   IlpScheduleResult result;
-  // With a caller-threaded basis, consecutive periods with the same model
-  // shape skip Phase I entirely: the previous optimum is refactorized and
-  // repaired by a few dual pivots.
-  const lp::Solution sol = lp::SimplexSolver().solve(model, warm_basis);
+  const lp::Solution sol = lp::SimplexSolver().solve(model);
   std::vector<int> machine_of(T, 0);
   if (sol.status == lp::SolveStatus::kOptimal) {
     // Round each task to its largest-fraction machine.

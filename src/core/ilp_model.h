@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "lp/milp.h"
 #include "lp/model.h"
 
 namespace dsp {
@@ -67,13 +66,6 @@ struct IlpSolveOptions {
   /// infeasible (the paper's online preemption then repairs lateness).
   bool relax_deadlines_on_infeasible = true;
   int max_bb_nodes = 20000;
-  /// Warm-start child relaxations from the parent basis (and, with a
-  /// persistent solver, the root from the previous period's basis).
-  bool warm_start = true;
-  /// B&B wave width (lp::MilpSolver::Options::parallel_nodes).
-  int parallel_nodes = 8;
-  /// Worker threads for wave solves; <= 0 reads DSP_THREADS.
-  int threads = 0;
 };
 
 /// Rough tractability guard for the exact solver.
@@ -89,26 +81,11 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines);
 IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem,
                                      const IlpSolveOptions& options = {});
 
-/// Exact solve with a caller-owned solver. Reusing one MilpSolver across
-/// scheduling periods lets structurally identical models (same task and
-/// machine counts) warm-start the root relaxation from the previous
-/// period's optimal basis; the solver's own options govern the search
-/// (only `options.enforce_deadlines` / `relax_deadlines_on_infeasible`
-/// apply here).
-IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem,
-                                     const IlpSolveOptions& options,
-                                     lp::MilpSolver& solver);
-
 /// The paper's relax-and-round mode: solve the LP relaxation, fix each
 /// task to its largest-fraction machine, then derive start times by list
 /// scheduling on the fixed placement. Always returns a feasible schedule
 /// (precedence + non-overlap), though not necessarily optimal.
-///
-/// `warm_basis` (nullable) threads the relaxation basis across calls:
-/// pass the same Basis every period and the LP warm-starts whenever the
-/// model shape repeats (a stale or mismatched basis falls back cold).
-IlpScheduleResult solve_relax_round(const IlpProblem& problem,
-                                    lp::Basis* warm_basis = nullptr);
+IlpScheduleResult solve_relax_round(const IlpProblem& problem);
 
 /// List-scheduling lower-level helper: given fixed machine assignments,
 /// computes earliest feasible start times honouring precedence and

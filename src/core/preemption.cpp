@@ -43,7 +43,7 @@ void DspPreemption::on_epoch(Engine& engine) {
   const std::size_t nodes = engine.node_count();
   victims_.resize(nodes);
   auto collect = [&](std::size_t k) {
-    victims_[k].clear();  // dsp-tidy: allow(L003) chunk k owns slot k
+    victims_[k].clear();  // chunk k owns slot k
     const auto node = static_cast<int>(k);
     if (engine.waiting(node).empty()) return;
     collect_preemptable(engine, node, victims_[k]);
@@ -89,7 +89,7 @@ void DspPreemption::on_epoch(Engine& engine) {
     // adapt_delta either leaves delta_ untouched or assigns a freshly
     // computed value; exact inequality is the intended "did it change"
     // test, not a tolerance question.
-    if (delta_ != before)  // dsp-tidy: allow(V003)
+    if (delta_ != before)
       engine.emit_event({.kind = obs::EventKind::kDeltaAdapt,
                          .a = before,
                          .b = delta_});

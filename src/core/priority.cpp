@@ -96,8 +96,8 @@ DependencyPriority::Range DependencyPriority::compute_all(
     const JobId j = dirty_jobs_[i];
     // Each chunk owns job j's rows exclusively, so the fan-out is
     // race-free even without a guard annotation.
-    job_range_[j] = compute_job(engine, j, out);    // dsp-tidy: allow(L003)
-    job_version_[j] = engine.priority_version(j);  // dsp-tidy: allow(L003)
+    job_range_[j] = compute_job(engine, j, out);
+    job_version_[j] = engine.priority_version(j);
   };
   if (pool_ != nullptr && dirty_jobs_.size() > 1) {
     pool_->parallel_for(dirty_jobs_.size(), recompute);

@@ -1,59 +1,40 @@
 // Branch-and-bound MILP solver on top of the bounded-variable simplex.
 //
-// Best-bound search branching on the most fractional integer variable.
-// Open nodes are parent-delta records (one branched bound each, O(1) per
-// node) carrying a shared pointer to the parent's optimal basis; child
-// relaxations warm-start from that basis and are repaired by a dual
-// simplex pass instead of a cold Phase-I/Phase-II solve. Nodes are
-// explored in fixed-size waves fanned out over util::ThreadPool; because
-// the wave size is an option — never a function of the thread count —
-// and incumbents merge in node-sequence order, the chosen solution and
-// the node count are bit-identical at any DSP_THREADS. Suited to the
-// small exact instances the DSP ILP scheduler solves and to
-// cross-validating the scheduling heuristic; a node cap returns the best
-// incumbent on larger models.
+// Serial best-bound search branching on the most fractional integer
+// variable. Open nodes are parent-delta records (one branched bound each,
+// O(1) per node) carrying a shared pointer to the parent's optimal basis;
+// child relaxations warm-start from that basis and are repaired by a
+// dual simplex pass instead of a cold Phase-I/Phase-II solve. The whole
+// search runs on one BoundedSimplex, so a child popped right after its
+// parent reuses the live tableau and its sibling restores the parent's
+// snapshot (the fast warm tiers of simplex.h). Nodes pop in (bound,
+// creation order) order, so the tree, the node count and the solution
+// are deterministic. Suited to the small exact instances the DSP ILP
+// scheduler solves and to cross-validating the scheduling heuristic; a
+// node cap returns the best incumbent on larger models.
 #pragma once
-
-#include <memory>
 
 #include "lp/model.h"
 #include "lp/simplex.h"
 
-namespace dsp {
-class ThreadPool;
-}
-
 namespace dsp::lp {
 
-/// Branch & bound MILP solver.
-///
-/// A MilpSolver instance may be reused across solves — consecutive calls
-/// with structurally identical models (same variable/constraint counts,
-/// the cross-period scheduling pattern) warm-start the root relaxation
-/// from the previous solve's root basis. Instances are not safe for
-/// concurrent solve() calls.
+/// Branch & bound MILP solver. Solves are independent of each other; the
+/// per-solve statistics make an instance unsafe for concurrent solve()
+/// calls.
 class MilpSolver {
  public:
   struct Options {
     int max_nodes = 20000;   ///< Search-tree node cap.
     double int_tol = 1e-6;   ///< Integrality tolerance.
     double gap_tol = 1e-9;   ///< Absolute optimality gap to stop early.
-    bool warm_start = true;  ///< Warm-start child LPs from the parent basis
-                             ///< (and the root from the previous solve).
-    int parallel_nodes = 8;  ///< Open nodes solved per wave. Fixed work
-                             ///< unit: results are identical at any thread
-                             ///< count. 1 = strict best-bound order.
-    int threads = 0;         ///< Worker threads for wave solves; <= 0
-                             ///< reads DSP_THREADS (default 1).
+    bool warm_start = true;  ///< Warm-start child LPs from the parent
+                             ///< basis; off is the cold reference path.
     SimplexSolver::Options lp{};  ///< Options for relaxation solves.
   };
 
-  MilpSolver();
-  explicit MilpSolver(Options opts);
-  ~MilpSolver();
-
-  MilpSolver(const MilpSolver&) = delete;
-  MilpSolver& operator=(const MilpSolver&) = delete;
+  MilpSolver() = default;
+  explicit MilpSolver(Options opts) : opts_(opts) {}
 
   /// Solves `model` to optimality (kOptimal), or returns the best incumbent
   /// under the node cap (kNodeLimit), or kNoSolution/kInfeasible/kUnbounded.
@@ -67,27 +48,9 @@ class MilpSolver {
   int last_warm_hits() const { return last_warm_hits_; }
 
  private:
-  ThreadPool* pool() const;
-
   Options opts_;
   mutable int last_nodes_ = 0;
   mutable int last_warm_hits_ = 0;
-
-  // Cross-period root warm start: the previous solve's root basis plus
-  // the model shape it belongs to.
-  mutable Basis period_basis_;
-  mutable std::size_t period_vars_ = 0;
-  mutable std::size_t period_rows_ = 0;
-
-  mutable int resolved_threads_ = 0;
-  mutable std::unique_ptr<ThreadPool> pool_;
 };
-
-/// Rounds an LP-relaxation solution to the nearest integral point and
-/// repairs simple bound violations; the relax-and-round scheduling mode
-/// (paper §III: "relax ... then use integer rounding") uses this.
-/// Returns false when the rounded point is infeasible for `model`.
-bool round_to_integers(const Model& model, std::vector<double>& x,
-                       double tol = 1e-6);
 
 }  // namespace dsp::lp

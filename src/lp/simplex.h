@@ -1,10 +1,9 @@
 // Bounded-variable simplex with basis warm-start.
 //
 // Designed for the small-to-medium models the DSP ILP scheduler produces
-// (hundreds of variables/rows) and for the re-solve patterns that dominate
+// (hundreds of variables/rows) and for the re-solve pattern that dominates
 // its hot path: branch-and-bound children differing from their parent by a
-// single variable bound, and consecutive scheduling periods producing
-// structurally identical models with shifted data.
+// single variable bound.
 //
 // Simple variable bounds are handled implicitly — every nonbasic variable
 // sits at its lower or upper bound (or at zero when free) — so finite
@@ -101,8 +100,8 @@ class SimplexSolver {
 /// matrix. Construction builds the (bounds-independent) initial matrix
 /// once; callers may then override variable bounds and re-solve many
 /// times — exactly the branch-and-bound access pattern, where each child
-/// node differs from its parent by a single bound. MilpSolver keeps one
-/// instance per search worker.
+/// node differs from its parent by a single bound. MilpSolver runs its
+/// whole search on one instance.
 class BoundedSimplex {
  public:
   BoundedSimplex(const Model& model, SimplexSolver::Options opts);

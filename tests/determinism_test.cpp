@@ -4,8 +4,6 @@
 // preemption audit trail must be independent of the threads knob.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "core/dsp_scheduler.h"
@@ -187,11 +185,11 @@ TEST(DeterminismTest, AuditTrailIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------
-// Parallel branch & bound vs the threads knob
+// Serial branch & bound search order
 // ---------------------------------------------------------------------
 
 /// An ILP instance whose LP relaxation is fractional, so the solver
-/// actually branches and the parallel waves carry several nodes.
+/// actually branches.
 IlpProblem branching_ilp_instance() {
   IlpProblem p;
   p.machine_rates = {1.0, 1.4};
@@ -207,61 +205,28 @@ IlpProblem branching_ilp_instance() {
   return p;
 }
 
-TEST(DeterminismTest, MilpSolutionsIdenticalAcrossThreadCounts) {
+TEST(DeterminismTest, MilpSearchPinsNodeCountAndSolutionBits) {
+  // Best-bound order (bound, then creation sequence) fixes the tree, so
+  // the node count and the solution bits pin the search: a change to the
+  // search order, the branching rule or the warm-start path shows up
+  // here.
   const lp::Model model =
       build_ilp_model(branching_ilp_instance(), /*enforce_deadlines=*/true);
-
-  lp::Solution reference;
-  int reference_nodes = 0;
-  for (const int threads : {1, 2, 4}) {
-    lp::MilpSolver::Options o;
-    o.threads = threads;
-    lp::MilpSolver solver(o);
-    const lp::Solution s = solver.solve(model);
-    ASSERT_EQ(s.status, lp::SolveStatus::kOptimal) << threads;
-    if (threads == 1) {
-      reference = s;
-      reference_nodes = solver.last_nodes();
-      ASSERT_GT(reference_nodes, 1);  // the instance must branch
-      continue;
-    }
-    EXPECT_EQ(solver.last_nodes(), reference_nodes) << threads;
-    EXPECT_EQ(s.objective, reference.objective) << threads;
-    ASSERT_EQ(s.x.size(), reference.x.size()) << threads;
-    for (std::size_t i = 0; i < reference.x.size(); ++i)
-      EXPECT_EQ(s.x[i], reference.x[i]) << threads << " var " << i;
-  }
-}
-
-TEST(DeterminismTest, MilpHonoursDspThreadsEnv) {
-  // threads <= 0 resolves the worker count from DSP_THREADS; the result
-  // must still be bit-identical to the explicit serial solve.
-  const lp::Model model =
-      build_ilp_model(branching_ilp_instance(), /*enforce_deadlines=*/true);
-
-  lp::MilpSolver::Options serial_opts;
-  serial_opts.threads = 1;
-  lp::MilpSolver serial(serial_opts);
-  const lp::Solution reference = serial.solve(model);
-  ASSERT_EQ(reference.status, lp::SolveStatus::kOptimal);
-
-  const char* saved = std::getenv("DSP_THREADS");
-  const std::string saved_value = saved == nullptr ? "" : saved;
-  ::setenv("DSP_THREADS", "3", 1);
-  {
-    lp::MilpSolver from_env;  // Options::threads defaults to 0
-    const lp::Solution s = from_env.solve(model);
-    EXPECT_EQ(s.status, lp::SolveStatus::kOptimal);
-    EXPECT_EQ(s.objective, reference.objective);
-    ASSERT_EQ(s.x.size(), reference.x.size());
-    for (std::size_t i = 0; i < reference.x.size(); ++i)
-      EXPECT_EQ(s.x[i], reference.x[i]) << "var " << i;
-    EXPECT_EQ(from_env.last_nodes(), serial.last_nodes());
-  }
-  if (saved == nullptr)
-    ::unsetenv("DSP_THREADS");
-  else
-    ::setenv("DSP_THREADS", saved_value.c_str(), 1);
+  lp::MilpSolver solver;
+  const lp::Solution s = solver.solve(model);
+  ASSERT_EQ(s.status, lp::SolveStatus::kOptimal);
+  EXPECT_EQ(solver.last_nodes(), 57);
+  EXPECT_EQ(s.objective, 0x1.9b6db6db6db6dp+2);
+  const std::vector<double> expected = {
+      0x1.9b6db6db6db6dp+2, 0x0p+0, 0x0p+0, 0x1.1249249249249p+1,
+      0x1p+2, 0x1.3ffffffffffffp+2, 0x0p+0, 0x1p+0, 0x1p+0, 0x0p+0,
+      0x0p+0, 0x1.fffffffffffffp-1, 0x1p+0, 0x0p+0, 0x0p+0, 0x1p+0,
+      0x0p+0, 0x0p+0, 0x0p+0, 0x1p+0, 0x0p+0, 0x1p+0, 0x0p+0, 0x1p+0,
+      0x0p+0, 0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1p+0,
+      0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0};
+  ASSERT_EQ(s.x.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    EXPECT_EQ(s.x[i], expected[i]) << "var " << i;
 }
 
 }  // namespace

@@ -335,26 +335,6 @@ TEST_P(RandomKnapsackTest, MatchesExhaustiveSearch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomKnapsackTest, ::testing::Range(0, 15));
 
-TEST(MilpTest, RoundToIntegersRepairsAndChecks) {
-  Model m;
-  m.add_int_var(0, 5, 1.0);
-  m.add_var(0, 5, 1.0);
-  std::vector<double> x{2.4, 1.7};
-  EXPECT_TRUE(round_to_integers(m, x));
-  EXPECT_DOUBLE_EQ(x[0], 2.0);
-  EXPECT_DOUBLE_EQ(x[1], 1.7);  // continuous untouched
-}
-
-TEST(MilpTest, RoundToIntegersDetectsInfeasibleRounding) {
-  Model m;
-  const VarId x = m.add_int_var(0, 5, 1.0);
-  // x >= 2.4: the fractional solution 2.4 is feasible but rounds to 2.0,
-  // which violates the constraint — rounding must report failure.
-  m.add_constraint(LinearExpr().add(x, 1), Sense::kGe, 2.4);
-  std::vector<double> sol{2.4};
-  EXPECT_FALSE(round_to_integers(m, sol));
-}
-
 // ---------------------------------------------------------------------
 // Warm start: basis round-trip, dual repair, Bland fallback
 // ---------------------------------------------------------------------
@@ -473,7 +453,7 @@ TEST(WarmStartTest, StaleBasisShapeFallsBackCold) {
 }
 
 // ---------------------------------------------------------------------
-// MILP warm-vs-cold equivalence and parallel-wave determinism
+// MILP warm-vs-cold equivalence
 // ---------------------------------------------------------------------
 
 namespace {
@@ -526,7 +506,6 @@ TEST(MilpWarmStartTest, WarmMatchesColdOnIlpFixtures) {
 
     MilpSolver::Options cold_opts;
     cold_opts.warm_start = false;
-    cold_opts.parallel_nodes = 1;
     MilpSolver cold(cold_opts);
     const Solution c = cold.solve(model);
 
@@ -568,50 +547,6 @@ TEST(MilpWarmStartTest, WarmMatchesColdOnRandomKnapsacks) {
     const Solution w = warm.solve(m);
     ASSERT_EQ(w.status, c.status) << "seed " << seed;
     EXPECT_NEAR(w.objective, c.objective, 1e-6) << "seed " << seed;
-  }
-}
-
-TEST(MilpWarmStartTest, PersistentSolverWarmStartsAcrossPeriods) {
-  // Cross-period pattern: same model shape, shifted data. The second
-  // solve's root must warm-start from the first solve's root basis.
-  MilpSolver solver;
-  for (int period = 0; period < 3; ++period) {
-    IlpProblem p;
-    p.machine_rates = {1.0, 1.0};
-    p.tasks.resize(3);
-    for (int t = 0; t < 3; ++t)
-      p.tasks[static_cast<std::size_t>(t)].size_mi =
-          1.0 + t + 0.25 * period;
-    const Model model = build_ilp_model(p, true);
-    const Solution s = solver.solve(model);
-    ASSERT_EQ(s.status, SolveStatus::kOptimal) << "period " << period;
-    if (period > 0) {
-      EXPECT_GT(solver.last_warm_hits(), 0) << "period " << period;
-    }
-  }
-}
-
-TEST(MilpParallelTest, WaveSolutionsBitIdenticalAcrossThreadCounts) {
-  for (const IlpProblem& p : ilp_fixtures()) {
-    const Model model = build_ilp_model(p, true);
-    std::vector<Solution> sols;
-    std::vector<int> nodes;
-    for (int threads : {1, 2, 4}) {
-      MilpSolver::Options o;
-      o.threads = threads;  // parallel_nodes stays at its default (8)
-      MilpSolver s(o);
-      sols.push_back(s.solve(model));
-      nodes.push_back(s.last_nodes());
-    }
-    for (std::size_t k = 1; k < sols.size(); ++k) {
-      ASSERT_EQ(sols[k].status, sols[0].status);
-      EXPECT_EQ(nodes[k], nodes[0]);
-      // Bit-identical, not approximately equal.
-      ASSERT_EQ(sols[k].x.size(), sols[0].x.size());
-      for (std::size_t j = 0; j < sols[0].x.size(); ++j)
-        EXPECT_EQ(sols[k].x[j], sols[0].x[j]) << "var " << j;
-      EXPECT_EQ(sols[k].objective, sols[0].objective);
-    }
   }
 }
 

@@ -1,29 +1,23 @@
 #!/usr/bin/env bash
 # Full local CI: tier-1 build + tests, sanitizer presets, static lint,
-# and the dsp-analyze rule engine over the shipped fixtures.
+# the srclint source rules, the dsp-analyze rule engine over the shipped
+# fixtures, and a build + self-test of the benchmark harness.
 #
 # Stages (each skippable via DSP_CI_SKIP="stage1 stage2 ..."):
 #   tier1    cmake + build + full ctest in ./build
 #   asan     address/undefined preset: build + full ctest
-#   tsan     thread preset: build + the concurrency-focused tests
-#            (the rest of the suite is single-threaded; running it
-#            under TSan adds minutes, not coverage)
+#   tsan     thread preset: build + the tests that drive every
+#            parallel_for fan-out (priority recompute and victim
+#            collection via determinism_test, the scenario grid runner
+#            via scenario_test) plus the pool's own stress tests (the
+#            rest of the suite is single-threaded; running it under TSan
+#            adds minutes, not coverage)
 #   ubsan    undefined-behaviour preset (+ -fsanitize=integer where the
 #            compiler supports it): build + full ctest
 #   lint     tools/lint.sh (clang-tidy or strict-warning fallback)
 #   srclint  dsp_tidy self-scan of src/ (must be clean, --json validated
 #            by json_check) plus the seeded per-rule fixtures, which must
 #            each fail naming exactly their rule
-#   flow     dsp_tidy --flow interprocedural lock-order/determinism
-#            analysis: src/ must scan clean in under 5 seconds (--json
-#            validated by json_check), and the seeded lockflow fixtures
-#            must each fail naming exactly their rule
-#   dataflow dsp_tidy --dataflow value-range & taint analysis: the full
-#            three-mode scan of src/ must be clean in under 10 seconds
-#            (--json with scan.seconds validated by json_check), the
-#            seeded valueflow fixtures must each fail naming exactly
-#            their rule, and the --baseline write/suppress round trip
-#            must work
 #   threadsafety  clang++ build with -DDSP_THREAD_SAFETY=ON so the
 #            Clang Thread Safety Analysis annotations are checked as
 #            errors; skipped (with a notice) when clang++ is not
@@ -46,6 +40,9 @@
 #            then an EC2 dsp,dsp-nopp grid with --event-log-dir at
 #            DSP_THREADS=1 and =4, whose per-scenario JSONL event
 #            streams must be byte-identical pair by pair
+#   perfbench  builds the standalone benchmark harness (perfbench/
+#            globs every src/ module, so a deleted or renamed module can
+#            break it while tier1 stays green) and runs its self-test
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -72,7 +69,7 @@ if ! skipped tsan; then
   banner "tsan preset (concurrency tests)"
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j
-  ctest --preset tsan -R 'thread_pool_stress_test|util_test|determinism_test'
+  ctest --preset tsan -R 'thread_pool_stress_test|util_test|determinism_test|scenario_test'
 fi
 
 if ! skipped ubsan; then
@@ -114,81 +111,6 @@ if ! skipped srclint; then
   echo "dsp_tidy tests/fixtures/srclint/clean.cpp"
   "$TIDY" tests/fixtures/srclint/clean.cpp >/dev/null
   rm -rf "$srclint_tmp"
-fi
-
-if ! skipped flow; then
-  banner "flow (dsp_tidy --flow interprocedural analysis)"
-  TIDY=build/tools/dsp_tidy
-  JSON_CHECK=build/tools/json_check
-  flow_tmp=$(mktemp -d)
-
-  echo "dsp_tidy --flow src/ (must be clean, and fast)"
-  flow_start=$(date +%s)
-  "$TIDY" --flow src/ --json "$flow_tmp/flow.json"
-  flow_elapsed=$(( $(date +%s) - flow_start ))
-  "$JSON_CHECK" "$flow_tmp/flow.json" analyzer input.kind diagnostics summary.error
-  if [ "$flow_elapsed" -ge 5 ]; then
-    echo "ci: flow scan took ${flow_elapsed}s (budget: < 5s)"; exit 1
-  fi
-  echo "flow scan clean in ${flow_elapsed}s"
-
-  # Seeded interprocedural fixtures must fail with exactly their rule.
-  for f in tests/fixtures/lockflow/[ld][0-9]*.cpp; do
-    base=$(basename "$f")
-    rule=$(echo "${base%%_*}" | tr '[:lower:]' '[:upper:]')
-    if "$TIDY" --flow "$f" >"$flow_tmp/seed.txt" 2>&1; then
-      echo "ci: $f unexpectedly scanned clean (wanted $rule)"; exit 1
-    fi
-    grep -q "$rule" "$flow_tmp/seed.txt" || { echo "ci: $f did not report $rule"; exit 1; }
-    echo "seeded $rule ok ($f)"
-  done
-
-  echo "dsp_tidy --flow tests/fixtures/lockflow/clean.cpp"
-  "$TIDY" --flow tests/fixtures/lockflow/clean.cpp >/dev/null
-  rm -rf "$flow_tmp"
-fi
-
-if ! skipped dataflow; then
-  banner "dataflow (dsp_tidy --dataflow value-range & taint analysis)"
-  TIDY=build/tools/dsp_tidy
-  JSON_CHECK=build/tools/json_check
-  df_tmp=$(mktemp -d)
-
-  echo "dsp_tidy --srclint --flow --dataflow src/ (must be clean, and fast)"
-  df_start=$(date +%s)
-  "$TIDY" --srclint --flow --dataflow src/ --json "$df_tmp/dataflow.json"
-  df_elapsed=$(( $(date +%s) - df_start ))
-  "$JSON_CHECK" "$df_tmp/dataflow.json" \
-    analyzer input.kind diagnostics scan.seconds summary.error
-  if [ "$df_elapsed" -ge 10 ]; then
-    echo "ci: three-mode scan took ${df_elapsed}s (budget: < 10s)"; exit 1
-  fi
-  echo "three-mode scan clean in ${df_elapsed}s"
-
-  # Seeded value-range / taint fixtures must fail with exactly their rule.
-  for f in tests/fixtures/valueflow/[vt][0-9]*.cpp; do
-    base=$(basename "$f")
-    rule=$(echo "${base%%_*}" | tr '[:lower:]' '[:upper:]')
-    if "$TIDY" --dataflow "$f" >"$df_tmp/seed.txt" 2>&1; then
-      echo "ci: $f unexpectedly scanned clean (wanted $rule)"; exit 1
-    fi
-    grep -q "$rule" "$df_tmp/seed.txt" || { echo "ci: $f did not report $rule"; exit 1; }
-    if "$TIDY" --dataflow "$f" --rules "$rule" >/dev/null 2>&1; then
-      echo "ci: $f clean under --rules $rule"; exit 1
-    fi
-    echo "seeded $rule ok ($f)"
-  done
-
-  echo "dsp_tidy --dataflow tests/fixtures/valueflow/clean.cpp"
-  "$TIDY" --dataflow tests/fixtures/valueflow/clean.cpp >/dev/null
-
-  echo "dsp_tidy --baseline round trip"
-  seed_any=$(ls tests/fixtures/valueflow/[vt][0-9]*.cpp | head -1)
-  "$TIDY" --dataflow "$seed_any" --baseline "$df_tmp/baseline.txt" >/dev/null
-  [ -s "$df_tmp/baseline.txt" ] || { echo "ci: baseline write produced no entries"; exit 1; }
-  "$TIDY" --dataflow "$seed_any" --baseline "$df_tmp/baseline.txt" >/dev/null \
-    || { echo "ci: baselined findings still reported"; exit 1; }
-  rm -rf "$df_tmp"
 fi
 
 if ! skipped threadsafety; then
@@ -342,6 +264,11 @@ if ! skipped sweep-smoke; then
     echo "ci: expected 4 event streams, found $streams"; exit 1
   fi
   rm -rf "$sweep_tmp"
+fi
+
+if ! skipped perfbench; then
+  banner "perfbench (benchmark harness build + self-test)"
+  python3 perfbench/run.py --selftest
 fi
 
 echo
