@@ -52,11 +52,10 @@ Gid AaloScheduler::select_next(int node, Engine& engine,
   const Resources& avail = engine.available(node);
   Gid best = kInvalidGid;
   int best_level = options_.queue_count;
-  // The waiting queue is already FIFO (planned_start order), so the first
+  // The ready subset is already FIFO (planned_start order), so the first
   // qualifying task at the lowest level wins.
-  for (Gid g : engine.waiting(node)) {
+  for (Gid g : engine.ready(node)) {
     if (excluded[g]) continue;
-    if (!engine.is_ready(g)) continue;
     if (!avail.fits(engine.task_info(g).demand)) continue;
     const int level = queue_level(engine.job_serviced_mi(engine.job_of(g)));
     if (level < best_level) {

@@ -16,22 +16,36 @@
 namespace dsp {
 
 /// Shared scaffolding: per-epoch, per-node scan where every waiting task
-/// (the whole queue — these baselines have no delta window) may preempt a
-/// running victim chosen by the subclass.
+/// (the whole queue — these baselines have no delta window and ignore
+/// dependency, so unready tasks are candidates too) may preempt a running
+/// victim chosen by the subclass.
 class QueueScanPreemption : public PreemptionPolicy {
  public:
   void on_epoch(Engine& engine) override;
 
  protected:
+  /// A task's ranking inputs. Simulated time stands still within an epoch
+  /// and a task's inputs move only when it starts or stops, so on_epoch
+  /// derives each key once per epoch: every victim's before sorting, each
+  /// waiting task's when the scan reaches it.
+  struct Key {
+    Gid gid = kInvalidGid;
+    SimTime remaining = 0;  ///< Engine::remaining_time
+    double score = 0.0;     ///< SRPT priority / Natjam resource magnitude
+    SimTime deadline = 0;   ///< Natjam: deadline of the task's job
+  };
+
+  /// The key of `g` in the current engine state.
+  virtual Key key(const Engine& engine, Gid g) const = 0;
+
   /// Ascending victim order: the first victim in this order is tried first.
   /// Return value: strict-weak-order "a is a better victim than b".
-  virtual bool victim_order(const Engine& engine, Gid a, Gid b) const = 0;
+  virtual bool victim_order(const Key& a, const Key& b) const = 0;
 
   /// Whether `waiting` may preempt `victim` (priority comparison only; the
   /// engine enforces mechanics, and dependency is deliberately NOT checked
   /// — these baselines neglect it).
-  virtual bool should_preempt(const Engine& engine, Gid waiting,
-                              Gid victim) const = 0;
+  virtual bool should_preempt(const Key& waiting, const Key& victim) const = 0;
 
   /// Whether this waiting task participates at all (Natjam restricts the
   /// preemptors to production-job tasks).
@@ -48,6 +62,10 @@ class QueueScanPreemption : public PreemptionPolicy {
     (void)running;
     return true;
   }
+
+ private:
+  std::vector<Key> victims_;  // per-node scratch, sorted by victim_order
+  std::vector<Gid> queue_;    // per-node waiting-queue snapshot
 };
 
 /// Amoeba (Ananthanarayanan et al., SoCC 2012): the task consuming the most
@@ -61,9 +79,9 @@ class AmoebaPolicy : public QueueScanPreemption {
   }
 
  protected:
-  bool victim_order(const Engine& engine, Gid a, Gid b) const override;
-  bool should_preempt(const Engine& engine, Gid waiting,
-                      Gid victim) const override;
+  Key key(const Engine& engine, Gid g) const override;
+  bool victim_order(const Key& a, const Key& b) const override;
+  bool should_preempt(const Key& waiting, const Key& victim) const override;
 };
 
 /// Natjam (Cho et al., SoCC 2013): production jobs preempt research jobs;
@@ -78,9 +96,9 @@ class NatjamPolicy : public QueueScanPreemption {
   }
 
  protected:
-  bool victim_order(const Engine& engine, Gid a, Gid b) const override;
-  bool should_preempt(const Engine& engine, Gid waiting,
-                      Gid victim) const override;
+  Key key(const Engine& engine, Gid g) const override;
+  bool victim_order(const Key& a, const Key& b) const override;
+  bool should_preempt(const Key& waiting, const Key& victim) const override;
   bool eligible_preemptor(const Engine& engine, Gid waiting) const override;
   bool eligible_victim(const Engine& engine, Gid running) const override;
 };
@@ -104,11 +122,14 @@ class SrptPolicy : public QueueScanPreemption {
   double priority(const Engine& engine, Gid g) const;
 
  protected:
-  bool victim_order(const Engine& engine, Gid a, Gid b) const override;
-  bool should_preempt(const Engine& engine, Gid waiting,
-                      Gid victim) const override;
+  Key key(const Engine& engine, Gid g) const override;
+  bool victim_order(const Key& a, const Key& b) const override;
+  bool should_preempt(const Key& waiting, const Key& victim) const override;
 
  private:
+  /// The priority formula, given the task's remaining time.
+  double priority(const Engine& engine, Gid g, SimTime remaining) const;
+
   double alpha_ = 0.5;  ///< Weight of waiting time (Table II).
   double beta_ = 1.0;   ///< Weight of remaining time (Table II).
 };

@@ -67,14 +67,18 @@ Gid TetrisScheduler::select_next(int node, Engine& engine,
   const Resources& avail = engine.available(node);
   const Resources& cap =
       engine.cluster().node(static_cast<std::size_t>(node)).capacity;
+  // W/SimDep packs only runnable tasks, so it walks the ready subset;
+  // W/oDep's candidates include unready tasks, so it walks the whole queue
+  // and skips only those whose launch already failed the input check
+  // (launch_blocked is never true of a ready task).
+  const bool simple = dep_ == Dependency::kSimple;
   Gid best = kInvalidGid;
   double best_score = -1.0;
-  for (Gid g : engine.waiting(node)) {
+  for (Gid g : simple ? engine.ready(node) : engine.waiting(node)) {
     if (excluded[g]) continue;
-    if (engine.launch_blocked(g)) continue;  // failed input check earlier
+    if (!simple && engine.launch_blocked(g)) continue;
     const Resources& demand = engine.task_info(g).demand;
     if (!avail.fits(demand)) continue;
-    if (dep_ == Dependency::kSimple && !engine.is_ready(g)) continue;
     const double score = alignment(avail, demand, cap);
     if (score > best_score) {
       best_score = score;

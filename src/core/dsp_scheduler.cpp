@@ -86,15 +86,26 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
 
   // Per-node virtual slot availability, seeded with the node's current
   // backlog spread across its slots (an estimate of when already-assigned
-  // work drains).
+  // work drains). Each node's rate and earliest-free slot (value and first
+  // index, as std::min_element finds them) are cached for the round: a
+  // placement fills one slot, so only the chosen node's minimum moves.
   std::vector<std::vector<double>> slot_free(n_nodes);
+  std::vector<double> rate(n_nodes);
+  std::vector<double> earliest(n_nodes);
+  std::vector<std::size_t> earliest_slot(n_nodes);
+  auto refresh_earliest = [&](std::size_t k) {
+    const auto it = std::min_element(slot_free[k].begin(), slot_free[k].end());
+    earliest[k] = *it;
+    earliest_slot[k] = static_cast<std::size_t>(it - slot_free[k].begin());
+  };
   for (std::size_t k = 0; k < n_nodes; ++k) {
     const int slots = engine.cluster().node(k).slots;
+    rate[k] = engine.node_rate(static_cast<int>(k));
     const double backlog_s = engine.node_backlog_mi(static_cast<int>(k)) /
-                             engine.node_rate(static_cast<int>(k)) /
-                             std::max(1, slots);
+                             rate[k] / std::max(1, slots);
     slot_free[k].assign(static_cast<std::size_t>(slots),
                         to_seconds(now) + backlog_s);
+    refresh_earliest(k);
   }
 
   // Rank = (downstream weight desc, deadline asc, gid asc). Tasks become
@@ -177,15 +188,13 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
     double best_eft = 0.0, best_est = 0.0;
     for (std::size_t k = 0; k < n_nodes; ++k) {
       if (!engine.cluster().node(k).capacity.fits(task.demand)) continue;
-      const auto min_it =
-          std::min_element(slot_free[k].begin(), slot_free[k].end());
-      const double est = std::max(dep_ready_s, *min_it);
-      double eft = est + task.size_mi / engine.node_rate(static_cast<int>(k));
+      const double est = std::max(dep_ready_s, earliest[k]);
+      double eft = est + task.size_mi / rate[k];
       if (options_.locality_aware)
         eft += to_seconds(engine.transfer_time(item.gid, static_cast<int>(k)));
       if (best_node < 0 || eft < best_eft) {
         best_node = static_cast<int>(k);
-        best_slot = static_cast<std::size_t>(min_it - slot_free[k].begin());
+        best_slot = earliest_slot[k];
         best_eft = eft;
         best_est = est;
       }
@@ -195,6 +204,7 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
       continue;
     }
     slot_free[static_cast<std::size_t>(best_node)][best_slot] = best_eft;
+    refresh_earliest(static_cast<std::size_t>(best_node));
     aux[base + t].finish_est = best_eft;
     placements.push_back(TaskPlacement{item.gid, best_node, from_seconds(best_est)});
 

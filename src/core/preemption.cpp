@@ -111,19 +111,25 @@ obs::PreemptDecision DspPreemption::make_decision(int node, Gid w) const {
 
 void DspPreemption::urgent_pass(Engine& engine, int node,
                                 std::vector<Gid>& preemptable, double pbar) {
-  // Snapshot into the reusable buffer: try_preempt mutates the waiting
+  // DSP never launches unready tasks, so only the ready subset is
+  // scanned. Snapshot it into the reusable buffer: try_preempt mutates the
   // queue, and a fresh vector per node per epoch is allocator churn.
-  engine.waiting_snapshot(node, waiting_scratch_);
-  for (Gid w : waiting_scratch_) {
+  // Readiness cannot change within an epoch (no task finishes), so the
+  // snapshot holds exactly the ready tasks of a waiting-queue snapshot.
+  const std::vector<Gid>& ready = engine.ready(node);
+  ready_scratch_.assign(ready.begin(), ready.end());
+  for (Gid w : ready_scratch_) {
     const TaskState s = engine.state(w);
     if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;
-    if (!engine.is_ready(w)) continue;  // DSP never launches unready tasks
-    // Urgent: the deadline is close (t^a <= epsilon) but still salvageable
-    // (t^a >= 0) — preempting for a task that can no longer meet its
-    // deadline buys nothing — or the task has waited beyond tau.
-    const SimTime t_a = engine.allowable_waiting_time(w);
-    const bool urgent = (t_a <= params_.epsilon && t_a >= 0) ||
-                        engine.waiting_time(w) >= params_.tau;
+    // Urgent: the task has waited beyond tau, or its deadline is close
+    // (t^a <= epsilon) but still salvageable (t^a >= 0) — preempting for a
+    // task that can no longer meet its deadline buys nothing. Both tests
+    // are pure; the cheap tau test goes first and skips computing t^a.
+    bool urgent = engine.waiting_time(w) >= params_.tau;
+    if (!urgent) {
+      const SimTime t_a = engine.allowable_waiting_time(w);
+      urgent = t_a <= params_.epsilon && t_a >= 0;
+    }
     if (!urgent) continue;
     obs::PreemptDecision d = make_decision(node, w);
     d.urgent = true;
@@ -158,16 +164,22 @@ void DspPreemption::urgent_pass(Engine& engine, int node,
 
 std::pair<std::uint64_t, std::uint64_t> DspPreemption::window_pass(
     Engine& engine, int node, std::vector<Gid>& preemptable, double pbar) {
-  engine.waiting_snapshot(node, waiting_scratch_);  // reusable snapshot
-  const auto window = static_cast<std::size_t>(
-      std::ceil(delta_ * static_cast<double>(waiting_scratch_.size())));
+  // The window is the first ceil(delta * |queue|) waiting tasks; only its
+  // ready members are candidates. Snapshot them (the prefix of the ready
+  // subset keyed at or before the window's last entry) into the reusable
+  // buffer, since try_preempt mutates the queue.
+  const auto window = static_cast<std::size_t>(std::ceil(
+      delta_ * static_cast<double>(engine.waiting(node).size())));
+  const std::vector<Gid>& ready = engine.ready(node);
+  ready_scratch_.assign(
+      ready.begin(),
+      ready.begin() + static_cast<std::ptrdiff_t>(
+                          engine.ready_within(node, window)));
   std::uint64_t considered = 0, preempted = 0;
 
-  for (std::size_t i = 0; i < waiting_scratch_.size() && i < window; ++i) {
-    const Gid w = waiting_scratch_[i];
+  for (Gid w : ready_scratch_) {
     const TaskState s = engine.state(w);
     if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;
-    if (!engine.is_ready(w)) continue;
     ++considered;
 
     obs::PreemptDecision d = make_decision(node, w);

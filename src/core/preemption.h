@@ -95,7 +95,7 @@ class DspPreemption : public PreemptionPolicy {
   DependencyPriority priority_;
   std::vector<double> prio_;  // scratch, indexed by gid
   std::vector<std::vector<Gid>> victims_;  // per-node scratch
-  std::vector<Gid> waiting_scratch_;       // per-pass snapshot buffer
+  std::vector<Gid> ready_scratch_;         // per-pass snapshot buffer
   int resolved_threads_ = 0;  // 0 = not yet resolved
   std::unique_ptr<ThreadPool> pool_;
   double delta_;

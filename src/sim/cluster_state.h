@@ -2,11 +2,11 @@
 //
 // One of the four layers of the simulation kernel (see DESIGN.md §16).
 // ClusterState owns per-node slot/resource occupancy, the planned-start
-// ordered waiting queues, the running/hoarding occupant lists and the
-// liveness/straggler factors. It is mutable only through the kernel: the
-// Engine orchestrator (a friend) drives every transition, while policies
-// see it exclusively through const accessors re-exported by the Engine
-// read API.
+// ordered waiting queues and their ready subsets, the running/hoarding
+// occupant lists and the liveness/straggler factors. It is mutable only
+// through the kernel: the Engine orchestrator (a friend) drives every
+// transition, while policies see it exclusively through const accessors
+// re-exported by the Engine read API.
 #pragma once
 
 #include <cassert>
@@ -28,6 +28,7 @@ class ClusterState {
  public:
   struct Node {
     std::vector<Gid> waiting;  // sorted by (planned_start, gid)
+    std::vector<Gid> ready;    // the ready members of `waiting`, same order
     std::vector<Gid> running;  // running and hoarding occupants
     Resources available;
     int free_slots = 0;
@@ -51,6 +52,10 @@ class ClusterState {
     return spec_->rate(static_cast<std::size_t>(k)) *
            nodes_[static_cast<std::size_t>(k)].speed_factor;
   }
+  /// Number of ready entries among the first `window` entries of `node`'s
+  /// waiting queue: the ready tasks keyed at or before waiting[window-1].
+  std::size_t ready_within(int node, std::size_t window,
+                           const TaskRuntime& tasks) const;
 
  private:
   // Mutation is the kernel's privilege: only the Engine orchestrator may
@@ -63,10 +68,14 @@ class ClusterState {
     return nodes_[static_cast<std::size_t>(k)];
   }
   /// Inserts `g` into `node`'s waiting queue at its (planned_start, gid)
-  /// position. The caller maintains waiting clocks and priority dirtying.
+  /// position, and into the ready subset when `g` is ready. The caller
+  /// maintains waiting clocks and priority dirtying.
   void insert_waiting(int node, Gid g, const TaskRuntime& tasks);
-  /// Removes `g` from `node`'s waiting queue (must be present).
-  void remove_waiting(int node, Gid g);
+  /// Removes `g` from `node`'s waiting queue (must be present) and from
+  /// the ready subset.
+  void remove_waiting(int node, Gid g, const TaskRuntime& tasks);
+  /// `g`, queued on `node`, just became ready: adds it to the ready subset.
+  void mark_ready(int node, Gid g, const TaskRuntime& tasks);
 
   const ClusterSpec* spec_ = nullptr;
   std::vector<Node> nodes_;

@@ -50,9 +50,8 @@ std::int16_t n16(int node) { return static_cast<std::int16_t>(node); }
 // Default dispatch rule: first ready, fitting task in planned-start order.
 Gid Scheduler::select_next(int node, Engine& engine,
                            const std::vector<std::uint8_t>& excluded) {
-  for (Gid g : engine.waiting(node)) {
+  for (Gid g : engine.ready(node)) {
     if (excluded[g]) continue;
-    if (!engine.is_ready(g)) continue;
     if (!engine.available(node).fits(engine.task_info(g).demand)) continue;
     return g;
   }
@@ -457,7 +456,7 @@ void Engine::replace_waiting_task(Gid g) {
     }
   }
   if (best < 0) return;  // no live node fits: wait for recovery
-  nodes_.remove_waiting(old_node, g);
+  nodes_.remove_waiting(old_node, g, tasks_);
   ClusterState::Node& old_n = nodes_.node_mut(old_node);
   old_n.backlog_mi = std::max(0.0, old_n.backlog_mi - task_info(g).size_mi);
   r.node = best;
@@ -631,7 +630,7 @@ void Engine::fill_slots(int node) {
       ++metrics_.disorders;
       if (scheduler_.hoards_slots() &&
           n.available.fits(task_info(g).demand)) {
-        nodes_.remove_waiting(node, g);
+        nodes_.remove_waiting(node, g, tasks_);
         start_hoarding(node, g);
         continue;
       }
@@ -654,7 +653,7 @@ void Engine::fill_slots(int node) {
       overhead = checkpointed ? params_.recovery + params_.ctx_switch
                               : params_.ctx_switch;
     }
-    nodes_.remove_waiting(node, g);
+    nodes_.remove_waiting(node, g, tasks_);
     start_task(node, g, overhead);
   }
   for (Gid g : touched) dispatch_excluded_[g] = 0;
@@ -843,7 +842,7 @@ PreemptResult Engine::try_preempt(int node, Gid victim, Gid incoming) {
         !preempt_ || preempt_->checkpoint_mode() == CheckpointMode::kCheckpoint;
     if (checkpointed) overhead += params_.recovery;
   }
-  nodes_.remove_waiting(node, incoming);
+  nodes_.remove_waiting(node, incoming, tasks_);
   start_task(node, incoming, overhead);
   return PreemptResult::kOk;
 }
@@ -867,7 +866,7 @@ bool Engine::migrate_task(Gid g, int to_node) {
     return false;
 
   const int from = r.node;
-  nodes_.remove_waiting(from, g);
+  nodes_.remove_waiting(from, g, tasks_);
   ClusterState::Node& src = nodes_.node_mut(from);
   src.backlog_mi = std::max(0.0, src.backlog_mi - task_info(g).size_mi);
   r.node = to_node;
@@ -904,15 +903,18 @@ void Engine::on_finish(Gid g, std::uint32_t token) {
   ++metrics_.tasks_finished;
 
   // Wake children; a hoarding child whose last input just appeared starts
-  // executing in place.
+  // executing in place, a queued one joins its node's ready subset.
   const JobId j = tasks_.job_of(g);
   const TaskGraph& graph = jobs_[j].graph();
   for (TaskIndex child : graph.children(tasks_.index_of(g))) {
     const Gid cg = gid(j, child);
     TaskRt& c = tasks_.rt(cg);
     assert(c.unfinished_parents > 0);
-    if (--c.unfinished_parents == 0 && c.state == TaskState::kHoarding)
+    if (--c.unfinished_parents != 0) continue;
+    if (c.state == TaskState::kHoarding)
       activate_hoarding(cg);
+    else if (tasks_.ready(cg))
+      mark_ready_if_queued(cg);
   }
 
   if (observer_) observer_->on_task_finish(now_, g, node);
@@ -966,13 +968,23 @@ void Engine::complete_job(JobId j) {
               .job = j,
               .a = mean_wait});
 
-  // Unblock successor jobs (cross-job dependencies).
+  // Unblock successor jobs (cross-job dependencies): their queued tasks
+  // without unfinished parents join the ready subsets.
   bool unblocked = false;
   for (JobId s : jr.successor_jobs) {
     assert(tasks_.job_rt(s).pred_jobs_remaining > 0);
-    if (--tasks_.job_rt(s).pred_jobs_remaining == 0) unblocked = true;
+    if (--tasks_.job_rt(s).pred_jobs_remaining != 0) continue;
+    unblocked = true;
+    for (TaskIndex t = 0; t < jobs_[s].task_count(); ++t)
+      if (tasks_.ready(gid(s, t))) mark_ready_if_queued(gid(s, t));
   }
   if (unblocked) fill_all_slots();
+}
+
+void Engine::mark_ready_if_queued(Gid g) {
+  const TaskRt& r = tasks_.rt(g);
+  if (r.state == TaskState::kWaiting || r.state == TaskState::kSuspended)
+    nodes_.mark_ready(r.node, g, tasks_);
 }
 
 }  // namespace dsp

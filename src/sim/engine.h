@@ -175,10 +175,7 @@ class Engine {
   TaskState state(Gid g) const { return tasks_.rt(g).state; }
   /// True when every precedent task has finished and every predecessor
   /// *job* (cross-job dependency) has completed.
-  bool is_ready(Gid g) const {
-    return tasks_.rt(g).unfinished_parents == 0 &&
-           tasks_.job_rt(tasks_.job_of(g)).pred_jobs_remaining == 0;
-  }
+  bool is_ready(Gid g) const { return tasks_.ready(g); }
   /// True when a previous launch/preempt-in attempt failed the input
   /// check and the task has not become ready since. Dependency-blind
   /// policies skip blocked tasks instead of re-attempting them every
@@ -222,6 +219,20 @@ class Engine {
   /// (includes suspended tasks awaiting resume).
   const std::vector<Gid>& waiting(int node) const {
     return nodes_.node(node).waiting;
+  }
+  /// The ready members of waiting(node) (is_ready holds), in the same
+  /// planned-start order. Maintained by the kernel: a task joins when it
+  /// is queued already ready or becomes ready while queued, and leaves
+  /// with the waiting queue. Dependency-respecting scans walk this
+  /// instead of re-testing is_ready over the whole queue.
+  const std::vector<Gid>& ready(int node) const {
+    return nodes_.node(node).ready;
+  }
+  /// Number of ready tasks among the first `window` entries of
+  /// waiting(node): the prefix of ready(node) keyed at or before
+  /// waiting(node)[window - 1].
+  std::size_t ready_within(int node, std::size_t window) const {
+    return nodes_.ready_within(node, window, tasks_);
   }
   /// Copies `node`'s waiting queue into `out` (cleared first). Policies
   /// that mutate the queue while iterating (try_preempt requeues the
@@ -354,6 +365,9 @@ class Engine {
   void apply_placements(const std::vector<TaskPlacement>& placements,
                         const std::vector<JobId>& pending);
   void enqueue_waiting(int node, Gid g);
+  /// `g` just became ready: adds it to its node's ready subset when it is
+  /// queued (waiting or suspended).
+  void mark_ready_if_queued(Gid g);
   /// Starts an unready task in the hoarding state (slot occupied, no
   /// progress) and arms its eviction timeout.
   void start_hoarding(int node, Gid g);

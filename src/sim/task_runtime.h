@@ -114,6 +114,14 @@ class TaskRuntime {
     return job_rt_[j];
   }
 
+  /// True when every precedent task of `g` has finished and every
+  /// predecessor job of its job has completed. Monotone: once true, it
+  /// stays true for the rest of the run.
+  bool ready(Gid g) const {
+    return rt(g).unfinished_parents == 0 &&
+           job_rt(job_of(g)).pred_jobs_remaining == 0;
+  }
+
   // ---- Incremental-priority cache (core/priority.h) ------------------
   std::uint64_t priority_version(JobId j) const {
     assert(j < prio_cache_.size());

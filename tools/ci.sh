@@ -39,7 +39,9 @@
 #            grid runner's determinism contract) and pass json_check;
 #            then an EC2 dsp,dsp-nopp grid with --event-log-dir at
 #            DSP_THREADS=1 and =4, whose per-scenario JSONL event
-#            streams must be byte-identical pair by pair
+#            streams must be byte-identical pair by pair; then the
+#            40-stream scheduler x policy grid, whose streams must
+#            match tests/fixtures/golden/sweep_streams.sha256
 #   perfbench  builds the standalone benchmark harness (perfbench/
 #            globs every src/ module, so a deleted or renamed module can
 #            break it while tier1 stays green) and runs its self-test
@@ -262,6 +264,22 @@ if ! skipped sweep-smoke; then
   done
   if [[ $streams -ne 4 ]]; then
     echo "ci: expected 4 event streams, found $streams"; exit 1
+  fi
+
+  # Byte-identity oracle for every scheduler x policy pair: the grid's 40
+  # per-scenario streams must match the committed digests (re-record
+  # command in tests/fixtures/golden/README.md).
+  echo "dsp_sweep golden event streams (every scheduler x policy)"
+  golden="$PWD/tests/fixtures/golden/sweep_streams.sha256"
+  mkdir -p "$sweep_tmp/golden"
+  "$SWEEP" --cluster ec2,real --sched dsp,aalo,tetris-simdep,tetris-nodep \
+    --policy none,dsp,amoeba,natjam,srpt --jobs 40 --seeds 42 --scale 0.1 \
+    --threads 4 --event-log-dir "$sweep_tmp/golden" >/dev/null
+  (cd "$sweep_tmp/golden" && sha256sum --quiet --strict -c "$golden")
+  written=$(find "$sweep_tmp/golden" -name '*.jsonl' | wc -l)
+  if [[ $written -ne $(wc -l <"$golden") ]]; then
+    echo "ci: $written golden streams written, digest file lists $(wc -l <"$golden")"
+    exit 1
   fi
   rm -rf "$sweep_tmp"
 fi
