@@ -7,9 +7,11 @@
 //
 //   $ ./failure_drill
 #include <cstdio>
+#include <memory>
 
 #include "core/dsp_system.h"
 #include "metrics/report.h"
+#include "obs/events.h"
 #include "sim/failures.h"
 #include "sim/recorder.h"
 #include "trace/workload.h"
@@ -44,10 +46,16 @@ int main() {
   params.period = 30 * kSecond;
   params.epoch = 5 * kSecond;
 
+  // The timeline recorder reads the engine's event stream. Attaching a
+  // log replaces the one Engine::run would build from DSP_EVENT_LOG, so
+  // build that one here (or a ring-only log when the variable is unset).
+  std::unique_ptr<obs::EventLog> log = obs::EventLog::from_env();
+  if (!log) log = std::make_unique<obs::EventLog>(1);
   TimelineRecorder recorder;
+  log->set_consumer([&recorder](const obs::Event& e) { recorder.on_event(e); });
   Engine engine(cluster, std::move(jobs), dsp.scheduler(), &dsp.preemption(),
                 params);
-  engine.set_observer(&recorder);
+  engine.set_event_log(log.get());
 
   // Workflow: ETL jobs feed training; training feeds the report.
   engine.add_job_dependency(0, 2);

@@ -37,18 +37,22 @@ Report analyze_audit_file(const std::string& path,
                           std::vector<std::string> filter) {
   Report report;
   report.set_rule_filter(std::move(filter));
-  const obs::AuditParseResult parsed = obs::read_audit_json(path);
+  const obs::EventParseResult parsed = obs::read_event_log(path);
   if (!parsed.ok()) {
     report.add("P000", path, parsed.error);
     return report;
   }
+  std::vector<obs::PreemptDecision> decisions;
+  for (const obs::Event& e : parsed.events)
+    if (e.kind == obs::EventKind::kPreemptDecision)
+      decisions.push_back(obs::decision_of(e));
   JobSet jobs;
   AuditReplayOptions options;
   if (!workload_path.empty()) {
     jobs = load_workload_for_analysis(workload_path, reference_rate, report);
     options.workload = &jobs;
   }
-  replay_audit(parsed.decisions, options, report);
+  replay_audit(decisions, options, report);
   return report;
 }
 

@@ -26,9 +26,10 @@ Report analyze_workload_file(const std::string& path,
 Report analyze_schedule_file(const std::string& path,
                              std::vector<std::string> filter = {});
 
-/// Audit replay (P rules) over an audit-trail JSON; `workload_path`
-/// optionally names the trace CSV the trail was recorded against (enables
-/// P001/P003 and gid validation).
+/// Audit replay (P rules) over the preempt_decision lines of a JSONL
+/// event log; `workload_path` optionally names the trace CSV the run was
+/// recorded against (enables P001/P003 and gid validation). A log that
+/// read_event_log rejects is reported as P000.
 Report analyze_audit_file(const std::string& path,
                           const std::string& workload_path,
                           double reference_rate,

@@ -70,7 +70,7 @@ void replay_audit(const std::vector<obs::PreemptDecision>& decisions,
     const bool suppressed = d.outcome == obs::PreemptOutcome::kSuppressedPP;
     const bool has_victim = d.victim != kInvalidGid;
 
-    // ---- P000: trail integrity. --------------------------------------
+    // ---- P000: stream integrity. -------------------------------------
     if (last_time != kNoTime && d.time < last_time) {
       report.add("P000", subject_of(i, d),
                  "engine time goes backwards (previous decision at t=" +

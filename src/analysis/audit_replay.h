@@ -1,7 +1,9 @@
 // Preemption audit replay pass (rules P000-P004).
 //
-// Replays a recorded PR-1 audit trail (obs/audit.h JSON) and statically
-// re-derives whether every Algorithm-1 decision was legal:
+// Replays the Algorithm-1 decisions of a recorded run — the
+// preempt_decision events of a flight-recorder stream (obs/events.h),
+// decoded with obs::decision_of — and statically re-derives whether each
+// was legal:
 //   P002 — C1: a non-urgent fire requires candidate priority strictly
 //          above the victim's.
 //   P003 — C2: a fire is illegal when the candidate (transitively)
@@ -17,21 +19,21 @@
 //          ordering of Fig. 3). Checked only while both priorities are
 //          positive: past-deadline tasks can carry negative allowable
 //          waiting time (Formula 13's omega3 term), which voids the bound.
-//   P000 — trail integrity: decisions out of time order, or task ids that
-//          do not exist in the supplied workload.
+//   P000 — stream integrity: decisions out of time order, or task ids
+//          that do not exist in the supplied workload.
 #pragma once
 
 #include <vector>
 
 #include "analysis/diagnostics.h"
 #include "dag/job.h"
-#include "obs/audit.h"
+#include "obs/events.h"
 
 namespace dsp::analysis {
 
 /// Options for replay_audit.
 struct AuditReplayOptions {
-  /// Workload the trail was recorded against (same finalized jobs, same
+  /// Workload the run was recorded against (same finalized jobs, same
   /// order — gids are flat indices over it). Enables P001/P003 and the
   /// P000 gid-range check; null restricts the replay to the
   /// priority-arithmetic rules (P002/P004).
@@ -41,7 +43,8 @@ struct AuditReplayOptions {
 };
 
 /// Replays every decision, appending findings to `report`. The decision's
-/// position in the trail (plus its engine time) names the subject.
+/// position among the run's decisions (plus its engine time) names the
+/// subject.
 void replay_audit(const std::vector<obs::PreemptDecision>& decisions,
                   const AuditReplayOptions& options, Report& report);
 

@@ -41,8 +41,8 @@ constexpr RuleInfo kCatalog[] = {
      "§III constraint (4)"},
     // ---- Preemption audit replay --------------------------------------
     {"P000", "audit-malformed", Severity::kError,
-     "audit trail unreadable, out of time order, or inconsistent with the "
-     "workload",
+     "decision stream unreadable, out of time order, or inconsistent with "
+     "the workload",
      "-"},
     {"P001", "formula12-monotonicity", Severity::kError,
      "an ancestor task's recorded priority does not dominate its "

@@ -66,8 +66,8 @@ struct DspParams {
   /// DSP_THREADS environment variable (default 1; malformed, zero or
   /// negative values clamp to 1 with a logged warning — see
   /// env_int_min). try_preempt mutations stay serial at any setting, so
-  /// priorities, preemption decisions and audit trails are bit-identical
-  /// regardless of the value.
+  /// priorities, preemption decisions and event streams are
+  /// bit-identical regardless of the value.
   int threads = 0;
 
   // ---- Straggler mitigation (§VI future work) ----

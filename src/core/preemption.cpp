@@ -37,8 +37,8 @@ void DspPreemption::on_epoch(Engine& engine) {
 
   // Victim collection reads only engine state, so the per-node scans fan
   // out across the pool; the mutating passes below stay serial in
-  // ascending node order, which keeps Algorithm-1 semantics and the audit
-  // trail deterministic at any thread count.
+  // ascending node order, which keeps Algorithm-1 semantics and the
+  // decision events deterministic at any thread count.
   ThreadPool* workers = pool();
   const std::size_t nodes = engine.node_count();
   victims_.resize(nodes);
@@ -102,9 +102,6 @@ obs::PreemptDecision DspPreemption::make_decision(int node, Gid w) const {
   d.candidate = w;
   d.candidate_priority = prio_at(w);
   d.rho = params_.rho;
-  d.delta = delta_;
-  d.epsilon = params_.epsilon;
-  d.tau = params_.tau;
   d.pp = params_.normalized_pp;
   return d;
 }

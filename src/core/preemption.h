@@ -66,8 +66,8 @@ class DspPreemption : public PreemptionPolicy {
   /// Returns {considered, preempted} counts for the adaptive controller.
   std::pair<std::uint64_t, std::uint64_t> window_pass(
       Engine& engine, int node, std::vector<Gid>& preemptable, double pbar);
-  /// Seeds an audit record for candidate `w` with the parameters in
-  /// effect (rho/epsilon/tau and the current adapted delta).
+  /// Seeds a decision record for candidate `w` with its priority and the
+  /// PP parameters in effect (rho, whether the gate is enabled).
   obs::PreemptDecision make_decision(int node, Gid w) const;
   void adapt_delta(std::uint64_t considered, std::uint64_t preempted);
   /// Straggler mitigation: vacate degraded nodes and migrate their work.

@@ -42,9 +42,8 @@
 #include "sim/engine.h"     // Engine, EngineParams
 #include "sim/failures.h"   // FailurePlan: outages + stragglers
 #include "sim/invariants.h" // whole-run invariant checking
-#include "sim/observer.h"   // SimObserver hooks
 #include "sim/policy.h"     // Scheduler / PreemptionPolicy interfaces
-#include "sim/recorder.h"   // TimelineRecorder (Gantt traces)
+#include "sim/recorder.h"   // TimelineRecorder (Gantt traces from events)
 #include "sim/run_metrics.h"
 
 // The DSP system (paper's contribution).

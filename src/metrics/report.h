@@ -61,7 +61,7 @@ std::string summarize(const RunMetrics& m);
 Table job_class_table(const RunMetrics& m, const std::string& title);
 
 /// Writes one run's metrics as a flat JSON object (makespan, throughput,
-/// waiting, preemption-audit counters, failures, locality, overheads).
+/// waiting, preemption-outcome counters, failures, locality, overheads).
 void write_json(std::ostream& out, const RunMetrics& m);
 
 /// Writes a series as {"x_label","methods","xs","cells":[{method,x,...}]}.

@@ -6,8 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "obs/json.h"
 #include "util/env.h"
@@ -57,14 +57,51 @@ long long id_or_minus1(std::uint32_t v) {
   return v == ~std::uint32_t{0} ? -1 : static_cast<long long>(v);
 }
 
+// kPreemptDecision flag layout: bit 0 urgent pass, bit 1 PP filter
+// enabled, bits 2-3 the PreemptOutcome.
+constexpr std::uint8_t kDecisionUrgent = 1;
+constexpr std::uint8_t kDecisionPP = 2;
+constexpr int kDecisionOutcomeShift = 2;
+
 }  // namespace
+
+Event decision_event(const PreemptDecision& d, std::uint32_t job) {
+  return {.time = d.time,
+          .kind = EventKind::kPreemptDecision,
+          .flags = static_cast<std::uint8_t>(
+              (d.urgent ? kDecisionUrgent : 0) | (d.pp ? kDecisionPP : 0) |
+              (static_cast<int>(d.outcome) << kDecisionOutcomeShift)),
+          .job = job,
+          .task = d.candidate,
+          .task2 = d.victim,
+          .node = static_cast<std::int16_t>(d.node),
+          .a = d.candidate_priority,
+          .b = d.victim_priority,
+          .gap = d.normalized_gap,
+          .rho = d.rho};
+}
+
+PreemptDecision decision_of(const Event& e) {
+  return {.time = e.time,
+          .node = e.node,
+          .candidate = e.task,
+          .victim = e.task2,
+          .candidate_priority = e.a,
+          .victim_priority = e.b,
+          .normalized_gap = e.gap,
+          .rho = e.rho,
+          .urgent = (e.flags & kDecisionUrgent) != 0,
+          .pp = (e.flags & kDecisionPP) != 0,
+          .outcome = static_cast<PreemptOutcome>(
+              (e.flags >> kDecisionOutcomeShift) & 0x3)};
+}
 
 void EventLog::append_jsonl(const Event& e, std::string& out) {
   // One line lands in a stack buffer first, then appends to `out` in a
   // single call: at ~10^5-10^7 events per run the dozen per-field
   // std::string grow checks are measurable against the <5% end-to-end
-  // overhead budget. Worst case per line is ~290 bytes (12 field names,
-  // two 24-char integers, two 32-char doubles).
+  // overhead budget. Worst case per line is ~320 bytes (14 field names,
+  // two 20-char integers, four 24-char doubles).
   char buf[384];
   char* p = buf;
   const auto lit = [&p](std::string_view s) {
@@ -112,6 +149,12 @@ void EventLog::append_jsonl(const Event& e, std::string& out) {
   dbl(e.a);
   lit(",\"b\":");
   dbl(e.b);
+  if (e.kind == EventKind::kPreemptDecision) {
+    lit(",\"gap\":");
+    dbl(e.gap);
+    lit(",\"rho\":");
+    dbl(e.rho);
+  }
   lit("}\n");
   out.append(buf, static_cast<std::size_t>(p - buf));
 }
@@ -199,6 +242,7 @@ bool EventLog::configure_sampling(std::string_view spec, std::string* error) {
 }
 
 void EventLog::emit(const Event& input) {
+  if (consumer_) consumer_(input);
   MutexLock lock(mu_);
   const auto ki = static_cast<std::size_t>(input.kind);
   if (ki < kEventKindCount) {
@@ -269,25 +313,77 @@ std::unique_ptr<EventLog> EventLog::from_env() {
 
 namespace {
 
-bool event_number(const json::Value& rec, const char* key, std::size_t line,
-                  double& out, std::string& error) {
-  const json::Value* v = rec.find(key);
-  if (v != nullptr && v->kind == json::Value::Kind::kNull) {
-    out = 0.0;  // non-finite payloads serialize as null
+// Exclusive upper bounds of the integer fields' types, as doubles.
+constexpr double kTwo32 = 4294967296.0;
+constexpr double kTwo63 = 9223372036854775808.0;
+constexpr double kTwo64 = 18446744073709551616.0;
+constexpr double kNodeLimit =
+    std::numeric_limits<decltype(Event::node)>::max() + 1.0;
+
+/// One parsed line's fields, each checked against its range; the first
+/// failure is reported as "line N: ...".
+class LineReader {
+ public:
+  LineReader(const json::Value& rec, std::size_t line, std::string& error)
+      : rec_(rec), line_(line), error_(error) {}
+
+  /// A double payload; null (a serialized non-finite value) reads as 0.
+  bool payload(const char* key, double& out) {
+    const json::Value* v = rec_.find(key);
+    if (v != nullptr && v->kind == json::Value::Kind::kNull) {
+      out = 0.0;
+      return true;
+    }
+    if (!number(key, v)) return false;
+    out = v->number;
     return true;
   }
-  if (v == nullptr || !v->is_number()) {
-    error = "line " + std::to_string(line) + ": missing or non-numeric \"" +
-            key + "\"";
+
+  /// An integer field in [lo, hi); null is rejected.
+  template <typename T>
+  bool integer(const char* key, double lo, double hi, T& out) {
+    const json::Value* v = rec_.find(key);
+    if (!number(key, v)) return false;
+    const double x = v->number;
+    if (std::trunc(x) != x || x < lo || x >= hi) {
+      char got[32];
+      *std::to_chars(got, got + sizeof got - 1, x).ptr = '\0';
+      return fail(std::string("\"") + key +
+                  "\" is not an integer in its range: " + got);
+    }
+    out = static_cast<T>(x);
+    return true;
+  }
+
+  /// An id stored as uint32 with -1 meaning unset (~0, which is
+  /// therefore not a valid id itself).
+  bool id(const char* key, std::uint32_t& out) {
+    long long v = 0;
+    if (!integer(key, -1.0, kTwo32 - 1.0, v)) return false;
+    out = v < 0 ? ~std::uint32_t{0} : static_cast<std::uint32_t>(v);
+    return true;
+  }
+
+  /// A node id: -1 (unset) or a non-negative Event::node value.
+  bool node(const char* key, std::int16_t& out) {
+    return integer(key, -1.0, kNodeLimit, out);
+  }
+
+  bool fail(const std::string& message) {
+    error_ = "line " + std::to_string(line_) + ": " + message;
     return false;
   }
-  out = v->number;
-  return true;
-}
 
-std::uint32_t id_from(double v) {
-  return v < 0 ? ~std::uint32_t{0} : static_cast<std::uint32_t>(v);
-}
+ private:
+  bool number(const char* key, const json::Value* v) {
+    if (v != nullptr && v->is_number()) return true;
+    return fail(std::string("missing or non-numeric \"") + key + "\"");
+  }
+
+  const json::Value& rec_;
+  std::size_t line_;
+  std::string& error_;
+};
 
 }  // namespace
 
@@ -300,42 +396,29 @@ EventParseResult read_event_log(std::istream& in) {
     if (line.empty()) continue;
     json::Value rec;
     std::string parse_error;
+    LineReader r(rec, line_no, result.error);
     if (!json::parse(line, rec, &parse_error)) {
-      result.error =
-          "line " + std::to_string(line_no) + ": invalid JSON: " + parse_error;
+      r.fail("invalid JSON: " + parse_error);
       return result;
     }
     const json::Value* kind = rec.find("kind");
     Event e;
     if (kind == nullptr || !kind->is_string() ||
         !parse_event_kind(kind->string, e.kind)) {
-      result.error =
-          "line " + std::to_string(line_no) + ": missing or unknown \"kind\"";
+      r.fail("missing or unknown \"kind\"");
       return result;
     }
-    double t = 0, seq = 0, epoch = 0, flags = 0, job = 0, task = 0, task2 = 0,
-           node = 0, node2 = 0;
-    if (!event_number(rec, "t", line_no, t, result.error) ||
-        !event_number(rec, "seq", line_no, seq, result.error) ||
-        !event_number(rec, "epoch", line_no, epoch, result.error) ||
-        !event_number(rec, "flags", line_no, flags, result.error) ||
-        !event_number(rec, "job", line_no, job, result.error) ||
-        !event_number(rec, "task", line_no, task, result.error) ||
-        !event_number(rec, "task2", line_no, task2, result.error) ||
-        !event_number(rec, "node", line_no, node, result.error) ||
-        !event_number(rec, "node2", line_no, node2, result.error) ||
-        !event_number(rec, "a", line_no, e.a, result.error) ||
-        !event_number(rec, "b", line_no, e.b, result.error))
+    if (!r.integer("t", -kTwo63, kTwo63, e.time) ||
+        !r.integer("seq", 0.0, kTwo64, e.seq) ||
+        !r.integer("epoch", 0.0, kTwo32, e.epoch) ||
+        !r.integer("flags", 0.0, 256.0, e.flags) || !r.id("job", e.job) ||
+        !r.id("task", e.task) || !r.id("task2", e.task2) ||
+        !r.node("node", e.node) || !r.node("node2", e.node2) ||
+        !r.payload("a", e.a) || !r.payload("b", e.b))
       return result;
-    e.time = static_cast<SimTime>(t);
-    e.seq = static_cast<std::uint64_t>(seq);
-    e.epoch = static_cast<std::uint32_t>(epoch);
-    e.flags = static_cast<std::uint8_t>(flags);
-    e.job = id_from(job);
-    e.task = id_from(task);
-    e.task2 = id_from(task2);
-    e.node = static_cast<std::int16_t>(node);
-    e.node2 = static_cast<std::int16_t>(node2);
+    if (e.kind == EventKind::kPreemptDecision &&
+        (!r.payload("gap", e.gap) || !r.payload("rho", e.rho)))
+      return result;
     result.events.push_back(e);
   }
   return result;

@@ -4,14 +4,19 @@
 // hoarding, Algorithm-1 preempt decisions, node failures and rate
 // changes, scheduling rounds, epoch boundaries and delta adaptation.
 //
-// The engine (and, through Engine::emit_event, the policies) emit into an
-// EventLog; the last `capacity` events are always available in memory via
-// snapshot(), and when a JSONL sink is open (open_sink / DSP_EVENT_LOG)
-// every accepted event is also streamed as one JSON object per line.
-// Because every emit point sits in the engine's serial event loop or in a
-// policy's serial mutating pass, the stream is bit-identical across
-// DSP_THREADS settings — tools/dsp_report's first-divergence diff turns
-// that determinism guarantee into a debuggable property.
+// This is the engine's only observation channel. The engine (and,
+// through Engine::emit_event, the policies) emit into an EventLog; the
+// last `capacity` events are always available in memory via snapshot(),
+// when a JSONL sink is open (open_sink / DSP_EVENT_LOG) every accepted
+// event is also streamed as one JSON object per line, and an in-process
+// consumer (set_consumer) sees every event as it is emitted. Consumers —
+// the timeline recorder, the invariant checker, the audit replay, the
+// Chrome trace, dsp_report — read either that hook or a recorded file
+// (read_event_log). Because every emit point sits in the engine's serial
+// event loop or in a policy's serial mutating pass, the stream is
+// bit-identical across DSP_THREADS settings — tools/dsp_report's
+// first-divergence diff turns that determinism guarantee into a
+// debuggable property.
 //
 // Knobs (read by EventLog::from_env, applied by Engine::run when no log
 // was attached explicitly):
@@ -25,10 +30,12 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/types.h"
@@ -73,10 +80,7 @@ inline constexpr std::uint8_t kEventFlagHoardActivate = 1;  ///< kTaskDispatch: 
 inline constexpr std::uint8_t kEventFlagKeptProgress = 1;   ///< kTaskPreempt: checkpointed work survives.
 inline constexpr std::uint8_t kEventFlagFailover = 1;       ///< kTaskMigrate: forced by a node failure.
 inline constexpr std::uint8_t kEventFlagDeadlineMet = 1;    ///< kJobComplete: finished by its deadline.
-inline constexpr std::uint8_t kEventFlagUrgent = 1;         ///< kPreemptDecision: urgent pass.
-inline constexpr std::uint8_t kEventFlagPP = 2;             ///< kPreemptDecision: PP filter enabled.
-/// kPreemptDecision: PreemptOutcome stored in bits 2-3 (flags >> 2).
-inline constexpr std::uint8_t kEventFlagOutcomeShift = 2;
+// kPreemptDecision flags are private to decision_event / decision_of.
 
 /// One recorded event. POD by design: emit copies it into the ring with
 /// no allocation. Field semantics vary by kind (see EventKind); unused
@@ -94,12 +98,52 @@ struct Event {
   std::int16_t node2 = -1;   ///< Secondary node (migration target).
   double a = 0.0;            ///< Per-kind payload (see EventKind).
   double b = 0.0;            ///< Per-kind payload (see EventKind).
+  // kPreemptDecision only (other kinds neither write nor read them):
+  double gap = 0.0;          ///< Normalized gap P-tilde the PP gate tested.
+  double rho = 0.0;          ///< The PP threshold rho in effect.
 };
 
-/// Thread-safe fixed-capacity recorder with an optional JSONL sink.
-/// emit() is the only hot operation: one short Mutex hold covering the
-/// sampling decision, the ring store and (when a sink is open) a single
-/// buffered fwrite of the pre-formatted line.
+/// How one Algorithm-1 candidate evaluation ended.
+enum class PreemptOutcome : std::uint8_t {
+  kFired,                ///< A victim was preempted.
+  kSuppressedPP,         ///< The normalized-priority gap failed P-tilde > rho.
+  kBlockedByDependency,  ///< Every viable victim failed C2 (candidate depends on it).
+  kNoVictim,             ///< No running task passed C1 / nothing preemptable.
+};
+
+/// One Algorithm-1 candidate evaluation (paper §IV): the record a
+/// preemption policy hands Engine::record_preempt_decision, and what a
+/// kPreemptDecision event decodes back to. decision_event and
+/// decision_of are the only code that knows how the fields map onto an
+/// Event (and so onto a JSONL decision line).
+struct PreemptDecision {
+  SimTime time = 0;            ///< Engine time of the evaluation.
+  int node = -1;               ///< Node whose queue was scanned.
+  Gid candidate = kInvalidGid; ///< Waiting task that wanted the slot.
+  Gid victim = kInvalidGid;    ///< Victim fired on / gap-tested (if any).
+  double candidate_priority = 0.0;  ///< P-hat term: waiting task's priority.
+  double victim_priority = 0.0;     ///< Victim's priority (0 when no victim).
+  /// P-tilde = (candidate - victim priority) / P-bar; 0 when PP was not
+  /// evaluated (no victim, PP disabled, or P-bar == 0).
+  double normalized_gap = 0.0;
+  double rho = 0.0;     ///< PP threshold in effect.
+  bool urgent = false;  ///< True for the urgent pass (t^a <= epsilon or t^w >= tau).
+  bool pp = false;      ///< True when the normalized-priority filter was enabled.
+  PreemptOutcome outcome = PreemptOutcome::kNoVictim;
+};
+
+/// Encodes `d` as a kPreemptDecision event; `job` is the candidate's job
+/// (~0 when there is no candidate).
+Event decision_event(const PreemptDecision& d, std::uint32_t job);
+
+/// Decodes a kPreemptDecision event (the inverse of decision_event).
+PreemptDecision decision_of(const Event& e);
+
+/// Thread-safe fixed-capacity recorder with an optional JSONL sink and an
+/// optional in-process consumer. emit() is the only hot operation: one
+/// short Mutex hold covering the sampling decision, the ring store and
+/// (when a sink is open) a single buffered fwrite of the pre-formatted
+/// line.
 class EventLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 1 << 16;
@@ -115,6 +159,13 @@ class EventLog {
   bool open_sink(const std::string& path);
   void close_sink();
 
+  /// Installs the in-process consumer (replacing any previous one): it
+  /// is called with every event passed to emit(), before sampling, on
+  /// the emitting thread and outside the log's lock; `seq` is not yet
+  /// stamped. Set it before the first emit.
+  using Consumer = std::function<void(const Event&)>;
+  void set_consumer(Consumer consumer) { consumer_ = std::move(consumer); }
+
   /// Keep only every `n`-th event of `kind` (n <= 1 keeps all).
   void set_sample_every(EventKind kind, std::uint32_t n);
 
@@ -122,8 +173,9 @@ class EventLog {
   /// or malformed counts fail the whole spec; nothing is applied then.
   bool configure_sampling(std::string_view spec, std::string* error = nullptr);
 
-  /// Records `e` (stamping its seq). Sampled-out events are dropped
-  /// before touching the ring or the sink.
+  /// Hands `e` to the consumer, then records it (stamping its seq).
+  /// Sampled-out events are dropped before touching the ring or the
+  /// sink.
   void emit(const Event& e);
 
   /// The retained events, oldest first (at most capacity()).
@@ -154,6 +206,7 @@ class EventLog {
   void flush_sink_locked() DSP_REQUIRES(mu_);
 
   const std::size_t capacity_;
+  Consumer consumer_;  // set before the first emit; read without mu_
   mutable Mutex mu_;
   std::vector<Event> ring_ DSP_GUARDED_BY(mu_);
   std::uint64_t accepted_ DSP_GUARDED_BY(mu_) = 0;
@@ -173,8 +226,11 @@ struct EventParseResult {
 };
 
 /// Reads a log written by the JSONL sink / write_jsonl. Blank lines are
-/// skipped; a malformed line or a record with missing/ill-typed fields
-/// yields a non-empty `error` naming the line.
+/// skipped. A malformed line yields a non-empty `error` naming the line:
+/// a missing or ill-typed field, an id, node, flags, seq, epoch or time
+/// that is not an integer in its field's range (ids and nodes may be -1),
+/// or a preempt_decision line without "gap" and "rho". Only the double
+/// payloads (a, b, gap, rho) may be null; they read back as 0.
 EventParseResult read_event_log(std::istream& in);
 EventParseResult read_event_log(const std::string& path);
 

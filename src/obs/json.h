@@ -53,7 +53,7 @@ namespace dsp::obs {
 /// Appends `s` to `out` with JSON string escaping (no surrounding
 /// quotes): ", \ and control characters become their escape sequences.
 /// Every hand-rolled JSON writer in the observability layer (metrics,
-/// audit trail, Chrome traces, the event-log JSONL sink) routes string
+/// Chrome traces, bench reports) routes string
 /// content through this, so names containing quotes/backslashes/control
 /// characters always produce valid JSON.
 void json_escape_append(std::string& out, std::string_view s);

@@ -226,8 +226,7 @@ RunMetrics Engine::run() {
   return metrics_;
 }
 
-void Engine::record_preempt_decision(obs::PreemptDecision d) {
-  d.time = now_;
+void Engine::record_preempt_decision(const obs::PreemptDecision& d) {
   ++metrics_.preempt_evaluations;
   switch (d.outcome) {
     case obs::PreemptOutcome::kFired:
@@ -247,21 +246,12 @@ void Engine::record_preempt_decision(obs::PreemptDecision d) {
       DSP_COUNT("preempt.no_victim");
       break;
   }
-  if (audit_) audit_->record(d);
-  if (observer_) observer_->on_preempt_decision(d);
-  emit_event({.kind = obs::EventKind::kPreemptDecision,
-              .flags = static_cast<std::uint8_t>(
-                  (d.urgent ? obs::kEventFlagUrgent : 0) |
-                  (d.pp ? obs::kEventFlagPP : 0) |
-                  (static_cast<std::uint8_t>(d.outcome)
-                   << obs::kEventFlagOutcomeShift)),
-              .job = d.candidate == kInvalidGid ? ~std::uint32_t{0}
-                                                : tasks_.job_of(d.candidate),
-              .task = d.candidate,
-              .task2 = d.victim,
-              .node = n16(d.node),
-              .a = d.candidate_priority,
-              .b = d.victim_priority});
+  // Encoding costs an out-of-line call and a job lookup per decision;
+  // skip both when nothing records the stream.
+  if (events_log_ == nullptr) return;
+  emit_event(obs::decision_event(
+      d, d.candidate == kInvalidGid ? ~std::uint32_t{0}
+                                    : tasks_.job_of(d.candidate)));
 }
 
 void Engine::on_arrival(JobId job) {
@@ -380,7 +370,6 @@ void Engine::fail_node(int node) {
   ClusterState::Node& n = nodes_.node_mut(node);
   ++metrics_.node_failures;
   n.up = false;
-  if (observer_) observer_->on_node_failure(now_, node, /*failed=*/true);
 
   // Kill occupants. With surviving checkpoints a task keeps the progress
   // it had checkpointed; otherwise everything re-executes.
@@ -402,9 +391,6 @@ void Engine::fail_node(int node) {
         r.executed_mi = 0.0;
       }
       n.busy_us += static_cast<double>(elapsed);
-      if (observer_)
-        observer_->on_task_suspend(now_, g, node,
-                                   params_.checkpoints_survive_failure);
       emit_event({.kind = obs::EventKind::kTaskPreempt,
                   .flags = params_.checkpoints_survive_failure
                                ? obs::kEventFlagKeptProgress
@@ -413,7 +399,6 @@ void Engine::fail_node(int node) {
                   .task = g,
                   .node = n16(node)});
     } else if (r.state == TaskState::kHoarding) {
-      if (observer_) observer_->on_hoard_evict(now_, g, node);
       emit_event({.kind = obs::EventKind::kHoardEvict,
                   .job = tasks_.job_of(g),
                   .task = g,
@@ -437,7 +422,6 @@ void Engine::recover_node(int node) {
   ClusterState::Node& n = nodes_.node_mut(node);
   n.up = true;
   n.speed_factor = 1.0;
-  if (observer_) observer_->on_node_failure(now_, node, /*failed=*/false);
   fill_slots(node);
 }
 
@@ -481,8 +465,6 @@ void Engine::on_period() {
       DSP_PROFILE("sched.round_s");
       placements = scheduler_.schedule(pending, *this);
     }
-    if (observer_)
-      observer_->on_schedule_round(now_, pending.size(), placements.size());
     emit_event({.kind = obs::EventKind::kScheduleRound,
                 .a = static_cast<double>(pending.size()),
                 .b = static_cast<double>(placements.size())});
@@ -496,7 +478,6 @@ void Engine::on_period() {
 
 void Engine::on_epoch() {
   if (preempt_) {
-    if (observer_) observer_->on_epoch(now_);
     // Bump the ordinal before emitting so every event of this epoch —
     // the boundary marker included — carries the new index.
     ++epoch_index_;
@@ -675,7 +656,6 @@ void Engine::start_hoarding(int node, Gid g) {
   n.running.push_back(g);
   push_event(now_ + params_.hoard_timeout, EventCalendar::Kind::kHoardTimeout,
              g, r.token);
-  if (observer_) observer_->on_hoard_start(now_, g, node);
   emit_event({.kind = obs::EventKind::kHoardStart,
               .job = tasks_.job_of(g),
               .task = g,
@@ -699,7 +679,6 @@ void Engine::activate_hoarding(Gid g) {
   const SimTime run_time =
       from_seconds(remaining / node_rate(r.node));
   push_event(now_ + run_time, EventCalendar::Kind::kFinish, g, r.token);
-  if (observer_) observer_->on_task_start(now_, g, r.node, /*overhead=*/0);
   emit_event({.kind = obs::EventKind::kTaskDispatch,
               .flags = obs::kEventFlagHoardActivate,
               .job = tasks_.job_of(g),
@@ -724,7 +703,6 @@ void Engine::on_hoard_timeout(Gid g, std::uint32_t token) {
   nodes_.insert_waiting(node, g, tasks_);
   r.waiting_since = now_;
   tasks_.touch_priority(g);
-  if (observer_) observer_->on_hoard_evict(now_, g, node);
   emit_event({.kind = obs::EventKind::kHoardEvict,
               .job = tasks_.job_of(g),
               .task = g,
@@ -768,7 +746,6 @@ void Engine::start_task(int node, Gid g, SimTime resume_overhead) {
   const SimTime run_time = from_seconds(remaining / node_rate(node));
   push_event(now_ + resume_overhead + run_time, EventCalendar::Kind::kFinish,
              g, r.token);
-  if (observer_) observer_->on_task_start(now_, g, node, resume_overhead);
   emit_event({.kind = obs::EventKind::kTaskDispatch,
               .job = tasks_.job_of(g),
               .task = g,
@@ -810,7 +787,6 @@ void Engine::suspend_task(int node, Gid g) {
               .task = g,
               .node = n16(node)});
   enqueue_waiting(node, g);
-  if (observer_) observer_->on_task_suspend(now_, g, node, checkpointed);
 }
 
 PreemptResult Engine::try_preempt(int node, Gid victim, Gid incoming) {
@@ -917,7 +893,6 @@ void Engine::on_finish(Gid g, std::uint32_t token) {
       mark_ready_if_queued(cg);
   }
 
-  if (observer_) observer_->on_task_finish(now_, g, node);
   emit_event({.kind = obs::EventKind::kTaskFinish,
               .job = j,
               .task = g,
@@ -962,7 +937,6 @@ void Engine::complete_job(JobId j) {
   metrics_.job_records.push_back(JobRecord{j, jobs_[j].size_class(),
                                            jobs_[j].tier(), jobs_[j].arrival(),
                                            finish, mean_wait, met});
-  if (observer_) observer_->on_job_complete(now_, j);
   emit_event({.kind = obs::EventKind::kJobComplete,
               .flags = met ? obs::kEventFlagDeadlineMet : std::uint8_t{0},
               .job = j,

@@ -36,13 +36,11 @@
 #include <vector>
 
 #include "dag/job.h"
-#include "obs/audit.h"
 #include "obs/events.h"
 #include "sim/cluster.h"
 #include "sim/cluster_state.h"
 #include "sim/event_calendar.h"
 #include "sim/failures.h"
-#include "sim/observer.h"
 #include "sim/policy.h"
 #include "sim/run_metrics.h"
 #include "sim/task_runtime.h"
@@ -95,21 +93,14 @@ class Engine {
   enum class Lifecycle : std::uint8_t { kIdle, kRunning, kDone };
   Lifecycle lifecycle() const { return lifecycle_; }
 
-  /// Installs an observer receiving every engine state transition
-  /// (timeline recording, invariant checking). Call before run().
-  /// The engine does not own the observer.
-  void set_observer(SimObserver* observer) { observer_ = observer; }
-
-  /// Attaches a preemption-decision audit trail: every Algorithm-1
-  /// evaluation reported via record_preempt_decision lands in `audit`.
-  /// Call before run(). The engine does not own the trail.
-  void set_audit(obs::PreemptionAuditTrail* audit) { audit_ = audit; }
-
   /// Attaches a flight recorder: every engine transition (arrivals,
-  /// dispatches, preemptions, node events, epochs, ...) is emitted as an
-  /// obs::Event. Call before run(); the engine does not own the log.
-  /// When no log is attached, run() builds one from the environment
-  /// (DSP_EVENT_LOG et al., see obs/events.h) and owns it for the run.
+  /// dispatches, preemptions, Algorithm-1 decisions, node events,
+  /// epochs, ...) is emitted as an obs::Event. This is the engine's only
+  /// observation channel: timeline recording and invariant checking
+  /// attach through the log's consumer hook (EventLog::set_consumer).
+  /// Call before run(); the engine does not own the log. When no log is
+  /// attached, run() builds one from the environment (DSP_EVENT_LOG et
+  /// al., see obs/events.h) and owns it for the run.
   void set_event_log(obs::EventLog* log) { events_log_ = log; }
   /// The attached recorder, if any (policies use this to emit their own
   /// events through emit_event).
@@ -330,17 +321,11 @@ class Engine {
   /// and nothing changes. Respects the policy's CheckpointMode.
   PreemptResult try_preempt(int node, Gid victim, Gid incoming);
 
-  /// Records a preemption that was considered but suppressed (DSP's
-  /// normalized-priority method reports these for Fig. 6(d) analysis).
-  /// Prefer record_preempt_decision, which also tallies this metric for
-  /// PreemptOutcome::kSuppressedPP.
-  void note_suppressed_preemption() { ++metrics_.suppressed_preemptions; }
-
-  /// Records one Algorithm-1 candidate evaluation: stamps the current
-  /// engine time, tallies the per-outcome RunMetrics counters and the
-  /// observability registry, and forwards the record to the attached
-  /// audit trail and observer. Policies call this once per candidate.
-  void record_preempt_decision(obs::PreemptDecision d);
+  /// Records one Algorithm-1 candidate evaluation: tallies the
+  /// per-outcome RunMetrics counters and the observability registry, and
+  /// emits it as a kPreemptDecision event (stamped with the current
+  /// engine time). Policies call this once per candidate.
+  void record_preempt_decision(const obs::PreemptDecision& d);
 
   /// Evicts a running task back to its node's waiting queue (checkpoint
   /// semantics apply). Counts as a preemption. Policies use this for
@@ -401,8 +386,6 @@ class Engine {
   Scheduler& scheduler_;
   PreemptionPolicy* preempt_;
   EngineParams params_;
-  SimObserver* observer_ = nullptr;
-  obs::PreemptionAuditTrail* audit_ = nullptr;
   obs::EventLog* events_log_ = nullptr;
   std::unique_ptr<obs::EventLog> owned_events_;  // from_env() in run()
   std::uint32_t epoch_index_ = 0;  // epoch ordinal stamped onto events

@@ -1,7 +1,6 @@
 #include "sim/recorder.h"
 
 #include <algorithm>
-#include <cassert>
 #include <ostream>
 
 namespace dsp {
@@ -15,77 +14,102 @@ const char* to_string(IntervalKind k) {
   return "?";
 }
 
-TimelineRecorder::Open& TimelineRecorder::open_slot(Gid g) {
-  if (open_.size() <= g) open_.resize(static_cast<std::size_t>(g) + 1);
-  return open_[g];
+namespace {
+
+/// Overheads and round counts travel as double payloads. One that is not
+/// a non-negative integer below 2^53 (possible only in an edited file)
+/// reads as 0 rather than overflowing the integer cast.
+std::int64_t count_payload(double v) {
+  return v >= 0.0 && v < 9007199254740992.0 ? static_cast<std::int64_t>(v)
+                                            : 0;
+}
+
+}  // namespace
+
+TimelineRecorder::TaskTrack& TimelineRecorder::track(Gid g) {
+  if (tracks_.size() <= g) tracks_.resize(static_cast<std::size_t>(g) + 1);
+  return tracks_[g];
+}
+
+void TimelineRecorder::push_interval(TaskTrack& track, const Interval& iv) {
+  track.intervals.push_back(intervals_.size());
+  if (iv.kind != IntervalKind::kHoard &&
+      (track.first_run == kNoTime || iv.begin < track.first_run))
+    track.first_run = iv.begin;
+  intervals_.push_back(iv);
+}
+
+void TimelineRecorder::start(SimTime t, Gid g, int node, IntervalKind kind,
+                             SimTime overhead) {
+  TaskTrack& o = track(g);
+  // A hoarding task that activates transitions hoard -> run; close the
+  // hoard interval first.
+  if (o.active) close(g, t, Interval::End::kFinished);
+  o.node = node;
+  o.kind = kind;
+  o.begin = t;
+  o.overhead = overhead;
+  o.active = true;
 }
 
 void TimelineRecorder::close(Gid g, SimTime t, Interval::End outcome) {
-  Open& o = open_slot(g);
+  TaskTrack& o = track(g);
   if (!o.active) return;
   o.active = false;
   if (o.kind == IntervalKind::kHoard) {
-    intervals_.push_back({g, o.node, IntervalKind::kHoard, o.begin, t, outcome});
+    push_interval(o, {g, o.node, IntervalKind::kHoard, o.begin, t, outcome});
     return;
   }
   // Split the occupation into its overhead prefix and productive suffix.
   const SimTime overhead_end = std::min(t, o.begin + o.overhead);
   if (overhead_end > o.begin)
-    intervals_.push_back(
-        {g, o.node, IntervalKind::kOverhead, o.begin, overhead_end, outcome});
+    push_interval(
+        o, {g, o.node, IntervalKind::kOverhead, o.begin, overhead_end, outcome});
   if (t > overhead_end)
-    intervals_.push_back(
-        {g, o.node, IntervalKind::kRun, overhead_end, t, outcome});
+    push_interval(o, {g, o.node, IntervalKind::kRun, overhead_end, t, outcome});
 }
 
-void TimelineRecorder::on_task_start(SimTime t, Gid g, int node,
-                                     SimTime overhead) {
-  Open& o = open_slot(g);
-  // A hoarding task that activates transitions hoard -> run; close the
-  // hoard interval first.
-  if (o.active) close(g, t, Interval::End::kFinished);
-  o = {node, IntervalKind::kRun, t, overhead, true};
+void TimelineRecorder::on_event(const obs::Event& e) {
+  using obs::EventKind;
+  switch (e.kind) {
+    case EventKind::kTaskDispatch:
+      // A hoard activation carries no overhead (a == 0).
+      start(e.time, e.task, e.node, IntervalKind::kRun, count_payload(e.a));
+      break;
+    case EventKind::kHoardStart:
+      start(e.time, e.task, e.node, IntervalKind::kHoard, 0);
+      break;
+    case EventKind::kTaskFinish: {
+      close(e.task, e.time, Interval::End::kFinished);
+      SimTime& finish = track(e.task).finish;
+      if (finish == kNoTime) finish = e.time;
+      break;
+    }
+    case EventKind::kTaskPreempt:
+      close(e.task, e.time, Interval::End::kPreempted);
+      break;
+    case EventKind::kHoardEvict:
+      close(e.task, e.time, Interval::End::kEvicted);
+      break;
+    case EventKind::kJobComplete:
+      job_completions_.emplace_back(e.time, e.job);
+      break;
+    case EventKind::kScheduleRound:
+      rounds_.push_back({e.time, static_cast<std::size_t>(count_payload(e.a)),
+                         static_cast<std::size_t>(count_payload(e.b))});
+      break;
+    case EventKind::kEpoch:
+      epochs_.push_back(e.time);
+      break;
+    default:
+      break;
+  }
 }
-
-void TimelineRecorder::on_task_finish(SimTime t, Gid g, int node) {
-  (void)node;
-  close(g, t, Interval::End::kFinished);
-  finish_times_.emplace_back(t, g);
-}
-
-void TimelineRecorder::on_task_suspend(SimTime t, Gid g, int node,
-                                       bool kept_progress) {
-  (void)node;
-  (void)kept_progress;
-  close(g, t, Interval::End::kPreempted);
-}
-
-void TimelineRecorder::on_hoard_start(SimTime t, Gid g, int node) {
-  Open& o = open_slot(g);
-  assert(!o.active);
-  o = {node, IntervalKind::kHoard, t, 0, true};
-}
-
-void TimelineRecorder::on_hoard_evict(SimTime t, Gid g, int node) {
-  (void)node;
-  close(g, t, Interval::End::kEvicted);
-}
-
-void TimelineRecorder::on_job_complete(SimTime t, JobId j) {
-  job_completions_.emplace_back(t, j);
-}
-
-void TimelineRecorder::on_schedule_round(SimTime t, std::size_t jobs,
-                                         std::size_t placements) {
-  rounds_.push_back({t, jobs, placements});
-}
-
-void TimelineRecorder::on_epoch(SimTime t) { epochs_.push_back(t); }
 
 std::vector<Interval> TimelineRecorder::intervals_for_task(Gid g) const {
   std::vector<Interval> result;
-  for (const auto& iv : intervals_)
-    if (iv.task == g) result.push_back(iv);
+  if (g >= tracks_.size()) return result;
+  for (std::size_t i : tracks_[g].intervals) result.push_back(intervals_[i]);
   std::sort(result.begin(), result.end(),
             [](const Interval& a, const Interval& b) { return a.begin < b.begin; });
   return result;
@@ -101,18 +125,11 @@ std::vector<Interval> TimelineRecorder::intervals_on_node(int node) const {
 }
 
 SimTime TimelineRecorder::finish_time(Gid g) const {
-  for (const auto& [t, task] : finish_times_)
-    if (task == g) return t;
-  return kNoTime;
+  return g < tracks_.size() ? tracks_[g].finish : kNoTime;
 }
 
 SimTime TimelineRecorder::first_run_start(Gid g) const {
-  SimTime best = kNoTime;
-  for (const auto& iv : intervals_) {
-    if (iv.task != g || iv.kind == IntervalKind::kHoard) continue;
-    if (best == kNoTime || iv.begin < best) best = iv.begin;
-  }
-  return best;
+  return g < tracks_.size() ? tracks_[g].first_run : kNoTime;
 }
 
 double TimelineRecorder::busy_seconds_on_node(int node) const {

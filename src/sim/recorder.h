@@ -1,18 +1,23 @@
-// Timeline recording: builds a Gantt-style execution trace from engine
-// observer hooks.
+// Timeline recording: builds a Gantt-style execution trace from the
+// engine's flight-recorder events (obs/events.h).
 //
 // Every slot occupation becomes an interval {task, node, kind, begin, end}:
 // productive execution, dispatch overhead (context switch / checkpoint
 // recovery), or slot hoarding. The recorder powers the run-invariant
-// checker (invariants.h), per-node utilization reports, and CSV export for
-// external plotting.
+// checker (invariants.h), the Chrome trace export, per-node utilization
+// reports, and CSV export for external plotting. It reads the stream
+// either in process (as an EventLog consumer) or from a recorded JSONL
+// file (read_event_log); both yield the same timeline.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/observer.h"
+#include "dag/task.h"
+#include "obs/events.h"
 #include "sim/types.h"
 #include "util/time.h"
 
@@ -43,22 +48,23 @@ struct Interval {
 
 /// Records the full execution timeline of one simulation run.
 ///
-/// Usage:
+/// Usage, in process:
+///   obs::EventLog log(1);  // the ring is not needed, only the consumer
 ///   TimelineRecorder recorder;
-///   engine.set_observer(&recorder);
+///   log.set_consumer([&](const obs::Event& e) { recorder.on_event(e); });
+///   engine.set_event_log(&log);
 ///   engine.run();
 ///   auto problems = check_run_invariants(recorder, ...);
-class TimelineRecorder : public SimObserver {
+/// or from a file: feed on_event every event of read_event_log(path).
+/// The stream must be unsampled (no DSP_EVENT_SAMPLE), or the timeline
+/// has holes.
+class TimelineRecorder {
  public:
-  void on_task_start(SimTime t, Gid g, int node, SimTime overhead) override;
-  void on_task_finish(SimTime t, Gid g, int node) override;
-  void on_task_suspend(SimTime t, Gid g, int node, bool kept_progress) override;
-  void on_hoard_start(SimTime t, Gid g, int node) override;
-  void on_hoard_evict(SimTime t, Gid g, int node) override;
-  void on_job_complete(SimTime t, JobId j) override;
-  void on_schedule_round(SimTime t, std::size_t jobs,
-                         std::size_t placements) override;
-  void on_epoch(SimTime t) override;
+  /// Folds one event into the timeline. Dispatches, finishes,
+  /// preemptions and hoarding open and close slot intervals; job
+  /// completions, scheduling rounds and epochs are kept as marks; every
+  /// other kind is ignored.
+  void on_event(const obs::Event& e);
 
   /// All closed intervals, in completion order.
   const std::vector<Interval>& intervals() const { return intervals_; }
@@ -75,12 +81,12 @@ class TimelineRecorder : public SimObserver {
   /// First productive start of task `g`, or kNoTime.
   SimTime first_run_start(Gid g) const;
 
-  /// Job completion times recorded via on_job_complete.
+  /// Job completion times, in stream order.
   const std::vector<std::pair<SimTime, JobId>>& job_completions() const {
     return job_completions_;
   }
 
-  /// One offline scheduling round as observed via on_schedule_round.
+  /// One offline scheduling round (a kScheduleRound event).
   struct ScheduleRound {
     SimTime time = 0;
     std::size_t jobs = 0;
@@ -109,19 +115,26 @@ class TimelineRecorder : public SimObserver {
   std::string render_gantt(std::size_t node_count, std::size_t width = 72) const;
 
  private:
-  struct Open {
+  /// Per-task state, indexed by gid: the open slot occupation plus the
+  /// indexes that make the per-task queries independent of the run length.
+  struct TaskTrack {
+    // The occupation in progress, if `active`.
     int node = -1;
     IntervalKind kind = IntervalKind::kRun;
     SimTime begin = 0;
     SimTime overhead = 0;
     bool active = false;
+    SimTime finish = kNoTime;     ///< First finish record.
+    SimTime first_run = kNoTime;  ///< Earliest non-hoard interval begin.
+    std::vector<std::size_t> intervals;  ///< Into intervals_, closing order.
   };
+  void start(SimTime t, Gid g, int node, IntervalKind kind, SimTime overhead);
   void close(Gid g, SimTime t, Interval::End outcome);
-  Open& open_slot(Gid g);
+  void push_interval(TaskTrack& track, const Interval& iv);
+  TaskTrack& track(Gid g);
 
-  std::vector<Open> open_;  // indexed by gid, grown on demand
+  std::vector<TaskTrack> tracks_;  // indexed by gid, grown on demand
   std::vector<Interval> intervals_;
-  std::vector<std::pair<SimTime, Gid>> finish_times_;
   std::vector<std::pair<SimTime, JobId>> job_completions_;
   std::vector<ScheduleRound> rounds_;
   std::vector<SimTime> epochs_;

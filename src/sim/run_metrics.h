@@ -87,7 +87,7 @@ struct RunMetrics {
   /// Preemption attempts suppressed by DSP's normalized-priority check.
   std::uint64_t suppressed_preemptions = 0;
 
-  // ---- Preemption audit trail (Algorithm-1 outcomes, obs/audit.h) ----
+  // ---- Algorithm-1 outcomes (obs::PreemptDecision, obs/events.h) ----
   /// Candidate evaluations recorded via Engine::record_preempt_decision.
   /// Fired evaluations are counted by `preemptions`, PP suppressions by
   /// `suppressed_preemptions`; the two fields below cover the rest.

@@ -68,19 +68,19 @@ TEST(DspAnalyzeCliTest, SeededScheduleViolations) {
 
 TEST(DspAnalyzeCliTest, SeededAuditViolations) {
   const std::string w = " --workload " + fixture("audit_workload.csv");
-  expect_rule_fires("audit " + fixture("p000_malformed.json"), "P000");
-  expect_rule_fires("audit " + fixture("p001_monotonicity.json") + w, "P001");
-  expect_rule_fires("audit " + fixture("p002_priority_gap.json"), "P002");
-  expect_rule_fires("audit " + fixture("p003_dependency_on_victim.json") + w,
+  expect_rule_fires("audit " + fixture("p000_malformed.jsonl"), "P000");
+  expect_rule_fires("audit " + fixture("p001_monotonicity.jsonl") + w, "P001");
+  expect_rule_fires("audit " + fixture("p002_priority_gap.jsonl"), "P002");
+  expect_rule_fires("audit " + fixture("p003_dependency_on_victim.jsonl") + w,
                     "P003");
-  expect_rule_fires("audit " + fixture("p004_rho_normalization.json"), "P004");
+  expect_rule_fires("audit " + fixture("p004_rho_normalization.jsonl"), "P004");
 }
 
 TEST(DspAnalyzeCliTest, CleanFixturesExitZero) {
   for (const std::string& args :
        {"workload " + fixture("clean_workload.csv"),
         "schedule " + fixture("clean_schedule.json"),
-        "audit " + fixture("clean_audit.json") + " --workload " +
+        "audit " + fixture("clean_audit.jsonl") + " --workload " +
             fixture("audit_workload.csv")}) {
     const CliResult r = run_cli(args);
     EXPECT_EQ(r.exit_code, 0) << args << "\n" << r.output;

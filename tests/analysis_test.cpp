@@ -1,9 +1,10 @@
 // Tests for the dsp-analyze static rule engine (src/analysis): the rule
 // catalog, the workload lint, the schedule constraint check, the audit
-// replay, the audit JSON round-trip, and an end-to-end run whose solver
-// and preemption artifacts must analyze clean.
+// replay, the decision-line round trip, and an end-to-end run whose
+// solver and preemption artifacts must analyze clean.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "analysis/analyzer.h"
@@ -14,7 +15,7 @@
 #include "core/dsp_system.h"
 #include "core/ilp_model.h"
 #include "core/preemption.h"
-#include "obs/audit.h"
+#include "obs/events.h"
 #include "test_util.h"
 #include "trace/workload.h"
 
@@ -279,9 +280,6 @@ obs::PreemptDecision base_decision() {
   d.candidate = 0;
   d.victim = kInvalidGid;
   d.rho = 0.2;
-  d.delta = 0.25;
-  d.epsilon = 2 * kSecond;
-  d.tau = 60 * kSecond;
   d.pp = true;
   return d;
 }
@@ -410,31 +408,31 @@ TEST(AuditReplayTest, PpGateViolationsFireP004) {
 }
 
 // ---------------------------------------------------------------------
-// Audit JSON round-trip
+// Decision lines: the audit replay's input
 // ---------------------------------------------------------------------
 
-TEST(AuditJsonTest, RoundTripIsBitExact) {
-  obs::PreemptionAuditTrail trail;
+TEST(DecisionLineTest, RoundTripIsBitExact) {
   obs::PreemptDecision d = base_decision();
   d.victim = 3;
   d.candidate_priority = 1.0 / 3.0;  // needs 17 significant digits
   d.victim_priority = 0.1;
   d.normalized_gap = 2.0 / 7.0;
+  d.rho = 1.0 / 9.0;
   d.outcome = obs::PreemptOutcome::kFired;
-  trail.record(d);
   obs::PreemptDecision n = base_decision();
   n.time = 2 * kSecond;
   n.urgent = true;
   n.pp = false;
   n.outcome = obs::PreemptOutcome::kNoVictim;
-  trail.record(n);
 
-  std::stringstream buf;
-  trail.write_json(buf);
-  const obs::AuditParseResult parsed = obs::read_audit_json(buf);
+  std::string text;
+  obs::EventLog::append_jsonl(obs::decision_event(d, 0), text);
+  obs::EventLog::append_jsonl(obs::decision_event(n, 0), text);
+  std::istringstream in(text);
+  const obs::EventParseResult parsed = obs::read_event_log(in);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  ASSERT_EQ(parsed.decisions.size(), 2u);
-  const obs::PreemptDecision& back = parsed.decisions[0];
+  ASSERT_EQ(parsed.events.size(), 2u);
+  const obs::PreemptDecision back = obs::decision_of(parsed.events[0]);
   EXPECT_EQ(back.time, d.time);
   EXPECT_EQ(back.node, d.node);
   EXPECT_EQ(back.candidate, d.candidate);
@@ -443,31 +441,21 @@ TEST(AuditJsonTest, RoundTripIsBitExact) {
   EXPECT_EQ(back.victim_priority, d.victim_priority);
   EXPECT_EQ(back.normalized_gap, d.normalized_gap);
   EXPECT_EQ(back.rho, d.rho);
-  EXPECT_EQ(back.delta, d.delta);
-  EXPECT_EQ(back.epsilon, d.epsilon);
-  EXPECT_EQ(back.tau, d.tau);
   EXPECT_FALSE(back.urgent);
   EXPECT_TRUE(back.pp);
   EXPECT_EQ(back.outcome, obs::PreemptOutcome::kFired);
-  EXPECT_EQ(parsed.decisions[1].victim, kInvalidGid);  // -1 maps back
-  EXPECT_TRUE(parsed.decisions[1].urgent);
-  EXPECT_FALSE(parsed.decisions[1].pp);
-}
-
-TEST(AuditJsonTest, MissingFieldIsAnError) {
-  const std::string text =
-      "{\"decisions\": [{\"time_us\": 1, \"node\": 0, \"candidate\": 0}]}";
-  std::stringstream in(text);
-  const obs::AuditParseResult parsed = obs::read_audit_json(in);
-  EXPECT_FALSE(parsed.ok());
-  EXPECT_NE(parsed.error.find("victim"), std::string::npos);
+  const obs::PreemptDecision none = obs::decision_of(parsed.events[1]);
+  EXPECT_EQ(none.victim, kInvalidGid);  // -1 maps back
+  EXPECT_TRUE(none.urgent);
+  EXPECT_FALSE(none.pp);
+  EXPECT_EQ(none.outcome, obs::PreemptOutcome::kNoVictim);
 }
 
 // ---------------------------------------------------------------------
-// End to end: a DSP engine run's audit trail analyzes clean
+// End to end: a DSP engine run's decision stream analyzes clean
 // ---------------------------------------------------------------------
 
-TEST(AnalysisEndToEndTest, EngineAuditTrailReplaysClean) {
+TEST(AnalysisEndToEndTest, EngineDecisionStreamReplaysClean) {
   WorkloadConfig cfg;
   cfg.job_count = 8;
   cfg.task_scale = 0.01;
@@ -484,23 +472,29 @@ TEST(AnalysisEndToEndTest, EngineAuditTrailReplaysClean) {
   params.epoch = 500 * kMillisecond;
   Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 2), jobs, sched, &policy,
                 params);
-  obs::PreemptionAuditTrail trail;
-  engine.set_audit(&trail);
+  const std::string path = ::testing::TempDir() + "analysis_e2e.jsonl";
+  obs::EventLog log;
+  ASSERT_TRUE(log.open_sink(path));
+  engine.set_event_log(&log);
   engine.run();
-  ASSERT_GT(trail.total(), 0u);
+  log.close_sink();
 
-  // Through the JSON artifact, exactly as tools/dsp_analyze consumes it.
-  std::stringstream buf;
-  trail.write_json(buf);
-  const obs::AuditParseResult parsed = obs::read_audit_json(buf);
+  // Through the JSONL artifact, exactly as tools/dsp_analyze consumes it.
+  const obs::EventParseResult parsed = obs::read_event_log(path);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
+  std::vector<obs::PreemptDecision> decisions;
+  for (const obs::Event& e : parsed.events)
+    if (e.kind == obs::EventKind::kPreemptDecision)
+      decisions.push_back(obs::decision_of(e));
+  ASSERT_GT(decisions.size(), 0u);
 
   analysis::AuditReplayOptions options;
   options.workload = &jobs;
   Report report;
-  analysis::replay_audit(parsed.decisions, options, report);
+  analysis::replay_audit(decisions, options, report);
   for (const auto& d : report.diagnostics())
     ADD_FAILURE() << d.rule << " " << d.subject << ": " << d.message;
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

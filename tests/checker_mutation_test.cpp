@@ -1,5 +1,5 @@
 // Mutation tests for the dynamic run-invariant checker (sim/invariants.h):
-// forge a known-good execution timeline through the observer hooks, then
+// forge a known-good execution timeline as flight-recorder events, then
 // corrupt it six ways — one per checker rule — and assert that
 // check_run_invariants reports each specific violation. This guards the
 // checker itself: a checker that stops detecting a class of corruption
@@ -11,6 +11,7 @@
 
 #include "sim/invariants.h"
 #include "sim/recorder.h"
+#include "test_util.h"
 
 namespace dsp {
 namespace {
@@ -47,16 +48,17 @@ JobSet standard_workload() {
 /// node 0 with task 3 on node 1 for the first second, then the chain's
 /// second task on node 0.
 void emit_base(TimelineRecorder& r) {
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(kTaskTime, 3, 1);
-  r.on_job_complete(kTaskTime, 1);
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(2 * kTaskTime, 0);
+  testing::TimelineForge f{r};
+  f.start(0, 0, 0, 0);
+  f.start(0, 2, 0, 0);
+  f.start(0, 3, 1, 0);
+  f.finish(kTaskTime, 0, 0);
+  f.finish(kTaskTime, 2, 0);
+  f.finish(kTaskTime, 3, 1);
+  f.job_complete(kTaskTime, 1);
+  f.start(kTaskTime, 1, 0, 0);
+  f.finish(2 * kTaskTime, 1, 0);
+  f.job_complete(2 * kTaskTime, 0);
 }
 
 std::vector<std::string> check(const TimelineRecorder& r, const JobSet& jobs) {
@@ -84,16 +86,17 @@ TEST(CheckerMutationTest, BaselineTimelineIsSound) {
 TEST(CheckerMutationTest, SlotOvercommitIsDetected) {
   const JobSet jobs = standard_workload();
   TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 0, 0);  // mutated: node 1 -> node 0
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(kTaskTime, 3, 0);
-  r.on_job_complete(kTaskTime, 1);
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(2 * kTaskTime, 0);
+  testing::TimelineForge f{r};
+  f.start(0, 0, 0, 0);
+  f.start(0, 2, 0, 0);
+  f.start(0, 3, 0, 0);  // mutated: node 1 -> node 0
+  f.finish(kTaskTime, 0, 0);
+  f.finish(kTaskTime, 2, 0);
+  f.finish(kTaskTime, 3, 0);
+  f.job_complete(kTaskTime, 1);
+  f.start(kTaskTime, 1, 0, 0);
+  f.finish(2 * kTaskTime, 1, 0);
+  f.job_complete(2 * kTaskTime, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "exceed 2 slots")) << problems.front();
@@ -105,11 +108,12 @@ TEST(CheckerMutationTest, ResourceOvercommitIsDetected) {
   JobSet jobs;
   jobs.push_back(make_job(0, 2, 1.5, false));
   TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 1, 0, 0);  // mutated: co-located despite the memory sum
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 1, 0);
-  r.on_job_complete(kTaskTime, 0);
+  testing::TimelineForge f{r};
+  f.start(0, 0, 0, 0);
+  f.start(0, 1, 0, 0);  // mutated: co-located despite the memory sum
+  f.finish(kTaskTime, 0, 0);
+  f.finish(kTaskTime, 1, 0);
+  f.job_complete(kTaskTime, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "resource overcommit")) << problems.front();
@@ -120,16 +124,17 @@ TEST(CheckerMutationTest, ResourceOvercommitIsDetected) {
 TEST(CheckerMutationTest, DependencyViolationIsDetected) {
   const JobSet jobs = standard_workload();
   TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_start(kTaskTime / 2, 1, 1, 0);  // mutated: parent still running
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(kTaskTime, 3, 1);
-  r.on_job_complete(kTaskTime, 1);
-  r.on_task_finish(3 * kTaskTime / 2, 1, 1);
-  r.on_job_complete(3 * kTaskTime / 2, 0);
+  testing::TimelineForge f{r};
+  f.start(0, 0, 0, 0);
+  f.start(0, 2, 0, 0);
+  f.start(0, 3, 1, 0);
+  f.start(kTaskTime / 2, 1, 1, 0);  // mutated: parent still running
+  f.finish(kTaskTime, 0, 0);
+  f.finish(kTaskTime, 2, 0);
+  f.finish(kTaskTime, 3, 1);
+  f.job_complete(kTaskTime, 1);
+  f.finish(3 * kTaskTime / 2, 1, 1);
+  f.job_complete(3 * kTaskTime / 2, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "before parent")) << problems.front();
@@ -141,18 +146,19 @@ TEST(CheckerMutationTest, DependencyViolationIsDetected) {
 TEST(CheckerMutationTest, DoubleOccupancyIsDetected) {
   const JobSet jobs = standard_workload();
   TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_suspend(7 * kTaskTime / 10, 3, 1, true);
-  r.on_task_start(4 * kTaskTime / 10, 3, 1, 0);  // mutated: overlaps above
-  r.on_task_finish(7 * kTaskTime / 10, 3, 1);
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_job_complete(kTaskTime, 1);  // job 1's last finish is task 2's
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(2 * kTaskTime, 0);
+  testing::TimelineForge f{r};
+  f.start(0, 0, 0, 0);
+  f.start(0, 2, 0, 0);
+  f.start(0, 3, 1, 0);
+  f.suspend(7 * kTaskTime / 10, 3, 1);
+  f.start(4 * kTaskTime / 10, 3, 1, 0);  // mutated: overlaps above
+  f.finish(7 * kTaskTime / 10, 3, 1);
+  f.finish(kTaskTime, 0, 0);
+  f.finish(kTaskTime, 2, 0);
+  f.job_complete(kTaskTime, 1);  // job 1's last finish is task 2's
+  f.start(kTaskTime, 1, 0, 0);
+  f.finish(2 * kTaskTime, 1, 0);
+  f.job_complete(2 * kTaskTime, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "occupies two slots at once"))
@@ -164,16 +170,17 @@ TEST(CheckerMutationTest, DoubleOccupancyIsDetected) {
 TEST(CheckerMutationTest, CompletionRecordCorruptionIsDetected) {
   const JobSet jobs = standard_workload();
   TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(kTaskTime, 3, 1);
+  testing::TimelineForge f{r};
+  f.start(0, 0, 0, 0);
+  f.start(0, 2, 0, 0);
+  f.start(0, 3, 1, 0);
+  f.finish(kTaskTime, 0, 0);
+  f.finish(kTaskTime, 2, 0);
+  f.finish(kTaskTime, 3, 1);
   // mutated: job 1's completion record dropped entirely
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(3 * kTaskTime, 0);  // mutated: half a run too late
+  f.start(kTaskTime, 1, 0, 0);
+  f.finish(2 * kTaskTime, 1, 0);
+  f.job_complete(3 * kTaskTime, 0);  // mutated: half a run too late
   const auto problems = check(r, jobs);
   EXPECT_TRUE(mentions(problems, "has no completion record"))
       << (problems.empty() ? "" : problems.front());
@@ -186,16 +193,17 @@ TEST(CheckerMutationTest, CompletionRecordCorruptionIsDetected) {
 TEST(CheckerMutationTest, LostWorkIsDetected) {
   const JobSet jobs = standard_workload();
   TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(4 * kTaskTime / 10, 3, 1);  // mutated: early finish
-  r.on_job_complete(kTaskTime, 1);
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(2 * kTaskTime, 0);
+  testing::TimelineForge f{r};
+  f.start(0, 0, 0, 0);
+  f.start(0, 2, 0, 0);
+  f.start(0, 3, 1, 0);
+  f.finish(kTaskTime, 0, 0);
+  f.finish(kTaskTime, 2, 0);
+  f.finish(4 * kTaskTime / 10, 3, 1);  // mutated: early finish
+  f.job_complete(kTaskTime, 1);
+  f.start(kTaskTime, 1, 0, 0);
+  f.finish(2 * kTaskTime, 1, 0);
+  f.job_complete(2 * kTaskTime, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "executed 400.0 MI")) << problems.front();

@@ -1,9 +1,11 @@
 // Determinism guarantees of the incremental/parallel epoch hot path:
 // priorities from the incremental compute_all (with and without a thread
-// pool) must be bit-identical to a serial full recompute, and the whole
-// preemption audit trail must be independent of the threads knob.
+// pool) must be bit-identical to a serial full recompute, and a run's
+// whole event stream must be independent of the threads knob.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/dsp_scheduler.h"
@@ -11,7 +13,7 @@
 #include "core/preemption.h"
 #include "core/priority.h"
 #include "lp/milp.h"
-#include "obs/audit.h"
+#include "obs/events.h"
 #include "sim/engine.h"
 #include "sim/failures.h"
 #include "trace/workload.h"
@@ -127,12 +129,13 @@ TEST(DeterminismTest, IncrementalMatchesFullRecomputeUnderNodeEvents) {
 }
 
 // ---------------------------------------------------------------------
-// Whole-run audit trail vs the threads knob
+// Whole-run event stream vs the threads knob
 // ---------------------------------------------------------------------
 
 struct RunResult {
   RunMetrics metrics;
-  std::vector<obs::PreemptDecision> decisions;
+  std::string stream;  ///< Every emitted event as JSONL, in emit order.
+  std::size_t decisions = 0;
 };
 
 RunResult run_dsp_with_threads(int threads) {
@@ -142,32 +145,20 @@ RunResult run_dsp_with_threads(int threads) {
   DspScheduler sched;
   DspPreemption policy(params);
   Engine engine(ClusterSpec::ec2(4), jobs, sched, &policy, fast_params());
-  obs::PreemptionAuditTrail trail;
-  engine.set_audit(&trail);
   RunResult r;
+  obs::EventLog log(1);
+  log.set_consumer([&r](const obs::Event& e) {
+    obs::EventLog::append_jsonl(e, r.stream);
+    if (e.kind == obs::EventKind::kPreemptDecision) ++r.decisions;
+  });
+  engine.set_event_log(&log);
   r.metrics = engine.run();
-  r.decisions = trail.decisions();
   return r;
 }
 
-void expect_decisions_identical(const obs::PreemptDecision& a,
-                                const obs::PreemptDecision& b,
-                                std::size_t index) {
-  EXPECT_EQ(a.time, b.time) << index;
-  EXPECT_EQ(a.node, b.node) << index;
-  EXPECT_EQ(a.candidate, b.candidate) << index;
-  EXPECT_EQ(a.victim, b.victim) << index;
-  EXPECT_EQ(a.candidate_priority, b.candidate_priority) << index;
-  EXPECT_EQ(a.victim_priority, b.victim_priority) << index;
-  EXPECT_EQ(a.normalized_gap, b.normalized_gap) << index;
-  EXPECT_EQ(a.delta, b.delta) << index;
-  EXPECT_EQ(a.urgent, b.urgent) << index;
-  EXPECT_EQ(a.outcome, b.outcome) << index;
-}
-
-TEST(DeterminismTest, AuditTrailIdenticalAcrossThreadCounts) {
+TEST(DeterminismTest, EventStreamIdenticalAcrossThreadCounts) {
   const RunResult serial = run_dsp_with_threads(1);
-  ASSERT_FALSE(serial.decisions.empty());
+  ASSERT_GT(serial.decisions, 0u);
   for (const int threads : {2, 4}) {
     const RunResult parallel = run_dsp_with_threads(threads);
     EXPECT_EQ(parallel.metrics.makespan, serial.metrics.makespan) << threads;
@@ -177,10 +168,14 @@ TEST(DeterminismTest, AuditTrailIdenticalAcrossThreadCounts) {
         << threads;
     EXPECT_EQ(parallel.metrics.job_waiting_s, serial.metrics.job_waiting_s)
         << threads;
-    ASSERT_EQ(parallel.decisions.size(), serial.decisions.size()) << threads;
-    for (std::size_t i = 0; i < serial.decisions.size(); ++i)
-      expect_decisions_identical(serial.decisions[i], parallel.decisions[i],
-                                 i);
+    // Every event, decisions with their priorities, P-tilde and rho
+    // included, byte for byte.
+    const auto [s, p] =
+        std::mismatch(serial.stream.begin(), serial.stream.end(),
+                      parallel.stream.begin(), parallel.stream.end());
+    EXPECT_TRUE(s == serial.stream.end() && p == parallel.stream.end())
+        << threads << " threads: streams diverge at byte "
+        << (s - serial.stream.begin());
   }
 }
 

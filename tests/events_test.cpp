@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dsp_scheduler.h"
@@ -166,6 +167,93 @@ TEST(EventLogTest, ReaderNamesTheBadLine) {
   const obs::EventParseResult parsed = obs::read_event_log(in);
   EXPECT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error.find("line 2"), std::string::npos) << parsed.error;
+}
+
+/// A valid task_dispatch line with one field's value replaced verbatim.
+std::string dispatch_line_with(const std::string& key,
+                               const std::string& value) {
+  std::map<std::string, std::string> fields = {
+      {"t", "1500000"}, {"seq", "7"},  {"epoch", "3"}, {"flags", "1"},
+      {"job", "2"},     {"task", "41"}, {"task2", "-1"}, {"node", "5"},
+      {"node2", "-1"},  {"a", "0.25"}, {"b", "0"}};
+  fields[key] = value;
+  std::string line = "{\"kind\":\"task_dispatch\"";
+  for (const auto& [k, v] : fields) line += ",\"" + k + "\":" + v;
+  return line + "}";
+}
+
+TEST(EventLogTest, ReaderRejectsOutOfRangeAndNonIntegralFields) {
+  // Each of these used to read back silently wrapped, truncated, cast out
+  // of range or zeroed; the reader must name the line and the field.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"node", "40000"},     {"flags", "300"}, {"task", "1.5"},
+      {"job", "4294967296"}, {"t", "null"},    {"node", "null"},
+      {"node", "-2"},        {"seq", "-1"},    {"epoch", "4294967296"},
+      {"t", "1e300"}};
+  for (const auto& [key, value] : bad) {
+    std::istringstream in(dispatch_line_with("a", "1") + "\n" +
+                          dispatch_line_with(key, value) + "\n");
+    const obs::EventParseResult parsed = obs::read_event_log(in);
+    EXPECT_FALSE(parsed.ok()) << key << "=" << value;
+    EXPECT_NE(parsed.error.find("line 2"), std::string::npos) << parsed.error;
+    EXPECT_NE(parsed.error.find("\"" + key + "\""), std::string::npos)
+        << parsed.error;
+  }
+}
+
+TEST(EventLogTest, ReaderAcceptsFieldLimits) {
+  std::istringstream in(dispatch_line_with("node", "32767") + "\n" +
+                        dispatch_line_with("job", "4294967294") + "\n" +
+                        dispatch_line_with("flags", "255") + "\n" +
+                        dispatch_line_with("a", "null") + "\n");
+  const obs::EventParseResult parsed = obs::read_event_log(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_EQ(parsed.events.size(), 4u);
+  EXPECT_EQ(parsed.events[0].node, 32767);
+  EXPECT_EQ(parsed.events[1].job, 4294967294u);
+  EXPECT_EQ(parsed.events[2].flags, 255);
+  EXPECT_EQ(parsed.events[3].a, 0.0);
+}
+
+TEST(EventLogTest, DecisionLineRequiresGapAndRho) {
+  obs::PreemptDecision d;
+  d.node = 1;
+  d.candidate = 4;
+  d.candidate_priority = 2.5;
+  d.normalized_gap = 0.75;
+  d.rho = 0.5;
+  std::string line;
+  obs::EventLog::append_jsonl(obs::decision_event(d, 0), line);
+  EXPECT_NE(line.find(",\"gap\":0.75,\"rho\":0.5}"), std::string::npos)
+      << line;
+  for (const std::string key : {"gap", "rho"}) {
+    const std::string field = ",\"" + key + "\":" +
+                              (key == "gap" ? "0.75" : "0.5");
+    std::string stripped = line;
+    stripped.erase(stripped.find(field), field.size());
+    std::istringstream in(stripped);
+    const obs::EventParseResult parsed = obs::read_event_log(in);
+    EXPECT_FALSE(parsed.ok()) << stripped;
+    EXPECT_NE(parsed.error.find("line 1"), std::string::npos) << parsed.error;
+    EXPECT_NE(parsed.error.find(key), std::string::npos) << parsed.error;
+  }
+  // Other kinds neither write nor need the two keys.
+  std::string epoch;
+  obs::EventLog::append_jsonl({.kind = obs::EventKind::kEpoch, .gap = 1.0},
+                              epoch);
+  EXPECT_EQ(epoch.find("gap"), std::string::npos) << epoch;
+}
+
+TEST(EventLogTest, ConsumerSeesEveryEventBeforeSampling) {
+  obs::EventLog log(4);
+  log.set_sample_every(obs::EventKind::kTaskDispatch, 3);
+  std::vector<obs::Event> seen;
+  log.set_consumer([&seen](const obs::Event& e) { seen.push_back(e); });
+  for (int i = 0; i < 9; ++i)
+    log.emit({.time = i, .kind = obs::EventKind::kTaskDispatch});
+  EXPECT_EQ(log.accepted(), 3u);
+  ASSERT_EQ(seen.size(), 9u);
+  for (int i = 0; i < 9; ++i) EXPECT_EQ(seen[i].time, i);
 }
 
 // ---------------------------------------------------------------------

@@ -151,7 +151,8 @@ TEST(FailureTest, DownNodeAcceptsNoWork) {
   RoundRobinScheduler sched;
   TimelineRecorder recorder;
   Engine engine(nodes(2, 2), std::move(jobs), sched, nullptr, fast_params());
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   FailurePlan plan;
   plan.add_outage(0, 0, 10 * kMinute);
   engine.set_failure_plan(plan);
@@ -327,7 +328,8 @@ TEST(FailureTest, InvariantsHoldUnderFailures) {
   const ClusterSpec cluster = ClusterSpec::ec2(4);
   TimelineRecorder recorder;
   Engine engine(cluster, jobs, sched, nullptr, fast_params());
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   FailurePlan plan = FailurePlan::random_outages(cluster, 4 * kHour, 0.3, 2.0, 337);
   plan.add_slowdown(0, 30 * kSecond, 5 * kMinute, 0.5);
   engine.set_failure_plan(plan);

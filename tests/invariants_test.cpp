@@ -99,7 +99,8 @@ TEST_P(ComboInvariantTest, TimelineIsSound) {
   const ClusterSpec cluster = ClusterSpec::ec2(3);
   TimelineRecorder recorder;
   Engine engine(cluster, jobs, *scheduler, policy.get(), fast_params());
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   const RunMetrics m = engine.run();
   ASSERT_EQ(m.tasks_finished, total_tasks(jobs)) << combo.name;
 
@@ -128,7 +129,8 @@ TEST(RecorderTest, RecordsSimpleRun) {
   ep.period = 1 * kSecond;
   Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 2), jobs, sched, nullptr,
                 ep);
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   engine.run();
 
   // 3 tasks, one run interval each, no overhead (no preemption).
@@ -172,7 +174,8 @@ TEST(RecorderTest, SplitsOverheadFromProductiveTime) {
   ep.epoch = 500 * kMillisecond;
   Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 1), jobs, sched, &policy,
                 ep);
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   engine.run();
 
   std::size_t overhead_count = 0, preempted_count = 0;
@@ -198,7 +201,8 @@ TEST(RecorderTest, CsvExportHasHeaderAndRows) {
   ep.period = 1 * kSecond;
   Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 1), jobs, sched, nullptr,
                 ep);
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   engine.run();
 
   std::ostringstream out;
@@ -220,11 +224,6 @@ TEST(RecorderTest, IntervalKindNames) {
 // Invariant checker sensitivity: corrupt timelines must be rejected.
 // ---------------------------------------------------------------------
 
-class ForgingRecorder : public TimelineRecorder {
- public:
-  using TimelineRecorder::TimelineRecorder;
-};
-
 TEST(InvariantCheckerTest, DetectsMissingTask) {
   JobSet jobs;
   jobs.push_back(make_chain_job(0, 2, 1000.0));
@@ -238,12 +237,13 @@ TEST(InvariantCheckerTest, DetectsDependencyViolation) {
   JobSet jobs;
   jobs.push_back(make_chain_job(0, 2, 1000.0));
   TimelineRecorder forged;
+  testing::TimelineForge forge{forged};
   // Child (gid 1) runs before parent (gid 0) finishes.
-  forged.on_task_start(0, 1, 0, 0);
-  forged.on_task_finish(kSecond, 1, 0);
-  forged.on_task_start(kSecond, 0, 0, 0);
-  forged.on_task_finish(2 * kSecond, 0, 0);
-  forged.on_job_complete(2 * kSecond, 0);
+  forge.start(0, 1, 0, 0);
+  forge.finish(kSecond, 1, 0);
+  forge.start(kSecond, 0, 0, 0);
+  forge.finish(2 * kSecond, 0, 0);
+  forge.job_complete(2 * kSecond, 0);
   const auto problems = check_run_invariants(
       forged, jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
   bool found = false;
@@ -256,11 +256,12 @@ TEST(InvariantCheckerTest, DetectsSlotOvercommit) {
   JobSet jobs;
   jobs.push_back(make_independent_job(0, 3, 1000.0));
   TimelineRecorder forged;
+  testing::TimelineForge forge{forged};
   for (Gid g = 0; g < 3; ++g) {
-    forged.on_task_start(0, g, 0, 0);
-    forged.on_task_finish(kSecond, g, 0);
+    forge.start(0, g, 0, 0);
+    forge.finish(kSecond, g, 0);
   }
-  forged.on_job_complete(kSecond, 0);
+  forge.job_complete(kSecond, 0);
   // Node has 2 slots; 3 concurrent tasks is a violation.
   const auto problems = check_run_invariants(
       forged, jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
@@ -274,9 +275,10 @@ TEST(InvariantCheckerTest, DetectsWorkShortfall) {
   JobSet jobs;
   jobs.push_back(make_independent_job(0, 1, 10000.0));  // needs 10 s
   TimelineRecorder forged;
-  forged.on_task_start(0, 0, 0, 0);
-  forged.on_task_finish(kSecond, 0, 0);  // only ran 1 s
-  forged.on_job_complete(kSecond, 0);
+  testing::TimelineForge forge{forged};
+  forge.start(0, 0, 0, 0);
+  forge.finish(kSecond, 0, 0);  // only ran 1 s
+  forge.job_complete(kSecond, 0);
   const auto problems = check_run_invariants(
       forged, jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
   bool found = false;

@@ -1,6 +1,6 @@
 // Tests for the observability layer: metrics registry, histogram
-// percentiles, preemption audit trail (unit + engine integration),
-// Chrome trace export, the JSON parser, and the profiler macro.
+// percentiles, preemption decision events (engine integration), Chrome
+// trace export, the JSON parser, and the profiler macro.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,11 +8,12 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dsp_system.h"
 #include "core/preemption.h"
-#include "obs/audit.h"
+#include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -295,89 +296,55 @@ TEST(ProfilerTest, ProfileMacroRecordsIntoDefaultRegistry) {
 }
 
 // ---------------------------------------------------------------------
-// Preemption audit trail
+// Preemption decision events
 // ---------------------------------------------------------------------
 
-obs::PreemptDecision sample_decision(obs::PreemptOutcome outcome) {
-  obs::PreemptDecision d;
-  d.time = 1500000;
-  d.node = 2;
-  d.candidate = 7;
-  d.victim = outcome == obs::PreemptOutcome::kNoVictim ? kInvalidGid : Gid{3};
-  d.candidate_priority = 9.5;
-  d.victim_priority = 1.25;
-  d.normalized_gap = 4.0;
-  d.rho = 2.0;
-  d.delta = 0.35;
-  d.epsilon = 100000;
-  d.tau = 2000000;
-  d.outcome = outcome;
-  return d;
-}
-
-TEST(AuditTrailTest, CountsAndFiltersPerOutcome) {
-  obs::PreemptionAuditTrail trail;
-  trail.record(sample_decision(obs::PreemptOutcome::kFired));
-  trail.record(sample_decision(obs::PreemptOutcome::kFired));
-  trail.record(sample_decision(obs::PreemptOutcome::kSuppressedPP));
-  trail.record(sample_decision(obs::PreemptOutcome::kBlockedByDependency));
-  trail.record(sample_decision(obs::PreemptOutcome::kNoVictim));
-
-  EXPECT_EQ(trail.total(), 5u);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kFired), 2u);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kSuppressedPP), 1u);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kBlockedByDependency), 1u);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kNoVictim), 1u);
-  EXPECT_EQ(trail.with_outcome(obs::PreemptOutcome::kFired).size(), 2u);
-
-  trail.clear();
-  EXPECT_EQ(trail.total(), 0u);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kFired), 0u);
-}
-
-TEST(AuditTrailTest, CsvHasHeaderAndOneRowPerDecision) {
-  obs::PreemptionAuditTrail trail;
-  trail.record(sample_decision(obs::PreemptOutcome::kSuppressedPP));
-  trail.record(sample_decision(obs::PreemptOutcome::kNoVictim));
-  std::ostringstream os;
-  trail.write_csv(os);
-  const std::string csv = os.str();
-
-  EXPECT_EQ(csv.find("time_us,node,candidate,victim,candidate_priority,"
-                     "victim_priority,normalized_gap,rho,delta,epsilon_us,"
-                     "tau_us,urgent,pp,outcome"),
-            0u);
-  EXPECT_NE(csv.find("suppressed-pp"), std::string::npos);
-  EXPECT_NE(csv.find("no-victim"), std::string::npos);
-  // kInvalidGid victims print as "-".
-  EXPECT_NE(csv.find(",-,"), std::string::npos);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 3);  // header + 2 rows
-}
-
-TEST(AuditTrailTest, EngineIntegrationMatchesRunMetrics) {
-  DspPreemption policy;
+/// Runs DSP on the contended cluster and returns the run's metrics plus
+/// every Algorithm-1 decision decoded from its event stream.
+std::pair<RunMetrics, std::vector<obs::PreemptDecision>> run_decisions(
+    DspPreemption& policy) {
   DspScheduler sched;
   Engine engine(tight_cluster(), contended_workload(8, 101), sched, &policy,
                 fast_params());
-  obs::PreemptionAuditTrail trail;
-  engine.set_audit(&trail);
+  std::vector<obs::PreemptDecision> decisions;
+  obs::EventLog log(1);
+  log.set_consumer([&decisions](const obs::Event& e) {
+    if (e.kind == obs::EventKind::kPreemptDecision)
+      decisions.push_back(obs::decision_of(e));
+  });
+  engine.set_event_log(&log);
   const RunMetrics m = engine.run();
+  return {m, decisions};
+}
 
-  // Every Algorithm-1 evaluation lands in both the trail and RunMetrics.
-  EXPECT_EQ(trail.total(), m.preempt_evaluations);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kFired), m.preemptions);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kSuppressedPP),
+std::uint64_t count(const std::vector<obs::PreemptDecision>& decisions,
+                    obs::PreemptOutcome outcome) {
+  return static_cast<std::uint64_t>(
+      std::count_if(decisions.begin(), decisions.end(),
+                    [outcome](const auto& d) { return d.outcome == outcome; }));
+}
+
+TEST(DecisionEventTest, EngineStreamMatchesRunMetrics) {
+  DspPreemption policy;
+  const auto [m, decisions] = run_decisions(policy);
+
+  // Every Algorithm-1 evaluation lands in both the stream and RunMetrics.
+  EXPECT_EQ(decisions.size(), m.preempt_evaluations);
+  EXPECT_EQ(count(decisions, obs::PreemptOutcome::kFired), m.preemptions);
+  EXPECT_EQ(count(decisions, obs::PreemptOutcome::kSuppressedPP),
             m.suppressed_preemptions);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kBlockedByDependency),
+  EXPECT_EQ(count(decisions, obs::PreemptOutcome::kBlockedByDependency),
             m.preempt_blocked_dependency);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kNoVictim), m.preempt_no_victim);
-  EXPECT_GT(trail.total(), 0u);
+  EXPECT_EQ(count(decisions, obs::PreemptOutcome::kNoVictim),
+            m.preempt_no_victim);
+  EXPECT_GT(decisions.size(), 0u);
 
   // Records carry the parameters in effect and a sane shape.
-  for (const auto& d : trail.decisions()) {
+  for (const auto& d : decisions) {
     EXPECT_GE(d.node, 0);
     EXPECT_NE(d.candidate, kInvalidGid);
     EXPECT_DOUBLE_EQ(d.rho, policy.params().rho);
+    EXPECT_TRUE(d.pp);
     if (d.outcome == obs::PreemptOutcome::kFired ||
         d.outcome == obs::PreemptOutcome::kSuppressedPP) {
       EXPECT_NE(d.victim, kInvalidGid);
@@ -388,21 +355,16 @@ TEST(AuditTrailTest, EngineIntegrationMatchesRunMetrics) {
   }
 }
 
-TEST(AuditTrailTest, SuppressionCountUnchangedByRecording) {
-  // The audit plumbing moved the suppression tally from
-  // note_suppressed_preemption() into record_preempt_decision(); a DSP
-  // run with PP disabled must record zero suppressions.
+TEST(DecisionEventTest, PpDisabledRecordsNoSuppression) {
+  // With PP disabled no decision may end in a PP suppression, and the
+  // suppression tally that record_preempt_decision keeps stays at zero.
   DspParams params;
   params.normalized_pp = false;
   DspPreemption policy(params);
-  DspScheduler sched;
-  Engine engine(tight_cluster(), contended_workload(8, 101), sched, &policy,
-                fast_params());
-  obs::PreemptionAuditTrail trail;
-  engine.set_audit(&trail);
-  const RunMetrics m = engine.run();
+  const auto [m, decisions] = run_decisions(policy);
+  EXPECT_GT(decisions.size(), 0u);
   EXPECT_EQ(m.suppressed_preemptions, 0u);
-  EXPECT_EQ(trail.count(obs::PreemptOutcome::kSuppressedPP), 0u);
+  EXPECT_EQ(count(decisions, obs::PreemptOutcome::kSuppressedPP), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -415,7 +377,8 @@ TEST(ChromeTraceTest, ExportsLoadableStructure) {
   Engine engine(tight_cluster(), contended_workload(6, 77), sched, &policy,
                 fast_params());
   TimelineRecorder recorder;
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   engine.run();
   ASSERT_FALSE(recorder.intervals().empty());
 

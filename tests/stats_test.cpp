@@ -75,7 +75,8 @@ TEST(GanttTest, RendersNodeRows) {
   ep.period = 1 * kSecond;
   Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 1), jobs, sched, nullptr,
                 ep);
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   engine.run();
 
   const std::string gantt = recorder.render_gantt(2, 40);

@@ -118,4 +118,37 @@ std::vector<TaskPlacement> PinnedScheduler::schedule(
   return placements;
 }
 
+std::unique_ptr<obs::EventLog> recorder_log(TimelineRecorder& recorder) {
+  auto log = std::make_unique<obs::EventLog>(1);
+  log->set_consumer([&recorder](const obs::Event& e) { recorder.on_event(e); });
+  return log;
+}
+
+void TimelineForge::start(SimTime t, Gid g, int node, SimTime overhead) {
+  recorder.on_event({.time = t,
+                     .kind = obs::EventKind::kTaskDispatch,
+                     .task = g,
+                     .node = static_cast<std::int16_t>(node),
+                     .a = static_cast<double>(overhead)});
+}
+
+void TimelineForge::finish(SimTime t, Gid g, int node) {
+  recorder.on_event({.time = t,
+                     .kind = obs::EventKind::kTaskFinish,
+                     .task = g,
+                     .node = static_cast<std::int16_t>(node)});
+}
+
+void TimelineForge::suspend(SimTime t, Gid g, int node) {
+  recorder.on_event({.time = t,
+                     .kind = obs::EventKind::kTaskPreempt,
+                     .task = g,
+                     .node = static_cast<std::int16_t>(node)});
+}
+
+void TimelineForge::job_complete(SimTime t, JobId j) {
+  recorder.on_event(
+      {.time = t, .kind = obs::EventKind::kJobComplete, .job = j});
+}
+
 }  // namespace dsp::testing

@@ -1,11 +1,14 @@
 // Shared builders and stub policies for the DSP test suite.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "dag/job.h"
+#include "obs/events.h"
 #include "sim/engine.h"
 #include "sim/policy.h"
+#include "sim/recorder.h"
 
 namespace dsp::testing {
 
@@ -63,6 +66,23 @@ class NullPreemption : public PreemptionPolicy {
  public:
   const char* name() const override { return "Null"; }
   void on_epoch(Engine&) override {}
+};
+
+/// An event log that feeds every emitted event to `recorder` and keeps
+/// nothing else (one-slot ring, no sink). Attach it with
+/// engine.set_event_log(log.get()) and keep it alive through run().
+std::unique_ptr<obs::EventLog> recorder_log(TimelineRecorder& recorder);
+
+/// Feeds hand-written slot transitions to a TimelineRecorder as the
+/// events the engine emits for them (checker mutation tests).
+struct TimelineForge {
+  TimelineRecorder& recorder;
+
+  /// Dispatch of `g` on `node`; the first `overhead` is not productive.
+  void start(SimTime t, Gid g, int node, SimTime overhead = 0);
+  void finish(SimTime t, Gid g, int node);
+  void suspend(SimTime t, Gid g, int node);
+  void job_complete(SimTime t, JobId j);
 };
 
 }  // namespace dsp::testing

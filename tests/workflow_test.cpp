@@ -119,7 +119,8 @@ TEST(WorkflowTest, DspCompletesWorkflowsWithSoundTimeline) {
   DspPreemption policy;
   TimelineRecorder recorder;
   Engine engine(wide_cluster(), jobs, sched, &policy, fast_params());
-  engine.set_observer(&recorder);
+  const auto log = testing::recorder_log(recorder);
+  engine.set_event_log(log.get());
   ASSERT_TRUE(engine.add_job_dependency(0, 2));
   ASSERT_TRUE(engine.add_job_dependency(1, 2));
   ASSERT_TRUE(engine.add_job_dependency(2, 4));

@@ -23,7 +23,8 @@
 #            errors; skipped (with a notice) when clang++ is not
 #            installed
 #   analyze  dsp_analyze over examples/workloads and the analysis
-#            fixtures, with --json output validated by json_check
+#            fixtures (audit fixtures are JSONL event logs), with --json
+#            output validated by json_check
 #   bench-smoke  micro_bench hot-path benchmarks at a tiny min_time,
 #            with the --json report validated by json_check
 #   bench-diff  micro_bench scalars compared against the committed
@@ -41,7 +42,9 @@
 #            DSP_THREADS=1 and =4, whose per-scenario JSONL event
 #            streams must be byte-identical pair by pair; then the
 #            40-stream scheduler x policy grid, whose streams must
-#            match tests/fixtures/golden/sweep_streams.sha256
+#            match tests/fixtures/golden/sweep_streams.sha256 and whose
+#            8 DSP-policy streams must replay clean under dsp_analyze
+#            audit
 #   perfbench  builds the standalone benchmark harness (perfbench/
 #            globs every src/ module, so a deleted or renamed module can
 #            break it while tier1 stays green) and runs its self-test
@@ -144,8 +147,8 @@ if ! skipped analyze; then
   "$ANALYZE" schedule tests/fixtures/analysis/clean_schedule.json \
     --json "$tmp/out.json" >/dev/null
   "$JSON_CHECK" "$tmp/out.json" analyzer summary.error
-  echo "analyze audit tests/fixtures/analysis/clean_audit.json"
-  "$ANALYZE" audit tests/fixtures/analysis/clean_audit.json \
+  echo "analyze audit tests/fixtures/analysis/clean_audit.jsonl"
+  "$ANALYZE" audit tests/fixtures/analysis/clean_audit.jsonl \
     --workload tests/fixtures/analysis/audit_workload.csv \
     --json "$tmp/out.json" >/dev/null
   "$JSON_CHECK" "$tmp/out.json" analyzer summary.error
@@ -154,7 +157,7 @@ if ! skipped analyze; then
   declare -A seeded=(
     [workload]="w000_malformed.csv:W000 w001_cycle.csv:W001 w002_bad_parent.csv:W002 w003_tight_deadline.csv:W003 w004_oversized_demand.csv:W004 w005_invalid_structure.csv:W005"
     [schedule]="s000_malformed.json:S000 s001_dependency_order.json:S001 s002_node_overlap.json:S002 s003_deadline_violation.json:S003 s004_unplaced_task.json:S004 s005_makespan_understated.json:S005"
-    [audit]="p000_malformed.json:P000 p001_monotonicity.json:P001 p002_priority_gap.json:P002 p003_dependency_on_victim.json:P003 p004_rho_normalization.json:P004"
+    [audit]="p000_malformed.jsonl:P000 p001_monotonicity.jsonl:P001 p002_priority_gap.jsonl:P002 p003_dependency_on_victim.jsonl:P003 p004_rho_normalization.jsonl:P004"
   )
   for mode in workload schedule audit; do
     for pair in ${seeded[$mode]}; do
@@ -280,6 +283,19 @@ if ! skipped sweep-smoke; then
   if [[ $written -ne $(wc -l <"$golden") ]]; then
     echo "ci: $written golden streams written, digest file lists $(wc -l <"$golden")"
     exit 1
+  fi
+
+  # Audit replay of every Algorithm-1 decision the DSP policy made in the
+  # grid (about 75k preempt_decision lines), straight from the streams.
+  echo "dsp_analyze audit on the golden DSP-policy streams"
+  replayed=0
+  for f in "$sweep_tmp"/golden/*-dsp-j40-s42.jsonl; do
+    build/tools/dsp_analyze audit "$f" >"$sweep_tmp/audit.txt" || {
+      echo "ci: $f did not replay clean"; head "$sweep_tmp/audit.txt"; exit 1; }
+    replayed=$((replayed + 1))
+  done
+  if [[ $replayed -ne 8 ]]; then
+    echo "ci: expected 8 DSP-policy streams, replayed $replayed"; exit 1
   fi
   rm -rf "$sweep_tmp"
 fi

@@ -1,9 +1,11 @@
-// dsp_analyze: static rule engine CLI for workloads, schedules, and
-// preemption audit trails (src/analysis).
+// dsp_analyze: static rule engine CLI for workloads, schedules, and the
+// preemption decisions of recorded runs (src/analysis).
 //
 //   dsp_analyze workload <trace.csv> [--cluster <spec>] [--rate <mips>]
 //   dsp_analyze schedule <schedule.json>
-//   dsp_analyze audit <audit.json> [--workload <trace.csv>] [--rate <mips>]
+//   dsp_analyze audit <events.jsonl> [--workload <trace.csv>] [--rate <mips>]
+//     replays the preempt_decision lines of a flight-recorder log
+//     (DSP_EVENT_LOG, dsp_sweep --event-log-dir)
 //   dsp_analyze rules | --list-rules
 // Common flags:
 //   --json <path|->   machine-readable diagnostics (json_check-compatible)
@@ -30,7 +32,7 @@ int usage(const char* argv0) {
                "usage: %s workload <trace.csv> [--cluster <spec>] [--rate "
                "<mips>] [--json <path|->] [--rules <ids>]\n"
                "       %s schedule <schedule.json> [--json ...] [--rules ...]\n"
-               "       %s audit <audit.json> [--workload <trace.csv>] [--rate "
+               "       %s audit <events.jsonl> [--workload <trace.csv>] [--rate "
                "<mips>] [--json ...] [--rules ...]\n"
                "       %s rules | --list-rules\n",
                argv0, argv0, argv0, argv0);

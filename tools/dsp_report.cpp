@@ -140,13 +140,11 @@ void analyze(const std::vector<obs::Event>& events, RunReport& r) {
         preempted_at[e.task] = e.time;
         if (occupied > 0) --occupied;
         break;
-      case obs::EventKind::kPreemptDecision: {
+      case obs::EventKind::kPreemptDecision:
         ++r.preempt_decisions;
-        // PreemptOutcome::kFired is ordinal 0 in the flag bits.
-        if (((e.flags >> obs::kEventFlagOutcomeShift) & 0x3) == 0)
+        if (obs::decision_of(e).outcome == obs::PreemptOutcome::kFired)
           ++r.preempt_fired;
         break;
-      }
       case obs::EventKind::kEpoch:
         close_bucket(e.time);
         bucket_epoch = static_cast<std::uint32_t>(e.a);
