@@ -323,7 +323,7 @@ void BM_EngineRun(benchmark::State& state) {
 BENCHMARK(BM_EngineRun)->Arg(20)->Unit(benchmark::kMillisecond);
 
 void BM_SweepGrid(benchmark::State& state) {
-  // A dsp_sweep-shaped grid fanned over the thread pool; Arg = workers.
+  // A dsp_sweep-shaped grid fanned over parallel_for; Arg = workers.
   // The 4-worker point against the 1-worker point is the scaling check.
   std::vector<ScenarioSpec> grid;
   for (PolicyKind policy : {PolicyKind::kDsp, PolicyKind::kDspNoPp,

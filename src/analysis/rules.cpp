@@ -79,7 +79,7 @@ constexpr RuleInfo kCatalog[] = {
      "§IV Algorithm 1 determinism"},
     {"D004", "thread-outside-pool", Severity::kError,
      "std::thread/std::async spawned outside util/thread_pool; ad-hoc "
-     "threads bypass the pool's deterministic fan-out discipline",
+     "threads bypass parallel_for's deterministic fan-out discipline",
      "§IV Algorithm 1 determinism"},
     {"D005", "std-random-engine", Severity::kError,
      "<random> engine or distribution: outputs are not specified "

@@ -14,8 +14,8 @@
 //        nondeterminism at the source level — ambient randomness, wall
 //        clocks, hash-order iteration, stray threads — because the
 //        bit-identical priorities/preemption decisions the engine
-//        promises at any thread count must hold by construction, not
-//        just under determinism_test.
+//        promises for a given input, at any scenario-grid thread count,
+//        must hold by construction, not just under determinism_test.
 //   C* — source-level concurrency/robustness lint (dsp_tidy): lock
 //        discipline (unguarded globals, I/O under a lock, manual
 //        lock/unlock), raw new/delete, unchecked hot-path indexing, and

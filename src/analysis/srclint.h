@@ -2,9 +2,10 @@
 // the static rule engine (see rules.h families D* and C*).
 //
 // The engine promises bit-identical schedules, priorities and preemption
-// decisions at any thread count. determinism_test checks that promise on
-// sample runs; srclint enforces the source disciplines that make it hold
-// by construction: no ambient randomness or wall clocks (D000-D002,
+// decisions for a given input, also when the scenario grid runs many
+// simulations at once. determinism_test and the golden stream digests
+// check that promise on sample runs; srclint enforces the source
+// disciplines that make it hold by construction: no ambient randomness or wall clocks (D000-D002,
 // D005), no hash-order iteration or stray threads in the hot path
 // (D003-D004), and the concurrency/robustness conventions the codebase
 // settled on — guarded globals, no I/O under a lock, RAII locking, no

@@ -59,17 +59,6 @@ struct DspParams {
   double theta1 = 0.5;
   double theta2 = 0.5;
 
-  // ---- Execution (implementation knob, not in the paper) ----
-  /// Worker threads for the epoch hot path: per-job priority recomputes
-  /// and per-node preemptable-victim collection fan out across a pool
-  /// when > 1. 1 runs fully serial (no pool is created); <= 0 reads the
-  /// DSP_THREADS environment variable (default 1; malformed, zero or
-  /// negative values clamp to 1 with a logged warning — see
-  /// env_int_min). try_preempt mutations stay serial at any setting, so
-  /// priorities, preemption decisions and event streams are
-  /// bit-identical regardless of the value.
-  int threads = 0;
-
   // ---- Straggler mitigation (§VI future work) ----
   /// When enabled, each epoch DSP vacates nodes whose effective speed has
   /// dropped below `straggler_threshold` x nominal: running tasks are

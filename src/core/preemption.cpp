@@ -3,25 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/env.h"
 #include "util/log.h"
 
 namespace dsp {
-
-ThreadPool* DspPreemption::pool() {
-  if (resolved_threads_ == 0) {
-    // env_int_min warns and clamps on malformed / zero / negative
-    // DSP_THREADS values instead of silently falling through.
-    const std::int64_t want = params_.threads > 0
-                                  ? params_.threads
-                                  : env_int_min("DSP_THREADS", 1, 1);
-    resolved_threads_ = static_cast<int>(want);
-    if (resolved_threads_ > 1)
-      pool_ = std::make_unique<ThreadPool>(
-          static_cast<unsigned>(resolved_threads_));
-  }
-  return pool_.get();
-}
 
 void DspPreemption::collect_preemptable(const Engine& engine, int node,
                                         std::vector<Gid>& out) {
@@ -35,23 +19,13 @@ void DspPreemption::collect_preemptable(const Engine& engine, int node,
 void DspPreemption::on_epoch(Engine& engine) {
   if (params_.straggler_mitigation) mitigate_stragglers(engine);
 
-  // Victim collection reads only engine state, so the per-node scans fan
-  // out across the pool; the mutating passes below stay serial in
-  // ascending node order, which keeps Algorithm-1 semantics and the
-  // decision events deterministic at any thread count.
-  ThreadPool* workers = pool();
   const std::size_t nodes = engine.node_count();
   victims_.resize(nodes);
-  auto collect = [&](std::size_t k) {
-    victims_[k].clear();  // chunk k owns slot k
+  for (std::size_t k = 0; k < nodes; ++k) {
+    victims_[k].clear();
     const auto node = static_cast<int>(k);
-    if (engine.waiting(node).empty()) return;
-    collect_preemptable(engine, node, victims_[k]);
-  };
-  if (workers != nullptr && nodes > 1) {
-    workers->parallel_for(nodes, collect);
-  } else {
-    for (std::size_t k = 0; k < nodes; ++k) collect(k);
+    if (!engine.waiting(node).empty())
+      collect_preemptable(engine, node, victims_[k]);
   }
 
   // Algorithm 1 reads priorities only to rank waiting tasks against
@@ -62,7 +36,6 @@ void DspPreemption::on_epoch(Engine& engine) {
   if (std::all_of(victims_.begin(), victims_.end(),
                   [](const std::vector<Gid>& v) { return v.empty(); }))
     return;
-  priority_.set_thread_pool(workers);
   const auto range = priority_.compute_all(engine, prio_);
   // Every victim is a running task, which compute_all counts as live.
   assert(range.live_tasks > 0);

@@ -22,14 +22,12 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/params.h"
 #include "core/priority.h"
 #include "sim/engine.h"
 #include "sim/policy.h"
-#include "util/thread_pool.h"
 
 namespace dsp {
 
@@ -82,22 +80,16 @@ class DspPreemption : public PreemptionPolicy {
 
   /// Appends `node`'s preemptable running tasks (allowable waiting time
   /// beyond the epoch) to `out`, unsorted. Reads engine state only, no
-  /// priorities — safe to fan out across nodes, and run before on_epoch
-  /// decides whether priorities are needed at all.
+  /// priorities, so on_epoch runs it before deciding whether priorities
+  /// are needed at all.
   static void collect_preemptable(const Engine& engine, int node,
                                   std::vector<Gid>& out);
-
-  /// Lazily resolves params_.threads (<= 0 reads DSP_THREADS, default 1)
-  /// and spins up the worker pool; nullptr when running serial.
-  ThreadPool* pool();
 
   DspParams params_;
   DependencyPriority priority_;
   std::vector<double> prio_;  // scratch, indexed by gid
   std::vector<std::vector<Gid>> victims_;  // per-node scratch
   std::vector<Gid> ready_scratch_;         // per-pass snapshot buffer
-  int resolved_threads_ = 0;  // 0 = not yet resolved
-  std::unique_ptr<ThreadPool> pool_;
   double delta_;
 };
 

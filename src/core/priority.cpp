@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/profiler.h"
-#include "util/thread_pool.h"
 
 namespace dsp {
 
@@ -69,9 +68,12 @@ DependencyPriority::Range DependencyPriority::compute_all(
 
   // A job is clean when its version is unchanged AND simulated time has
   // not advanced — t^w and t^a move with the clock even without events.
+  // Dirty jobs recompute and every live job merges in ascending job
+  // order.
   const SimTime now = engine.now();
   const bool time_advanced = now != cache_now_;
-  dirty_jobs_.clear();
+  Range range;
+  bool first = true;
   for (JobId j = 0; j < jobs; ++j) {
     if (!engine.job_scheduled(j) || engine.job_finished(j)) {
       if (job_range_[j].live_tasks != 0) {
@@ -84,33 +86,10 @@ DependencyPriority::Range DependencyPriority::compute_all(
       }
       continue;
     }
-    if (!time_advanced && job_version_[j] == engine.priority_version(j))
-      continue;
-    dirty_jobs_.push_back(j);
-  }
-
-  // Recompute dirty jobs. Each job touches only its own span of `out`
-  // and its own cache rows, so the fan-out is race-free; the serial path
-  // runs the identical per-job code, so results are bit-identical.
-  auto recompute = [&](std::size_t i) {
-    const JobId j = dirty_jobs_[i];
-    // Each chunk owns job j's rows exclusively, so the fan-out is
-    // race-free even without a guard annotation.
-    job_range_[j] = compute_job(engine, j, out);
-    job_version_[j] = engine.priority_version(j);
-  };
-  if (pool_ != nullptr && dirty_jobs_.size() > 1) {
-    pool_->parallel_for(dirty_jobs_.size(), recompute);
-  } else {
-    for (std::size_t i = 0; i < dirty_jobs_.size(); ++i) recompute(i);
-  }
-  cache_now_ = now;
-
-  // Deterministic merge in ascending job order.
-  Range range;
-  bool first = true;
-  for (JobId j = 0; j < jobs; ++j) {
-    if (!engine.job_scheduled(j) || engine.job_finished(j)) continue;
+    if (time_advanced || job_version_[j] != engine.priority_version(j)) {
+      job_range_[j] = compute_job(engine, j, out);
+      job_version_[j] = engine.priority_version(j);
+    }
     const Range& r = job_range_[j];
     if (r.live_tasks == 0) continue;
     if (first || r.min_p < range.min_p) range.min_p = r.min_p;
@@ -118,6 +97,7 @@ DependencyPriority::Range DependencyPriority::compute_all(
     first = false;
     range.live_tasks += r.live_tasks;
   }
+  cache_now_ = now;
   return range;
 }
 

@@ -10,11 +10,8 @@
 //
 // compute_all is incremental: each job's priorities are recomputed only
 // when the engine's per-job version counter moved or simulated time
-// advanced (t^w/t^a are time-varying), each recompute walks only the
-// job's live reverse-topological suffix (Engine::live_reverse_topo), and
-// when a ThreadPool is attached the per-job recomputes fan out across it.
-// Jobs are independent and the merge runs serially in job order, so the
-// result is bit-identical with and without threads.
+// advanced (t^w/t^a are time-varying), and each recompute walks only the
+// job's live reverse-topological suffix (Engine::live_reverse_topo).
 //
 // DspPreemption::on_epoch calls compute_all lazily: it first collects
 // preemptable victims and computes priorities only when some node has
@@ -29,8 +26,6 @@
 #include "sim/engine.h"
 
 namespace dsp {
-
-class ThreadPool;
 
 /// Computes Formula 12/13 priorities against live engine state.
 class DependencyPriority {
@@ -69,13 +64,8 @@ class DependencyPriority {
   /// Computes priorities for all unfinished tasks of all scheduled,
   /// unfinished jobs into `out` (resized to the gid domain) and returns
   /// the global live Range. Incremental: clean jobs reuse their stored
-  /// values and Range; dirty jobs recompute, in parallel when a pool is
-  /// attached via set_thread_pool.
+  /// values and Range; dirty jobs recompute.
   Range compute_all(const Engine& engine, std::vector<double>& out) const;
-
-  /// Attaches (or detaches, with nullptr) the worker pool used to fan
-  /// out per-job recomputes. Results are bit-identical either way.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// Drops all incremental state; the next compute_all recomputes every
   /// job from scratch (the serial full-recompute reference path).
@@ -83,7 +73,6 @@ class DependencyPriority {
 
  private:
   const DspParams& params_;
-  ThreadPool* pool_ = nullptr;
 
   // Incremental-state cache, keyed to one engine instance. Rebuilt from
   // scratch whenever compute_all sees a different engine (or a resized
@@ -92,7 +81,6 @@ class DependencyPriority {
   mutable SimTime cache_now_ = kNoTime;
   mutable std::vector<std::uint64_t> job_version_;  // last computed version
   mutable std::vector<Range> job_range_;            // last computed range
-  mutable std::vector<JobId> dirty_jobs_;           // scratch per call
 };
 
 }  // namespace dsp

@@ -661,7 +661,10 @@ void BoundedSimplex::cold_start() {
     status_[nv_ + i] = VarStatus::kBasic;
     basic_[i] = static_cast<std::int32_t>(nv_ + i);
   }
-  std::memcpy(tab_.data(), a0_.data(), m_ * width_ * sizeof(double));
+  // A row-less LP has an empty tableau whose data() may be null, and
+  // memcpy from or to null is undefined even for zero bytes.
+  if (m_ > 0)
+    std::memcpy(tab_.data(), a0_.data(), m_ * width_ * sizeof(double));
   compute_beta(b0_);
 
   // Rows whose slack value lands outside the slack bounds get a basic

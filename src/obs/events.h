@@ -12,11 +12,12 @@
 // consumer (set_consumer) sees every event as it is emitted. Consumers —
 // the timeline recorder, the invariant checker, the audit replay, the
 // Chrome trace, dsp_report — read either that hook or a recorded file
-// (read_event_log). Because every emit point sits in the engine's serial
-// event loop or in a policy's serial mutating pass, the stream is
-// bit-identical across DSP_THREADS settings — tools/dsp_report's
-// first-divergence diff turns that determinism guarantee into a
-// debuggable property.
+// (read_event_log). A run is serial — every emit point sits in the
+// engine's event loop or in a policy's epoch — so the stream is a pure
+// function of the run's inputs: same-seed runs, including the same
+// scenario run by dsp_sweep at any --threads, write identical streams,
+// and tools/dsp_report's first-divergence diff turns that determinism
+// guarantee into a debuggable property.
 //
 // Knobs (read by EventLog::from_env, applied by Engine::run when no log
 // was attached explicitly):

@@ -181,8 +181,7 @@ std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
           : static_cast<unsigned>(env_int_min("DSP_THREADS", 1, 1));
 
   std::vector<RunMetrics> results(grid.size());
-  ThreadPool pool(threads);
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
+  parallel_for(grid.size(), threads, [&](std::size_t i) {
     // One private recorder per scenario: concurrent runs sharing the
     // DSP_EVENT_LOG sink would interleave their streams, so the grid
     // runner never consults the environment.

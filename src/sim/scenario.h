@@ -7,8 +7,9 @@
 // of hand-rolling private loops. run_scenario() turns one spec into a
 // RunMetrics via a fresh Engine (the kernel stack is re-entrant: nothing
 // survives a run except the returned metrics); run_scenario_grid() fans a
-// spec list over a util::ThreadPool, one independent Engine per scenario,
-// with results in grid order regardless of thread interleaving.
+// spec list over parallel_for (util/thread_pool.h), one independent
+// Engine per scenario, with results in grid order regardless of thread
+// interleaving. The grid is the only fan-out: a single run is serial.
 //
 // Policy construction is behind the abstract ScenarioFactory so this layer
 // stays below core/ and baselines/ in the link order; the standard factory
@@ -179,7 +180,8 @@ struct GridOptions {
   std::string event_log_dir;
 };
 
-/// Runs every spec of `grid`, fanned over a thread pool. Each scenario
+/// Runs every spec of `grid`, fanned over parallel_for's workers, which
+/// take the next unstarted scenario as they free up. Each scenario
 /// gets its own Engine, workload and (optional) event log, so runs are
 /// independent; results come back in grid order. The per-scenario output
 /// is a pure function of the spec — thread count and grid order change

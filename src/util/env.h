@@ -16,10 +16,11 @@ double env_double(const char* name, double fallback);
 std::int64_t env_int(const char* name, std::int64_t fallback);
 
 /// Reads an environment integer that must be at least `min_value`
-/// (thread counts, scale factors). Unset returns `fallback` silently;
-/// a malformed value falls back to `fallback` and a parsed value below
-/// `min_value` clamps to it — both with a logged warning, so a typo'd
-/// DSP_THREADS=O2 or DSP_THREADS=-1 never degrades a run silently.
+/// (the scenario grid's default worker count, the event ring capacity).
+/// Unset returns `fallback` silently; a malformed value falls back to
+/// `fallback` and a parsed value below `min_value` clamps to it — both
+/// with a logged warning, so a typo'd DSP_THREADS=O2 or DSP_THREADS=-1
+/// never degrades a grid silently.
 std::int64_t env_int_min(const char* name, std::int64_t fallback,
                          std::int64_t min_value);
 

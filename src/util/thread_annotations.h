@@ -3,7 +3,7 @@
 // Wraps the attribute spellings from the Clang Thread Safety Analysis
 // (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html) behind DSP_*
 // macros that compile away on non-Clang compilers, plus a std::mutex
-// wrapper (Mutex / MutexLock / CondVar) that carries the capability
+// wrapper (Mutex / MutexLock) that carries the capability
 // attributes — libstdc++'s own mutex types are unannotated, so locking
 // through them is invisible to the analysis. Configure with
 // -DDSP_THREAD_SAFETY=ON (Clang only) to promote every violation of the
@@ -11,7 +11,6 @@
 // zero-cost documentation.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__)
@@ -50,8 +49,7 @@
 namespace dsp {
 
 /// std::mutex carrying the capability attributes. Lock it through
-/// MutexLock; the raw lock/unlock exist for the RAII types and for
-/// interop (CondVar) only.
+/// MutexLock; the raw lock/unlock exist for the RAII type only.
 class DSP_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -61,9 +59,6 @@ class DSP_CAPABILITY("mutex") Mutex {
   void lock() DSP_ACQUIRE() { mu_.lock(); }      // dsp-tidy: allow(C005)
   void unlock() DSP_RELEASE() { mu_.unlock(); }  // dsp-tidy: allow(C005)
   bool try_lock() DSP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  /// The wrapped mutex, for std APIs that need one (CondVar's wait).
-  std::mutex& native() { return mu_; }
 
  private:
   std::mutex mu_;
@@ -83,29 +78,6 @@ class DSP_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable waiting on a Mutex the caller already holds via
-/// MutexLock. wait() atomically releases the mutex, blocks, and
-/// reacquires before returning, so the caller's capability set is
-/// unchanged — which is exactly what DSP_REQUIRES expresses.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(Mutex& mu) DSP_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.native(), std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();  // ownership stays with the caller's MutexLock
-  }
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace dsp

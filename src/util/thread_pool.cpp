@@ -1,75 +1,41 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <thread>
+#include <vector>
 
 namespace dsp {
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (auto& t : workers_) t.join();
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(mutex_);
-      while (!stop_ && queue_.empty()) cv_.wait(mutex_);
-      if (queue_.empty()) return;  // stop requested and queue drained
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-  }
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t workers = workers_.size();
-  if (workers <= 1 || n == 1) {
-    // Run inline: no queue traffic, and the single-worker pool behaves
-    // exactly like a plain loop.
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& fn) {
+  const std::size_t workers =
+      std::min<std::size_t>(std::max(threads, 1u), n);
+  if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Block distribution into ~4 chunks per worker: bounds per-task queue
-  // overhead while leaving slack for uneven chunk runtimes.
-  const std::size_t chunks = std::min(n, workers * 4);
-  const std::size_t base = n / chunks;
-  const std::size_t rem = n % chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t end = begin + base + (c < rem ? 1 : 0);
-    futures.push_back(submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-    begin = end;
-  }
-  // Wait for every chunk before propagating, so `fn` (captured by
-  // reference) cannot dangle under a still-running chunk.
-  std::exception_ptr first;
-  for (auto& f : futures) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // written only by the worker that set `failed`
+  auto work = [&] {
     try {
-      f.get();
+      for (std::size_t i = next++; i < n; i = next++) fn(i);
     } catch (...) {
-      if (!first) first = std::current_exception();
+      if (!failed.exchange(true)) error = std::current_exception();
+      next = n;  // deal no further indices
     }
+  };
+  {
+    // jthread joins on destruction, so every started worker is joined
+    // before `next`, `error` and `fn` go away, even if a later spawn
+    // throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(work);
   }
-  if (first) std::rethrow_exception(first);
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace dsp

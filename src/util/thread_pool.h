@@ -1,67 +1,24 @@
-// Task-based thread pool for running independent simulations in parallel.
+// Fan-out helper for running independent simulations in parallel.
 //
-// Follows the Core Guidelines' "think in terms of tasks, not threads"
-// (CP.4): callers submit callables and get futures; threads are an
-// implementation detail, joined by RAII on destruction (CP.23/CP.25).
+// The scenario grid runner (sim/scenario.h) is its one caller: each grid
+// cell is a whole, independent simulation run, so that is where
+// parallelism pays. Threads are an implementation detail of one call,
+// started and joined inside it (CP.23/CP.25).
 #pragma once
 
+#include <cstddef>
 #include <functional>
-#include <future>
-#include <memory>
-#include <queue>
-#include <thread>
-#include <type_traits>
-#include <vector>
-
-#include "util/thread_annotations.h"
 
 namespace dsp {
 
-/// Fixed-size worker pool executing submitted tasks FIFO.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (defaults to hardware concurrency, min 1).
-  explicit ThreadPool(unsigned threads = 0);
-
-  /// Drains outstanding tasks then joins all workers.
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Submits a callable; the returned future yields its result.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto fut = task->get_future();
-    {
-      MutexLock lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Indices are dealt out in contiguous blocks (~4 per worker); with a
-  /// single worker (or n == 1) the loop runs inline on the caller. The
-  /// first exception thrown by fn is rethrown after all chunks finish.
-  /// Must not be called from a pool worker (the inner wait would deadlock
-  /// once every worker blocks).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Number of worker threads.
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
- private:
-  void worker_loop();
-
-  Mutex mutex_;
-  CondVar cv_;
-  std::queue<std::function<void()>> queue_ DSP_GUARDED_BY(mutex_);
-  bool stop_ DSP_GUARDED_BY(mutex_) = false;
-  std::vector<std::thread> workers_;  // written only in the ctor
-};
+/// Runs fn(i) for every i in [0, n) on min(threads, n) workers and waits
+/// for all of them. Each worker takes the next unclaimed index from a
+/// shared counter, so one long call never holds back a block of other
+/// indices. With one worker (threads <= 1 or n == 1) the loop runs
+/// inline on the caller. After every worker has joined, the first
+/// exception thrown by fn is rethrown; indices not yet claimed when it
+/// was thrown are skipped.
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace dsp

@@ -1,23 +1,17 @@
-// Determinism guarantees of the incremental/parallel epoch hot path:
-// priorities from the incremental compute_all (with and without a thread
-// pool) must be bit-identical to a serial full recompute, and a run's
-// whole event stream must be independent of the threads knob.
+// Determinism guarantees of the incremental epoch hot path: priorities
+// from the incremental compute_all must be bit-identical to a full
+// recompute, and the serial branch and bound must follow a pinned search.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <string>
 #include <vector>
 
 #include "core/dsp_scheduler.h"
 #include "core/ilp_model.h"
-#include "core/preemption.h"
 #include "core/priority.h"
 #include "lp/milp.h"
-#include "obs/events.h"
 #include "sim/engine.h"
 #include "sim/failures.h"
 #include "trace/workload.h"
-#include "util/thread_pool.h"
 
 namespace dsp {
 namespace {
@@ -39,36 +33,29 @@ EngineParams fast_params() {
 }
 
 // ---------------------------------------------------------------------
-// Incremental + parallel compute_all vs serial full recompute
+// Incremental compute_all vs full recompute
 // ---------------------------------------------------------------------
 
-/// Each epoch, computes priorities three ways — serial full recompute
-/// (invalidate() before every call), incremental, and incremental over a
-/// pool — plus a same-timestamp repeat that exercises the all-clean skip
-/// path, and requires exact equality across all of them.
+/// Each epoch, computes priorities two ways — full recompute
+/// (invalidate() before every call) and incremental — plus a
+/// same-timestamp repeat that exercises the all-clean skip path, and
+/// requires exact equality across all of them.
 class DualProbe : public PreemptionPolicy {
  public:
   explicit DualProbe(const DspParams& params)
-      : reference_(params), incremental_(params), pooled_(params), pool_(3) {
-    pooled_.set_thread_pool(&pool_);
-  }
+      : reference_(params), incremental_(params) {}
   const char* name() const override { return "DualProbe"; }
 
   void on_epoch(Engine& engine) override {
     reference_.invalidate();  // force the full-recompute reference path
     const auto r0 = reference_.compute_all(engine, ref_out_);
     const auto r1 = incremental_.compute_all(engine, inc_out_);
-    const auto r2 = pooled_.compute_all(engine, pool_out_);
     ++epochs;
     // operator== on vector<double> is exact element equality; priorities
     // are never NaN (t_rem is clamped), so this is bit-for-bit.
     if (inc_out_ != ref_out_) ++incremental_mismatches;
-    if (pool_out_ != ref_out_) ++parallel_mismatches;
     if (r1.min_p != r0.min_p || r1.max_p != r0.max_p ||
         r1.live_tasks != r0.live_tasks)
-      ++range_mismatches;
-    if (r2.min_p != r0.min_p || r2.max_p != r0.max_p ||
-        r2.live_tasks != r0.live_tasks)
       ++range_mismatches;
     // Repeat at the same timestamp with no intervening events: every job
     // is clean, so this must take the skip path and change nothing.
@@ -79,18 +66,14 @@ class DualProbe : public PreemptionPolicy {
 
   int epochs = 0;
   int incremental_mismatches = 0;
-  int parallel_mismatches = 0;
   int range_mismatches = 0;
   int skip_path_mismatches = 0;
 
  private:
   DependencyPriority reference_;
   DependencyPriority incremental_;
-  DependencyPriority pooled_;
-  ThreadPool pool_;
   std::vector<double> ref_out_;
   std::vector<double> inc_out_;
-  std::vector<double> pool_out_;
 };
 
 TEST(DeterminismTest, IncrementalMatchesFullRecomputeBitwise) {
@@ -103,7 +86,6 @@ TEST(DeterminismTest, IncrementalMatchesFullRecomputeBitwise) {
   EXPECT_EQ(m.tasks_finished, total_tasks(jobs));
   ASSERT_GT(probe.epochs, 10);
   EXPECT_EQ(probe.incremental_mismatches, 0);
-  EXPECT_EQ(probe.parallel_mismatches, 0);
   EXPECT_EQ(probe.range_mismatches, 0);
   EXPECT_EQ(probe.skip_path_mismatches, 0);
 }
@@ -123,60 +105,8 @@ TEST(DeterminismTest, IncrementalMatchesFullRecomputeUnderNodeEvents) {
   engine.run();
   ASSERT_GT(probe.epochs, 10);
   EXPECT_EQ(probe.incremental_mismatches, 0);
-  EXPECT_EQ(probe.parallel_mismatches, 0);
   EXPECT_EQ(probe.range_mismatches, 0);
   EXPECT_EQ(probe.skip_path_mismatches, 0);
-}
-
-// ---------------------------------------------------------------------
-// Whole-run event stream vs the threads knob
-// ---------------------------------------------------------------------
-
-struct RunResult {
-  RunMetrics metrics;
-  std::string stream;  ///< Every emitted event as JSONL, in emit order.
-  std::size_t decisions = 0;
-};
-
-RunResult run_dsp_with_threads(int threads) {
-  const JobSet jobs = WorkloadGenerator(contended_config(10), 331).generate();
-  DspParams params;
-  params.threads = threads;
-  DspScheduler sched;
-  DspPreemption policy(params);
-  Engine engine(ClusterSpec::ec2(4), jobs, sched, &policy, fast_params());
-  RunResult r;
-  obs::EventLog log(1);
-  log.set_consumer([&r](const obs::Event& e) {
-    obs::EventLog::append_jsonl(e, r.stream);
-    if (e.kind == obs::EventKind::kPreemptDecision) ++r.decisions;
-  });
-  engine.set_event_log(&log);
-  r.metrics = engine.run();
-  return r;
-}
-
-TEST(DeterminismTest, EventStreamIdenticalAcrossThreadCounts) {
-  const RunResult serial = run_dsp_with_threads(1);
-  ASSERT_GT(serial.decisions, 0u);
-  for (const int threads : {2, 4}) {
-    const RunResult parallel = run_dsp_with_threads(threads);
-    EXPECT_EQ(parallel.metrics.makespan, serial.metrics.makespan) << threads;
-    EXPECT_EQ(parallel.metrics.preemptions, serial.metrics.preemptions)
-        << threads;
-    EXPECT_EQ(parallel.metrics.tasks_finished, serial.metrics.tasks_finished)
-        << threads;
-    EXPECT_EQ(parallel.metrics.job_waiting_s, serial.metrics.job_waiting_s)
-        << threads;
-    // Every event, decisions with their priorities, P-tilde and rho
-    // included, byte for byte.
-    const auto [s, p] =
-        std::mismatch(serial.stream.begin(), serial.stream.end(),
-                      parallel.stream.begin(), parallel.stream.end());
-    EXPECT_TRUE(s == serial.stream.end() && p == parallel.stream.end())
-        << threads << " threads: streams diverge at byte "
-        << (s - serial.stream.begin());
-  }
 }
 
 // ---------------------------------------------------------------------

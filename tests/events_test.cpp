@@ -1,7 +1,5 @@
 // Flight recorder tests: JSONL schema round-trip, ring-buffer wrap,
-// per-kind sampling, the engine's emit wiring, and the determinism
-// property dsp_report's diff mode relies on — same-seed runs produce
-// bit-identical event streams at any thread count.
+// per-kind sampling and the engine's emit wiring.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -261,12 +259,10 @@ TEST(EventLogTest, ConsumerSeesEveryEventBeforeSampling) {
 // ---------------------------------------------------------------------
 
 /// One contended run with the recorder attached; returns the stream.
-std::vector<obs::Event> record_run(int threads, std::uint64_t seed) {
+std::vector<obs::Event> record_run(std::uint64_t seed) {
   const JobSet jobs = WorkloadGenerator(contended_config(8), seed).generate();
   DspScheduler sched;
-  DspParams params;
-  params.threads = threads;
-  DspPreemption policy(params);
+  DspPreemption policy;
   Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 2), jobs, sched, &policy,
                 fast_params());
   obs::EventLog log(1 << 14);
@@ -276,7 +272,7 @@ std::vector<obs::Event> record_run(int threads, std::uint64_t seed) {
 }
 
 TEST(EngineEventsTest, RunEmitsCoherentStream) {
-  const std::vector<obs::Event> events = record_run(1, 331);
+  const std::vector<obs::Event> events = record_run(331);
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().kind, obs::EventKind::kRunInfo);
 
@@ -302,18 +298,6 @@ TEST(EngineEventsTest, RunEmitsCoherentStream) {
   EXPECT_GT(counts[obs::EventKind::kScheduleRound], 0u);
   // The contended cluster forces Algorithm-1 activity.
   EXPECT_GT(counts[obs::EventKind::kPreemptDecision], 0u);
-}
-
-TEST(EngineEventsTest, StreamIsIdenticalAcrossThreadCounts) {
-  const std::vector<obs::Event> one = record_run(1, 331);
-  const std::vector<obs::Event> four = record_run(4, 331);
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    std::string a, b;
-    obs::EventLog::append_jsonl(one[i], a);
-    obs::EventLog::append_jsonl(four[i], b);
-    ASSERT_EQ(a, b) << "event " << i << " diverged";
-  }
 }
 
 }  // namespace

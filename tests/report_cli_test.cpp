@@ -3,9 +3,9 @@
 // Event logs are generated in-process (engine + flight recorder sink),
 // then the installed binaries are driven over them: the analytics mode's
 // --json must parse with the documented schema, the diff mode must
-// report zero divergence for same-seed runs at different thread counts
-// (the determinism guarantee) and must pinpoint the exact first
-// differing event in a seeded-mutation log. Binary locations are
+// report zero divergence for two same-seed runs (the determinism
+// guarantee) and must pinpoint the exact first differing event in a
+// seeded-mutation log. Binary locations are
 // injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
@@ -54,7 +54,7 @@ CliResult bench_diff(const std::string& args) {
 }
 
 /// Runs a contended workload with the recorder streaming to `path`.
-void write_log(const std::string& path, int threads, std::uint64_t seed) {
+void write_log(const std::string& path, std::uint64_t seed) {
   WorkloadConfig cfg;
   cfg.job_count = 6;
   cfg.task_scale = 0.01;
@@ -64,9 +64,7 @@ void write_log(const std::string& path, int threads, std::uint64_t seed) {
   cfg.max_arrival_rate = 40.0;
   const JobSet jobs = WorkloadGenerator(cfg, seed).generate();
   DspScheduler sched;
-  DspParams params;
-  params.threads = threads;
-  DspPreemption policy(params);
+  DspPreemption policy;
   EngineParams ep;
   ep.period = 1 * kSecond;
   ep.epoch = 500 * kMillisecond;
@@ -96,7 +94,7 @@ bool parse_file(const std::string& path, obs::json::Value& root,
 
 TEST(DspReportCliTest, AnalyticsJsonMatchesSchema) {
   const std::string log = tmp_path("report_run.jsonl");
-  write_log(log, 1, 913);
+  write_log(log, 913);
   const std::string out = tmp_path("report_run.json");
 
   const CliResult r = report(log + " --json " + out);
@@ -122,11 +120,11 @@ TEST(DspReportCliTest, AnalyticsJsonMatchesSchema) {
   std::remove(out.c_str());
 }
 
-TEST(DspReportCliTest, DiffSameSeedAcrossThreadCountsIsIdentical) {
-  const std::string a = tmp_path("diff_t1.jsonl");
-  const std::string b = tmp_path("diff_t4.jsonl");
-  write_log(a, 1, 331);
-  write_log(b, 4, 331);
+TEST(DspReportCliTest, DiffOfSameSeedRunsIsIdentical) {
+  const std::string a = tmp_path("diff_a.jsonl");
+  const std::string b = tmp_path("diff_b.jsonl");
+  write_log(a, 331);
+  write_log(b, 331);
 
   const CliResult r = report("diff " + a + " " + b);
   EXPECT_EQ(r.exit_code, 0) << r.output;
@@ -137,7 +135,7 @@ TEST(DspReportCliTest, DiffSameSeedAcrossThreadCountsIsIdentical) {
 
 TEST(DspReportCliTest, DiffPinpointsSeededMutation) {
   const std::string a = tmp_path("mut_a.jsonl");
-  write_log(a, 1, 577);
+  write_log(a, 577);
 
   // Mutate one field of line 13 (0-based event 12).
   std::vector<std::string> lines;
@@ -179,7 +177,7 @@ TEST(DspReportCliTest, DiffPinpointsSeededMutation) {
 
 TEST(DspReportCliTest, DiffCatchesTruncatedLog) {
   const std::string a = tmp_path("trunc_a.jsonl");
-  write_log(a, 1, 701);
+  write_log(a, 701);
   std::vector<std::string> lines;
   {
     std::ifstream in(a);

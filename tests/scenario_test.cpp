@@ -2,11 +2,13 @@
 // standard factory (scenarios/standard.h): cluster recipes, CLI token
 // round-trips, seed derivation, failure-recipe instantiation, equivalence
 // of run_scenario with the plain simulate() entry point, and grid-runner
-// determinism across thread counts.
+// determinism across thread counts, down to each scenario's event stream.
 #include "sim/scenario.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -205,7 +207,8 @@ TEST(RunScenarioTest, NonePolicyRunsOfflineOnly) {
   EXPECT_EQ(m.jobs_finished, spec.workload.job_count);
 }
 
-TEST(ScenarioGridTest, ResultsMatchSequentialAtAnyThreadCount) {
+/// DSP, SRPT and offline-only cells of the small spec.
+std::vector<ScenarioSpec> policy_grid() {
   std::vector<ScenarioSpec> grid;
   for (PolicyKind policy :
        {PolicyKind::kDsp, PolicyKind::kSrpt, PolicyKind::kNone}) {
@@ -213,6 +216,18 @@ TEST(ScenarioGridTest, ResultsMatchSequentialAtAnyThreadCount) {
     spec.policy = policy;
     grid.push_back(std::move(spec));
   }
+  return grid;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+TEST(ScenarioGridTest, ResultsMatchSequentialAtAnyThreadCount) {
+  const std::vector<ScenarioSpec> grid = policy_grid();
 
   GridOptions one;
   one.threads = 1;
@@ -229,6 +244,27 @@ TEST(ScenarioGridTest, ResultsMatchSequentialAtAnyThreadCount) {
               fingerprint(run_standard_scenario(grid[i])))
         << grid[i].name;
   }
+}
+
+TEST(ScenarioGridTest, EventStreamsIdenticalAcrossThreadCounts) {
+  const std::vector<ScenarioSpec> grid = policy_grid();
+  const std::string root = ::testing::TempDir() + "/scenario_grid_streams";
+  std::vector<std::string> dirs;
+  for (const unsigned threads : {1u, 4u}) {
+    GridOptions options;
+    options.threads = threads;
+    options.event_log_dir = root + "/t" + std::to_string(threads);
+    std::filesystem::create_directories(options.event_log_dir);
+    run_standard_grid(grid, options);
+    dirs.push_back(options.event_log_dir);
+  }
+  for (const ScenarioSpec& spec : grid) {
+    const std::string one = slurp(dirs[0] + "/" + spec.name + ".jsonl");
+    ASSERT_FALSE(one.empty()) << spec.name;
+    EXPECT_TRUE(one == slurp(dirs[1] + "/" + spec.name + ".jsonl"))
+        << spec.name << ": streams differ between 1 and 4 workers";
+  }
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -72,6 +72,29 @@ TEST(SweepCliTest, EmptyAxisFails) {
   EXPECT_NE(r.output.find("at least one value"), std::string::npos);
 }
 
+TEST(SweepCliTest, MalformedNumericArgumentFailsNamingFlagAndToken) {
+  // Each case once crashed (a wrapped thread or job count) or ran with a
+  // silently substituted value.
+  const struct {
+    const char* flag;
+    const char* token;
+  } cases[] = {
+      {"--threads", "-1"},  {"--threads", "abc"}, {"--threads", "2x"},
+      {"--jobs", "-5"},     {"--jobs", "abc"},    {"--jobs", "0"},
+      {"--seeds", "abc"},   {"--seeds", "-1"},    {"--scale", "-1"},
+      {"--scale", "abc"},   {"--scale", "0"},     {"--scale", "inf"},
+  };
+  for (const auto& c : cases) {
+    const std::string arg = std::string(c.flag) + " " + c.token;
+    const CliResult r = sweep(std::string(kSmallGrid) + " " + arg);
+    EXPECT_EQ(r.exit_code, 2) << arg << "\n" << r.output;
+    EXPECT_NE(r.output.find(c.flag), std::string::npos) << arg;
+    EXPECT_NE(r.output.find(std::string("'") + c.token + "'"),
+              std::string::npos)
+        << arg << "\n" << r.output;
+  }
+}
+
 TEST(SweepCliTest, TableListsEveryScenario) {
   const CliResult r = sweep(std::string(kSmallGrid) + " --threads 1");
   ASSERT_EQ(r.exit_code, 0) << r.output;

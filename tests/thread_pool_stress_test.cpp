@@ -1,8 +1,9 @@
-// Concurrency stress tests for util/thread_pool.h, written to run under
-// ThreadSanitizer (the tsan CMake preset): submit churn from competing
-// producer threads, parallel_for fan-out, and destruction while the queue
-// is still draining. Assertions are deliberately simple — the point is
-// giving TSan enough interleavings to catch lock or lifetime races.
+// Concurrency stress tests for util/thread_pool.h's parallel_for, written
+// to run under ThreadSanitizer (the tsan CMake preset): repeated fan-out,
+// edge sizes, exception propagation, and the shared-counter dealing that
+// lets free workers take the next index while one index is still
+// running. Assertions are deliberately simple — the point is giving TSan
+// enough interleavings to catch races on the counter and the results.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,37 +17,10 @@
 namespace dsp {
 namespace {
 
-TEST(ThreadPoolStressTest, ConcurrentSubmittersAllComplete) {
-  constexpr int kProducers = 4;
-  constexpr int kTasksPerProducer = 500;
-  std::atomic<int> executed{0};
-  {
-    ThreadPool pool(4);
-    std::vector<std::thread> producers;
-    std::vector<std::future<int>> futures[kProducers];
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&pool, &executed, &futures, p] {
-        for (int i = 0; i < kTasksPerProducer; ++i) {
-          futures[p].push_back(pool.submit([&executed, p, i] {
-            executed.fetch_add(1, std::memory_order_relaxed);
-            return p * kTasksPerProducer + i;
-          }));
-        }
-      });
-    }
-    for (auto& t : producers) t.join();
-    for (int p = 0; p < kProducers; ++p)
-      for (int i = 0; i < kTasksPerProducer; ++i)
-        EXPECT_EQ(futures[p][i].get(), p * kTasksPerProducer + i);
-  }
-  EXPECT_EQ(executed.load(), kProducers * kTasksPerProducer);
-}
-
 TEST(ThreadPoolStressTest, RepeatedParallelForChurn) {
-  ThreadPool pool(4);
   for (int round = 0; round < 50; ++round) {
     std::atomic<std::size_t> sum{0};
-    pool.parallel_for(64, [&sum](std::size_t i) {
+    parallel_for(64, 4, [&sum](std::size_t i) {
       sum.fetch_add(i + 1, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 64u * 65u / 2u);
@@ -54,13 +28,12 @@ TEST(ThreadPoolStressTest, RepeatedParallelForChurn) {
 }
 
 TEST(ThreadPoolStressTest, ParallelForEdgeSizes) {
-  ThreadPool pool(4);
   std::atomic<int> calls{0};
-  pool.parallel_for(0, [&calls](std::size_t) {
+  parallel_for(0, 4, [&calls](std::size_t) {
     calls.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(calls.load(), 0);
-  pool.parallel_for(1, [&calls](std::size_t i) {
+  parallel_for(1, 4, [&calls](std::size_t i) {
     EXPECT_EQ(i, 0u);
     calls.fetch_add(1, std::memory_order_relaxed);
   });
@@ -68,98 +41,58 @@ TEST(ThreadPoolStressTest, ParallelForEdgeSizes) {
 }
 
 TEST(ThreadPoolStressTest, ParallelForCoversEveryIndexOnce) {
-  // n far larger than the chunk count: the block distribution must still
-  // hit every index exactly once.
-  ThreadPool pool(3);
+  // n far larger than the worker count: the shared counter must still
+  // hand out every index exactly once.
   constexpr std::size_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&hits](std::size_t i) {
+  parallel_for(kN, 3, [&hits](std::size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ThreadPoolStressTest, ParallelForPropagatesException) {
-  ThreadPool pool(4);
   std::atomic<int> calls{0};
-  EXPECT_THROW(pool.parallel_for(256,
-                                 [&calls](std::size_t i) {
-                                   calls.fetch_add(
-                                       1, std::memory_order_relaxed);
-                                   if (i == 17)
-                                     throw std::runtime_error("boom");
-                                 }),
+  EXPECT_THROW(parallel_for(256, 4,
+                            [&calls](std::size_t i) {
+                              calls.fetch_add(1, std::memory_order_relaxed);
+                              if (i == 17) throw std::runtime_error("boom");
+                            }),
                std::runtime_error);
   EXPECT_GT(calls.load(), 0);
   EXPECT_LE(calls.load(), 256);
 }
 
 TEST(ThreadPoolStressTest, SingleWorkerParallelForRunsInline) {
-  ThreadPool pool(1);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::thread::id> ids(8);
-  pool.parallel_for(
-      8, [&ids](std::size_t i) { ids[i] = std::this_thread::get_id(); });
+  parallel_for(8, 1,
+               [&ids](std::size_t i) { ids[i] = std::this_thread::get_id(); });
   for (const auto& id : ids) EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPoolStressTest, DestructionDrainsOutstandingTasks) {
-  // The destructor promises to drain the queue before joining; every
-  // submitted task must have executed once the pool is gone.
-  for (int round = 0; round < 20; ++round) {
-    constexpr int kTasks = 200;
-    std::atomic<int> executed{0};
-    {
-      ThreadPool pool(3);
-      for (int i = 0; i < kTasks; ++i) {
-        pool.submit([&executed] {
-          executed.fetch_add(1, std::memory_order_relaxed);
-        });
-      }
-      // Destroyed here with most of the queue still pending.
+TEST(ThreadPoolStressTest, LongIndexDoesNotHoldBackOthers) {
+  // Index 0 runs until every other index has finished. Dealt one at a
+  // time from a shared counter, the other indices go to the free
+  // workers. Dealt in contiguous blocks, index 0's block would hold
+  // indices that cannot start before it returns, so the wait times out.
+  constexpr std::size_t kN = 64;
+  std::atomic<std::size_t> done{0};
+  std::size_t seen_by_index0 = 0;  // written by index 0's worker only
+  parallel_for(kN, 4, [&](std::size_t i) {
+    if (i != 0) {
+      done.fetch_add(1);
+      return;
     }
-    EXPECT_EQ(executed.load(), kTasks) << "round " << round;
-  }
-}
-
-TEST(ThreadPoolStressTest, ExceptionsPropagateThroughFutures) {
-  ThreadPool pool(2);
-  auto ok = pool.submit([] { return 7; });
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolStressTest, NestedSubmitFromWorker) {
-  // A task submitting follow-up work into the same pool must not
-  // deadlock or race the queue.
-  ThreadPool pool(4);
-  std::atomic<int> executed{0};
-  std::vector<std::future<std::future<void>>> outers;
-  outers.reserve(32);
-  for (int i = 0; i < 32; ++i) {
-    outers.push_back(pool.submit([&pool, &executed] {
-      return pool.submit(
-          [&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-    }));
-  }
-  for (auto& outer : outers) outer.get().get();
-  EXPECT_EQ(executed.load(), 32);
-}
-
-TEST(ThreadPoolStressTest, SlowTasksOverlapWithFastChurn) {
-  ThreadPool pool(4);
-  std::atomic<int> executed{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&executed, i] {
-      if (i % 10 == 0)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      executed.fetch_add(1, std::memory_order_relaxed);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(executed.load(), 100);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((seen_by_index0 = done.load()) < kN - 1 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  EXPECT_EQ(seen_by_index0, kN - 1)
+      << "index 0 timed out waiting for the other indices";
+  EXPECT_EQ(done.load(), kN - 1);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
-// Unit tests for dsp_util: rng, stats, time, table, csv, env, thread pool.
+// Unit tests for dsp_util: rng, stats, time, table, csv, env, log.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -12,7 +11,6 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/time.h"
 
 namespace dsp {
@@ -399,38 +397,6 @@ TEST(LogTest, EnabledFollowsThreshold) {
   set_log_level(LogLevel::kOff);
   EXPECT_FALSE(log_enabled(LogLevel::kError));
   set_log_level(saved);
-}
-
-// ---------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 21 * 2; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i]++; });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ManyTasksComplete) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i)
-    futures.push_back(pool.submit([&count] { count++; }));
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadPoolTest, SizeReflectsThreadCount) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
 }
 
 }  // namespace

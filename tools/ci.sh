@@ -6,12 +6,13 @@
 # Stages (each skippable via DSP_CI_SKIP="stage1 stage2 ..."):
 #   tier1    cmake + build + full ctest in ./build
 #   asan     address/undefined preset: build + full ctest
-#   tsan     thread preset: build + the tests that drive every
-#            parallel_for fan-out (priority recompute and victim
-#            collection via determinism_test, the scenario grid runner
-#            via scenario_test) plus the pool's own stress tests (the
-#            rest of the suite is single-threaded; running it under TSan
-#            adds minutes, not coverage)
+#   tsan     thread preset: build + exactly the test binaries that start
+#            threads: parallel_for's own stress tests, the scenario grid
+#            runner (its only caller) via scenario_test, and obs_test,
+#            whose concurrent-recording test guards the metrics registry
+#            that concurrent grid cells share (the rest of the suite is
+#            single-threaded; running it under TSan adds minutes, not
+#            coverage)
 #   ubsan    undefined-behaviour preset (+ -fsanitize=integer where the
 #            compiler supports it): build + full ctest
 #   lint     tools/lint.sh (clang-tidy or strict-warning fallback)
@@ -33,14 +34,14 @@
 #            catches order-of-magnitude slips, not drift
 #   report-smoke  flight recorder end to end: quickstart with
 #            DSP_EVENT_LOG, dsp_report --json validated by json_check,
-#            and a first-divergence diff of DSP_THREADS=1 vs =4
-#            same-seed logs, which must report zero divergence
+#            and a first-divergence diff of two same-seed quickstart
+#            logs, which must report zero divergence
 #   sweep-smoke  dsp_sweep over a small scenario grid at --threads 1
 #            and 4: the two --json reports must be byte-identical (the
 #            grid runner's determinism contract) and pass json_check;
 #            then an EC2 dsp,dsp-nopp grid with --event-log-dir at
-#            DSP_THREADS=1 and =4, whose per-scenario JSONL event
-#            streams must be byte-identical pair by pair; then the
+#            --threads 1 and 4, whose per-scenario JSONL event streams
+#            must be byte-identical pair by pair; then the
 #            40-stream scheduler x policy grid, whose streams must
 #            match tests/fixtures/golden/sweep_streams.sha256 and whose
 #            8 DSP-policy streams must replay clean under dsp_analyze
@@ -74,7 +75,7 @@ if ! skipped tsan; then
   banner "tsan preset (concurrency tests)"
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j
-  ctest --preset tsan -R 'thread_pool_stress_test|util_test|determinism_test|scenario_test'
+  ctest --preset tsan -R 'thread_pool_stress_test|scenario_test|obs_test'
 fi
 
 if ! skipped ubsan; then
@@ -210,21 +211,19 @@ if ! skipped report-smoke; then
   REPORT=build/tools/dsp_report
   JSON_CHECK=build/tools/json_check
 
-  echo "quickstart with DSP_EVENT_LOG (threads 1 and 4)"
-  DSP_EVENT_LOG="$report_tmp/t1.jsonl" DSP_THREADS=1 \
-    build/examples/quickstart >/dev/null
-  DSP_EVENT_LOG="$report_tmp/t4.jsonl" DSP_THREADS=4 \
-    build/examples/quickstart >/dev/null
+  echo "quickstart with DSP_EVENT_LOG (two same-seed runs)"
+  DSP_EVENT_LOG="$report_tmp/a.jsonl" build/examples/quickstart >/dev/null
+  DSP_EVENT_LOG="$report_tmp/b.jsonl" build/examples/quickstart >/dev/null
 
   echo "dsp_report --json"
-  "$REPORT" "$report_tmp/t1.jsonl" --json "$report_tmp/report.json" >/dev/null
+  "$REPORT" "$report_tmp/a.jsonl" --json "$report_tmp/report.json" >/dev/null
   "$JSON_CHECK" "$report_tmp/report.json" \
     report events jobs.count jobs.completed queueing_delay_s.count \
     preempt_latency_s.count preempt.decisions utilization.epochs \
     utilization.mean per_job
 
-  echo "dsp_report diff (same seed, threads 1 vs 4: must be identical)"
-  "$REPORT" diff "$report_tmp/t1.jsonl" "$report_tmp/t4.jsonl" \
+  echo "dsp_report diff (same seed, two runs: must be identical)"
+  "$REPORT" diff "$report_tmp/a.jsonl" "$report_tmp/b.jsonl" \
     --json "$report_tmp/diff.json"
   "$JSON_CHECK" "$report_tmp/diff.json" report divergence events_a events_b
   rm -rf "$report_tmp"
@@ -250,14 +249,13 @@ if ! skipped sweep-smoke; then
   "$JSON_CHECK" "$sweep_tmp/t1.json" \
     sweep.scale sweep.scenarios scenarios
 
-  # EC2 saturates early, so most DSP epochs find no preemptable victim
-  # and return before computing priorities; the per-scenario event
-  # streams must not depend on the DspPreemption worker-pool size.
-  echo "dsp_sweep EC2 dsp,dsp-nopp event streams at DSP_THREADS=1 and 4"
+  # The per-scenario event streams must not depend on how many grid
+  # workers run the scenarios side by side.
+  echo "dsp_sweep EC2 dsp,dsp-nopp event streams at --threads 1 and 4"
   mkdir -p "$sweep_tmp/ev1" "$sweep_tmp/ev4"
   for n in 1 4; do
-    DSP_THREADS=$n "$SWEEP" --cluster ec2 --sched dsp --policy dsp,dsp-nopp \
-      --jobs 150,300 --seeds 42 --scale 0.1 --threads 1 \
+    "$SWEEP" --cluster ec2 --sched dsp --policy dsp,dsp-nopp \
+      --jobs 150,300 --seeds 42 --scale 0.1 --threads $n \
       --event-log-dir "$sweep_tmp/ev$n" >/dev/null
   done
   streams=0

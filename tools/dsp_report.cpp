@@ -12,8 +12,9 @@
 //       Byte-compares the two logs line by line and pinpoints the
 //       earliest differing event. Because every emit point sits in the
 //       engine's serial loop, logs from same-seed runs must be
-//       bit-identical at any DSP_THREADS — a non-empty diff localizes a
-//       determinism bug to the first event where the runs disagree.
+//       bit-identical, also for one scenario of dsp_sweep at --threads 1
+//       and --threads 4 — a non-empty diff localizes a determinism bug to
+//       the first event where the runs disagree.
 //       Exit 0 when identical, 1 on divergence, 2 on usage/parse errors.
 #include <cstdio>
 #include <fstream>

@@ -1,8 +1,9 @@
 // dsp_sweep — parallel scenario-grid runner.
 //
 // Expands the cross product of the --cluster/--sched/--policy/--jobs/
-// --seeds axes into a ScenarioSpec grid, runs it over a thread pool
+// --seeds axes into a ScenarioSpec grid, runs it on --threads workers
 // (sim/scenario.h run_scenario_grid) and reports one row per scenario.
+// Malformed or out-of-range numeric arguments exit 2 with a message.
 //
 //   dsp_sweep --cluster real,ec2 --sched dsp --policy dsp,srpt
 //             --jobs 150,300 --seeds 42,43 --threads 4 --json sweep.json
@@ -13,6 +14,10 @@
 // the report is byte-identical at any --threads setting and any axis
 // order on the command line. tools/ci.sh sweep-smoke enforces this.
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,7 +39,7 @@ struct Cli {
   std::vector<ClusterProfile> clusters{ClusterProfile::kEc2};
   std::vector<SchedKind> scheds{SchedKind::kDsp};
   std::vector<PolicyKind> policies{PolicyKind::kDsp};
-  std::vector<long long> jobs{150};
+  std::vector<unsigned long long> jobs{150};
   std::vector<unsigned long long> seeds{42};
   double scale = 0.05;
   unsigned threads = 0;  // 0 = DSP_THREADS (default 1)
@@ -56,6 +61,26 @@ std::vector<std::string> split_commas(const char* arg) {
     }
   }
   return out;
+}
+
+// Whole-token numeric parses. strtoull alone skips leading blanks,
+// stops at trailing garbage and wraps a leading '-' into a huge value,
+// so each parse demands a leading digit and a fully consumed token.
+bool parse_count(const std::string& token, unsigned long long& out) {
+  if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0])))
+    return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(token.c_str(), &end, 10);
+  return errno == 0 && *end == '\0';
+}
+
+bool parse_positive(const std::string& token, double& out) {
+  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0])))
+    return false;
+  char* end = nullptr;
+  out = std::strtod(token.c_str(), &end);
+  return *end == '\0' && std::isfinite(out) && out > 0.0;
 }
 
 void usage(const char* argv0) {
@@ -83,6 +108,12 @@ Cli parse_cli(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s requires a value\n", argv[0], argv[i]);
     cli.ok = false;
     return false;
+  };
+  auto reject = [&](const char* flag, const std::string& token,
+                    const char* want) {
+    std::fprintf(stderr, "%s: invalid %s value '%s' (expected %s)\n",
+                 argv[0], flag, token.c_str(), want);
+    cli.ok = false;
   };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -124,16 +155,32 @@ Cli parse_cli(int argc, char** argv) {
       }
     } else if (std::strcmp(a, "--jobs") == 0 && need_value(i)) {
       cli.jobs.clear();
-      for (const std::string& s : split_commas(argv[++i]))
-        cli.jobs.push_back(std::atoll(s.c_str()));
+      for (const std::string& s : split_commas(argv[++i])) {
+        unsigned long long n = 0;
+        if (!parse_count(s, n) || n == 0)
+          reject(a, s, "an integer >= 1");
+        else
+          cli.jobs.push_back(n);
+      }
     } else if (std::strcmp(a, "--seeds") == 0 && need_value(i)) {
       cli.seeds.clear();
-      for (const std::string& s : split_commas(argv[++i]))
-        cli.seeds.push_back(std::strtoull(s.c_str(), nullptr, 10));
+      for (const std::string& s : split_commas(argv[++i])) {
+        unsigned long long seed = 0;
+        if (!parse_count(s, seed))
+          reject(a, s, "an unsigned 64-bit integer");
+        else
+          cli.seeds.push_back(seed);
+      }
     } else if (std::strcmp(a, "--scale") == 0 && need_value(i)) {
-      cli.scale = std::atof(argv[++i]);
+      if (!parse_positive(argv[++i], cli.scale))
+        reject(a, argv[i], "a finite number > 0");
     } else if (std::strcmp(a, "--threads") == 0 && need_value(i)) {
-      cli.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+      unsigned long long n = 0;
+      if (!parse_count(argv[++i], n) || n > UINT_MAX)
+        reject(a, argv[i],
+               "an unsigned 32-bit integer; 0 reads DSP_THREADS");
+      else
+        cli.threads = static_cast<unsigned>(n);
     } else if (std::strcmp(a, "--json") == 0 && need_value(i)) {
       cli.json_path = argv[++i];
     } else if (std::strcmp(a, "--event-log-dir") == 0 && need_value(i)) {
@@ -184,7 +231,7 @@ std::vector<ScenarioSpec> build_grid(const Cli& cli) {
   for (const ClusterProfile cluster : cli.clusters)
     for (const SchedKind sched : cli.scheds)
       for (const PolicyKind policy : cli.policies)
-        for (const long long jobs : cli.jobs)
+        for (const unsigned long long jobs : cli.jobs)
           for (const unsigned long long seed : cli.seeds) {
             ScenarioSpec spec;
             spec.name = std::string(to_string(cluster)) + "-" +
