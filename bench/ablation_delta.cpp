@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace dsp;
   const auto cli = BenchCli::parse(argc, argv);
   if (!cli.ok) return 2;
-  BenchEnv env;
+  const BenchEnv env = BenchEnv::from_env();
   print_bench_header("Ablation: delta window (Algorithm 1)", env);
   BenchJsonReport report("ablation_delta", env);
 

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace dsp;
   const auto cli = BenchCli::parse(argc, argv);
   if (!cli.ok) return 2;
-  BenchEnv env;
+  const BenchEnv env = BenchEnv::from_env();
   print_bench_header("Ablation: gamma (Formula 12 level weighting)", env);
   BenchJsonReport report("ablation_gamma", env);
 

@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   using namespace dsp;
   const auto cli = BenchCli::parse(argc, argv);
   if (!cli.ok) return 2;
-  BenchEnv env;
+  const BenchEnv env = BenchEnv::from_env();
   print_bench_header("Ablation: exact ILP vs relax-round vs heuristic", env);
   BenchJsonReport report("ablation_ilp", env);
 

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   using namespace dsp;
   const auto cli = BenchCli::parse(argc, argv);
   if (!cli.ok) return 2;
-  BenchEnv env;
+  const BenchEnv env = BenchEnv::from_env();
   print_bench_header("Ablation: data locality", env);
   BenchJsonReport report("ablation_locality", env);
 

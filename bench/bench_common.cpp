@@ -1,13 +1,47 @@
 #include "bench_common.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "obs/metrics.h"
+#include "util/env.h"
+#include "util/parse.h"
 
 namespace dsp::bench {
+namespace {
+
+[[noreturn]] void reject_env(const char* name, const std::string& value,
+                             const char* wanted) {
+  std::fprintf(stderr, "%s=\"%s\" is invalid: expected %s\n", name,
+               value.c_str(), wanted);
+  std::exit(2);
+}
+
+}  // namespace
+
+BenchEnv BenchEnv::from_env() {
+  BenchEnv env;
+  const std::string scale = env_string("DSP_SCALE", "");
+  if (!scale.empty() && !parse_positive(scale, env.scale))
+    reject_env("DSP_SCALE", scale, "a finite number > 0");
+  unsigned long long n = 0;
+  const std::string seed = env_string("DSP_SEED", "");
+  if (!seed.empty()) {
+    if (!parse_count(seed, n))
+      reject_env("DSP_SEED", seed, "an unsigned 64-bit integer");
+    env.seed = n;
+  }
+  const std::string points = env_string("DSP_POINTS", "");
+  if (!points.empty()) {
+    if (!parse_count(points, n) || n < 1 || n > kMaxPoints)
+      reject_env("DSP_POINTS", points, "an integer from 1 to 5");
+    env.points = static_cast<std::size_t>(n);
+  }
+  return env;
+}
 
 JobSet make_workload(std::size_t jobs, double scale, std::uint64_t seed) {
   WorkloadConfig cfg;

@@ -10,10 +10,11 @@
 // Scaling: the paper runs up to 750 jobs x up to 2000 tasks for hours on
 // 50 physical servers. The benches keep the paper's job counts and
 // small/medium/large mix but scale per-job task counts by DSP_SCALE
-// (default 0.05). Override with:
-//   DSP_SCALE=1.0  paper-scale task counts (slow)
-//   DSP_SEED=7     workload seed
-//   DSP_POINTS=3   how many x-axis points to run (default all 5)
+// (default 0.1). Override with:
+//   DSP_SCALE=1.0  paper-scale task counts (slow); finite and > 0
+//   DSP_SEED=7     workload seed; an unsigned integer
+//   DSP_POINTS=3   how many x-axis points to run, 1 to 5 (default all 5)
+// A bench given any other value exits with status 2 before its first run.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +26,20 @@
 #include "scenarios/standard.h"
 #include "sim/cluster.h"
 #include "trace/workload.h"
-#include "util/env.h"
 
 namespace dsp::bench {
 
-/// Environment-configured bench settings.
+/// Bench settings; the defaults apply where the environment sets nothing.
 struct BenchEnv {
-  double scale = env_double("DSP_SCALE", 0.1);
-  std::uint64_t seed = static_cast<std::uint64_t>(env_int("DSP_SEED", 42));
-  std::size_t points = static_cast<std::size_t>(env_int("DSP_POINTS", 5));
+  static constexpr std::size_t kMaxPoints = 5;  ///< x-axis length
+
+  double scale = 0.1;
+  std::uint64_t seed = 42;
+  std::size_t points = kMaxPoints;
+
+  /// Reads DSP_SCALE, DSP_SEED and DSP_POINTS. A set but invalid value
+  /// prints the variable and its value to stderr and exits with status 2.
+  static BenchEnv from_env();
 
   /// The paper's Fig. 5-7 x-axis: 150..750 step 150 (truncated to
   /// `points`).

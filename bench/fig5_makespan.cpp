@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   using namespace dsp::bench;
   const auto cli = BenchCli::parse(argc, argv);
   if (!cli.ok) return 2;
-  const BenchEnv env;
+  const BenchEnv env = BenchEnv::from_env();
   print_bench_header("Figure 5: makespan of scheduling methods", env);
   BenchJsonReport report("fig5_makespan", env);
   run_testbed("Fig 5(a) real cluster", dsp::ClusterProfile::kRealCluster, env,

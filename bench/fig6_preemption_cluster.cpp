@@ -12,7 +12,7 @@ namespace dsp::bench {
 
 void run_preemption_figure(const char* figure, const char* bench_name,
                            ClusterProfile profile, const BenchCli& cli) {
-  const BenchEnv env;
+  const BenchEnv env = BenchEnv::from_env();
   print_bench_header(std::string(figure) + ": preemption methods", env);
 
   const std::vector<PolicyKind> methods{PolicyKind::kDsp, PolicyKind::kDspNoPp,

@@ -9,7 +9,7 @@ namespace dsp::bench {
 namespace {
 
 void run(const BenchCli& cli) {
-  BenchEnv env;
+  const BenchEnv env = BenchEnv::from_env();
   print_bench_header("Figure 8: DSP scalability", env);
 
   const std::vector<std::string> testbeds{"real-cluster", "EC2"};

@@ -211,36 +211,31 @@ BENCHMARK(BM_PriorityComputeJob)->Arg(100)->Arg(1000);
 
 /// Runs the benchmark loop against a live mid-run engine: a preemption
 /// policy that, on one chosen epoch, times repeated compute_all calls.
-/// cold=true invalidates the incremental cache before every call (full
-/// recompute); cold=false leaves all jobs clean, timing the incremental
-/// skip path a second same-epoch call takes.
+/// Every call recomputes every scheduled, unfinished job.
 class ComputeAllBenchPolicy : public PreemptionPolicy {
  public:
-  ComputeAllBenchPolicy(benchmark::State& state, bool cold)
-      : state_(state), cold_(cold), priority_(params_) {}
+  explicit ComputeAllBenchPolicy(benchmark::State& state)
+      : state_(state), priority_(params_) {}
   const char* name() const override { return "ComputeAllBench"; }
 
   void on_epoch(Engine& engine) override {
     if (++epoch_ != 5) return;  // mid-run: queues and running sets are live
     std::vector<double> out;
-    const auto range = priority_.compute_all(engine, out);  // prime caches
-    for (auto _ : state_) {
-      if (cold_) priority_.invalidate();
+    const auto range = priority_.compute_all(engine, out);  // size `out`
+    for (auto _ : state_)
       benchmark::DoNotOptimize(priority_.compute_all(engine, out));
-    }
     state_.SetItemsProcessed(state_.iterations() *
                              static_cast<std::int64_t>(range.live_tasks));
   }
 
  private:
   benchmark::State& state_;
-  const bool cold_;
   DspParams params_;
   DependencyPriority priority_;
   int epoch_ = 0;
 };
 
-void compute_all_bench(benchmark::State& state, bool cold) {
+void BM_ComputeAllFullRecompute(benchmark::State& state) {
   WorkloadConfig cfg;
   cfg.job_count = static_cast<std::size_t>(state.range(0));
   cfg.task_scale = 0.02;
@@ -248,21 +243,12 @@ void compute_all_bench(benchmark::State& state, bool cold) {
   cfg.max_arrival_rate = 50.0;
   const JobSet jobs = WorkloadGenerator(cfg, 47).generate();
   DspScheduler sched;
-  ComputeAllBenchPolicy policy(state, cold);
+  ComputeAllBenchPolicy policy(state);
   EngineParams ep;
   ep.period = 1 * kSecond;
   ep.epoch = 500 * kMillisecond;
   Engine engine(ClusterSpec::ec2(6), jobs, sched, &policy, ep);
   engine.run();
-}
-
-void BM_ComputeAllIncremental(benchmark::State& state) {
-  compute_all_bench(state, /*cold=*/false);
-}
-BENCHMARK(BM_ComputeAllIncremental)->Arg(20)->Arg(60);
-
-void BM_ComputeAllFullRecompute(benchmark::State& state) {
-  compute_all_bench(state, /*cold=*/true);
 }
 BENCHMARK(BM_ComputeAllFullRecompute)->Arg(20)->Arg(60);
 

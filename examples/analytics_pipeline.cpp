@@ -7,26 +7,42 @@
 // dependency handling) on the same cluster.
 //
 //   $ ./analytics_pipeline [jobs=30] [seed=1]
+//
+// A job count that is not an integer from 1 to 2^32 - 1 (job ids are 32
+// bits), or a seed that is not an unsigned integer, exits with status 2
+// and names the token.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "baselines/tetris.h"
 #include "core/dsp_system.h"
 #include "metrics/report.h"
 #include "trace/workload.h"
+#include "util/parse.h"
 
 int main(int argc, char** argv) {
   using namespace dsp;
-  const std::size_t n_jobs =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 30;
-  const std::uint64_t seed =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 1;
+  unsigned long long n_jobs = 30;
+  if (argc > 1 && (!parse_count(argv[1], n_jobs) || n_jobs < 1 ||
+                   n_jobs > kInvalidJob)) {
+    std::fprintf(stderr,
+                 "invalid job count '%s' (expected an integer from 1 to %u)\n",
+                 argv[1], kInvalidJob);
+    return 2;
+  }
+  unsigned long long seed = 1;
+  if (argc > 2 && !parse_count(argv[2], seed)) {
+    std::fprintf(stderr,
+                 "invalid seed '%s' (expected an unsigned 64-bit integer)\n",
+                 argv[2]);
+    return 2;
+  }
 
   // Workload: the paper's recipe at 1/20 task scale so the demo finishes
   // in seconds. Small, medium and large jobs in equal parts; DAGs capped
   // at 5 levels / 15 dependents as in §V.
   WorkloadConfig cfg;
-  cfg.job_count = n_jobs;
+  cfg.job_count = static_cast<std::size_t>(n_jobs);
   cfg.task_scale = 0.05;
   WorkloadGenerator generator(cfg, seed);
   const JobSet jobs = generator.generate();

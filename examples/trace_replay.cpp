@@ -2,55 +2,44 @@
 //
 //   $ ./trace_replay <trace.csv> [scheduler] [policy] [cluster] [n]
 //
-//     scheduler: dsp | aalo | tetris | tetris-nodep      (default dsp)
+//     scheduler: dsp | aalo | tetris-simdep | tetris-nodep   (default dsp)
 //     policy:    dsp | dsp-nopp | amoeba | natjam | srpt | none
-//                                                        (default dsp)
-//     cluster:   real | ec2                              (default real)
-//     n:         node count                              (default profile's)
+//                                                            (default dsp)
+//     cluster:   real | ec2 | uniform                        (default real)
+//     n:         node count, 1 to 32768             (default profile's)
+//
+// The tokens are dsp_sweep's (sim/scenario.h), and the standard scenario
+// factory builds the pair with the Table II settings. A bad token exits
+// with status 2 and names it.
 //
 // Generate a compatible trace with the workload generator:
 //   $ ./trace_replay --emit sample.csv 20 42   # 20 jobs, seed 42
 // then replay it through different policies and compare.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <string>
 
-#include "baselines/aalo.h"
-#include "baselines/preempt_baselines.h"
-#include "baselines/tetris.h"
 #include "core/dsp_system.h"
 #include "metrics/report.h"
+#include "scenarios/standard.h"
 #include "trace/stats.h"
 #include "trace/trace_io.h"
 #include "trace/workload.h"
+#include "util/parse.h"
 
 namespace {
 
 using namespace dsp;
 
-std::unique_ptr<Scheduler> pick_scheduler(const std::string& name) {
-  if (name == "dsp") return std::make_unique<DspScheduler>();
-  if (name == "aalo") return std::make_unique<AaloScheduler>();
-  if (name == "tetris")
-    return std::make_unique<TetrisScheduler>(
-        TetrisScheduler::Dependency::kSimple);
-  if (name == "tetris-nodep")
-    return std::make_unique<TetrisScheduler>(TetrisScheduler::Dependency::kNone);
-  return nullptr;
-}
-
-std::unique_ptr<PreemptionPolicy> pick_policy(const std::string& name) {
-  if (name == "dsp") return std::make_unique<DspPreemption>();
-  if (name == "dsp-nopp") {
-    DspParams params;
-    params.normalized_pp = false;
-    return std::make_unique<DspPreemption>(params);
-  }
-  if (name == "amoeba") return std::make_unique<AmoebaPolicy>();
-  if (name == "natjam") return std::make_unique<NatjamPolicy>();
-  if (name == "srpt") return std::make_unique<SrptPolicy>();
-  return nullptr;  // "none"
+/// Parses argv[i] as a count in [lo, hi]; prints the token and returns
+/// false when it is not one.
+bool count_arg(char** argv, int i, const char* what, unsigned long long lo,
+               unsigned long long hi, unsigned long long& out) {
+  if (parse_count(argv[i], out) && out >= lo && out <= hi) return true;
+  std::fprintf(stderr, "invalid %s '%s' (expected an integer from %llu to %llu)\n",
+               what, argv[i], lo, hi);
+  return false;
 }
 
 int emit_trace(int argc, char** argv) {
@@ -59,10 +48,18 @@ int emit_trace(int argc, char** argv) {
     return 2;
   }
   WorkloadConfig cfg;
-  cfg.job_count = argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 20;
+  cfg.job_count = 20;
   cfg.task_scale = 0.05;
-  const auto seed =
-      argc > 4 ? static_cast<std::uint64_t>(std::atoll(argv[4])) : 42u;
+  unsigned long long n = 0;
+  if (argc > 3) {
+    if (!count_arg(argv, 3, "job count", 1, kInvalidJob, n)) return 2;
+    cfg.job_count = static_cast<std::size_t>(n);
+  }
+  std::uint64_t seed = 42;
+  if (argc > 4) {
+    if (!count_arg(argv, 4, "seed", 0, UINT64_MAX, n)) return 2;
+    seed = n;
+  }
   const JobSet jobs = WorkloadGenerator(cfg, seed).generate();
   if (!write_trace_csv(argv[2], jobs)) {
     std::fprintf(stderr, "cannot write %s\n", argv[2]);
@@ -96,13 +93,29 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::string sched_name = argc > 2 ? argv[2] : "dsp";
-  const std::string policy_name = argc > 3 ? argv[3] : "dsp";
-  const std::string cluster_name = argc > 4 ? argv[4] : "real";
-  ClusterSpec cluster = cluster_name == "ec2"
-                            ? ClusterSpec::ec2(argc > 5 ? std::atoi(argv[5]) : 30)
-                            : ClusterSpec::real_cluster(
-                                  argc > 5 ? std::atoi(argv[5]) : 50);
+  const char* sched_name = argc > 2 ? argv[2] : "dsp";
+  const char* policy_name = argc > 3 ? argv[3] : "dsp";
+  const char* cluster_name = argc > 4 ? argv[4] : "real";
+  ScenarioSpec spec;
+  if (!parse_sched_kind(sched_name, spec.sched)) {
+    std::fprintf(stderr, "unknown scheduler '%s'\n", sched_name);
+    return 2;
+  }
+  if (!parse_policy_kind(policy_name, spec.policy)) {
+    std::fprintf(stderr, "unknown policy '%s'\n", policy_name);
+    return 2;
+  }
+  if (!parse_cluster_profile(cluster_name, spec.cluster.profile)) {
+    std::fprintf(stderr, "unknown cluster '%s'\n", cluster_name);
+    return 2;
+  }
+  if (argc > 5) {
+    unsigned long long n = 0;
+    if (!count_arg(argv, 5, "node count", 1, ClusterSpec::kMaxNodes, n))
+      return 2;
+    spec.cluster.nodes = static_cast<std::size_t>(n);
+  }
+  const ClusterSpec cluster = make_cluster(spec.cluster);
 
   const TraceParseResult parsed = read_trace_csv(argv[1], cluster.mean_rate());
   if (!parsed.ok()) {
@@ -113,24 +126,15 @@ int main(int argc, char** argv) {
   std::printf("loaded %zu jobs (%zu tasks) from %s\n", parsed.jobs.size(),
               total_tasks(parsed.jobs), argv[1]);
 
-  auto scheduler = pick_scheduler(sched_name);
-  if (!scheduler) {
-    std::fprintf(stderr, "unknown scheduler '%s'\n", sched_name.c_str());
-    return 2;
-  }
-  auto policy = pick_policy(policy_name);
-  if (!policy && policy_name != "none") {
-    std::fprintf(stderr, "unknown policy '%s'\n", policy_name.c_str());
-    return 2;
-  }
-
+  const StandardScenarioFactory factory;
+  const std::unique_ptr<Scheduler> scheduler = factory.make_scheduler(spec);
+  const std::unique_ptr<PreemptionPolicy> policy = factory.make_policy(spec);
   EngineParams ep;
   ep.period = 1 * kMinute;
   ep.epoch = 10 * kSecond;
   const RunMetrics m =
       simulate(cluster, parsed.jobs, *scheduler, policy.get(), ep);
-  std::printf("%s + %s on %s(%zu):\n  %s\n", sched_name.c_str(),
-              policy_name.c_str(), cluster_name.c_str(), cluster.size(),
-              summarize(m).c_str());
+  std::printf("%s + %s on %s(%zu):\n  %s\n", sched_name, policy_name,
+              cluster_name, cluster.size(), summarize(m).c_str());
   return 0;
 }

@@ -5,7 +5,9 @@
 
 namespace dsp {
 
-/// All DSP tunables with the paper's Table II settings as defaults.
+/// All DSP tunables with the paper's Table II settings as defaults. The
+/// g(k) weights theta1/theta2 (Eq. 1) live on ClusterSpec, and SRPT's
+/// alpha/beta on SrptPolicy.
 struct DspParams {
   // ---- Preemption window (Algorithm 1) ----
   /// delta: fraction of each waiting queue considered as preempting tasks.
@@ -54,10 +56,6 @@ struct DspParams {
   /// Fig. 6(d) DSP < DSPW/oPP gap at our workload sizes. The ablation
   /// bench sweeps it.
   double rho = 200.0;
-
-  // ---- g(k) weights (Eq. 1; applied via ClusterSpec) ----
-  double theta1 = 0.5;
-  double theta2 = 0.5;
 
   // ---- Straggler mitigation (§VI future work) ----
   /// When enabled, each epoch DSP vacates nodes whose effective speed has

@@ -31,8 +31,6 @@ void DspPreemption::on_epoch(Engine& engine) {
   // Algorithm 1 reads priorities only to rank waiting tasks against
   // preemptable victims, so an epoch without one makes no decision and
   // skips Formula 12/13 entirely (adapt_delta(0, 0) is a no-op too).
-  // Skipping leaves nothing stale: simulated time advances between
-  // epochs, so every compute_all recomputes every scheduled job.
   if (std::all_of(victims_.begin(), victims_.end(),
                   [](const std::vector<Gid>& v) { return v.empty(); }))
     return;

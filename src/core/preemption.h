@@ -71,8 +71,9 @@ class DspPreemption : public PreemptionPolicy {
   /// Straggler mitigation: vacate degraded nodes and migrate their work.
   void mitigate_stragglers(Engine& engine) const;
 
-  /// Bounds-checked priority lookup: every gid handed to the passes must
-  /// be covered by the compute_all vector filled in on_epoch.
+  /// Bounds-checked priority lookup. Every gid handed to the passes is a
+  /// running victim or a queued candidate, so its job is scheduled and
+  /// unfinished and compute_all defined its entry this epoch.
   double prio_at(Gid g) const {
     assert(g < prio_.size());
     return prio_[g];

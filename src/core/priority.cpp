@@ -28,11 +28,14 @@ DependencyPriority::Range DependencyPriority::compute_job(
   Range range;
   bool first = true;
   const double g1 = params_.gamma + 1.0;
-  // Live tasks in reverse topological order: every child's priority is
-  // ready before its parents aggregate it; finished tasks are skipped
-  // wholesale.
-  for (const Gid g : engine.live_reverse_topo(job)) {
-    const auto t = static_cast<TaskIndex>(g - base);
+  // Reverse topological order: every child's priority is ready before its
+  // parents aggregate it. Finished tasks are skipped.
+  const auto topo = graph.topo_order();
+  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
+    const TaskIndex t = *it;
+    const Gid g = base + t;
+    const TaskState state = engine.state(g);
+    if (state == TaskState::kFinished) continue;
     double sum = 0.0;
     bool has_live_child = false;
     for (TaskIndex c : graph.children(t)) {
@@ -43,7 +46,7 @@ DependencyPriority::Range DependencyPriority::compute_job(
     }
     const double p = has_live_child ? sum : leaf_priority(engine, g);
     out[g] = p;
-    if (engine.state(g) == TaskState::kUnscheduled) continue;
+    if (state == TaskState::kUnscheduled) continue;
     if (first || p < range.min_p) range.min_p = p;
     if (first || p > range.max_p) range.max_p = p;
     first = false;
@@ -55,49 +58,21 @@ DependencyPriority::Range DependencyPriority::compute_job(
 DependencyPriority::Range DependencyPriority::compute_all(
     const Engine& engine, std::vector<double>& out) const {
   DSP_PROFILE("priority.compute_all_s");
-  const std::size_t jobs = engine.job_count();
-  const std::size_t total = engine.total_task_count();
-  if (cache_engine_ != &engine || out.size() != total ||
-      job_version_.size() != jobs) {
-    out.assign(total, 0.0);
-    job_version_.assign(jobs, 0);  // engine versions start at 1: all dirty
-    job_range_.assign(jobs, Range{});
-    cache_now_ = kNoTime;
-    cache_engine_ = &engine;
-  }
+  out.resize(engine.total_task_count());
 
-  // A job is clean when its version is unchanged AND simulated time has
-  // not advanced — t^w and t^a move with the clock even without events.
-  // Dirty jobs recompute and every live job merges in ascending job
-  // order.
-  const SimTime now = engine.now();
-  const bool time_advanced = now != cache_now_;
+  // Every scheduled, unfinished job recomputes and merges its Range in
+  // ascending job order.
   Range range;
   bool first = true;
-  for (JobId j = 0; j < jobs; ++j) {
-    if (!engine.job_scheduled(j) || engine.job_finished(j)) {
-      if (job_range_[j].live_tasks != 0) {
-        // The job completed since the last call: zero its stale values.
-        const Gid base = engine.gid(j, 0);
-        std::fill(out.begin() + base,
-                  out.begin() + base + engine.job(j).task_count(), 0.0);
-        job_range_[j] = Range{};
-        job_version_[j] = engine.priority_version(j);
-      }
-      continue;
-    }
-    if (time_advanced || job_version_[j] != engine.priority_version(j)) {
-      job_range_[j] = compute_job(engine, j, out);
-      job_version_[j] = engine.priority_version(j);
-    }
-    const Range& r = job_range_[j];
+  for (JobId j = 0; j < engine.job_count(); ++j) {
+    if (!engine.job_scheduled(j) || engine.job_finished(j)) continue;
+    const Range r = compute_job(engine, j, out);
     if (r.live_tasks == 0) continue;
     if (first || r.min_p < range.min_p) range.min_p = r.min_p;
     if (first || r.max_p > range.max_p) range.max_p = r.max_p;
     first = false;
     range.live_tasks += r.live_tasks;
   }
-  cache_now_ = now;
   return range;
 }
 

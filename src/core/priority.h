@@ -8,18 +8,15 @@
 // higher DAG levels — carry higher priority (the T_11 > T_6 > T_1 ordering
 // of Fig. 3).
 //
-// compute_all is incremental: each job's priorities are recomputed only
-// when the engine's per-job version counter moved or simulated time
-// advanced (t^w/t^a are time-varying), and each recompute walks only the
-// job's live reverse-topological suffix (Engine::live_reverse_topo).
+// Priorities keep no state between calls: t^w and t^a move with
+// simulated time, so every compute_all recomputes every scheduled,
+// unfinished job from the engine's live state.
 //
 // DspPreemption::on_epoch calls compute_all lazily: it first collects
 // preemptable victims and computes priorities only when some node has
-// one. Skipped epochs leave nothing stale, because simulated time moves
-// between epochs and so the next call recomputes every scheduled job.
+// one.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "core/params.h"
@@ -55,32 +52,21 @@ class DependencyPriority {
 
   /// Recomputes priorities for every unfinished task of `job` into
   /// `out[gid]` (out must be sized to engine.total_task_count()). One
-  /// pass over the job's cached live reverse-topological order (children
-  /// before parents); the job's finished tasks read 0. Returns the job's
-  /// live Range.
+  /// pass over the job's TaskGraph::topo_order() in reverse (children
+  /// before parents), skipping finished tasks; the job's finished tasks
+  /// read 0. Returns the job's live Range.
   Range compute_job(const Engine& engine, JobId job,
                     std::vector<double>& out) const;
 
   /// Computes priorities for all unfinished tasks of all scheduled,
-  /// unfinished jobs into `out` (resized to the gid domain) and returns
-  /// the global live Range. Incremental: clean jobs reuse their stored
-  /// values and Range; dirty jobs recompute.
+  /// unfinished jobs into `out` and returns the global live Range. `out`
+  /// is resized to the gid domain; only the entries of scheduled,
+  /// unfinished jobs' tasks are defined afterwards (0 for their finished
+  /// tasks). Other entries keep whatever they held.
   Range compute_all(const Engine& engine, std::vector<double>& out) const;
-
-  /// Drops all incremental state; the next compute_all recomputes every
-  /// job from scratch (the serial full-recompute reference path).
-  void invalidate() const { cache_engine_ = nullptr; }
 
  private:
   const DspParams& params_;
-
-  // Incremental-state cache, keyed to one engine instance. Rebuilt from
-  // scratch whenever compute_all sees a different engine (or a resized
-  // job set) than the previous call.
-  mutable const Engine* cache_engine_ = nullptr;
-  mutable SimTime cache_now_ = kNoTime;
-  mutable std::vector<std::uint64_t> job_version_;  // last computed version
-  mutable std::vector<Range> job_range_;            // last computed range
 };
 
 }  // namespace dsp

@@ -69,7 +69,7 @@ class ClusterState {
   }
   /// Inserts `g` into `node`'s waiting queue at its (planned_start, gid)
   /// position, and into the ready subset when `g` is ready. The caller
-  /// maintains waiting clocks and priority dirtying.
+  /// maintains waiting clocks.
   void insert_waiting(int node, Gid g, const TaskRuntime& tasks);
   /// Removes `g` from `node`'s waiting queue (must be present) and from
   /// the ready subset.

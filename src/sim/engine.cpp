@@ -333,13 +333,11 @@ void Engine::on_node_event(std::size_t index) {
       }
       break;
   }
-  // Any node event can change the effective rate seen by tasks placed on
-  // the node (including waiting ones), shifting their t_rem. The recorder
-  // logs the event as applied: the post-event speed factor travels in `a`.
+  // The recorder logs the event as applied: the post-event speed factor
+  // travels in `a`.
   emit_event({.kind = recorder_event_kind(event.kind),
               .node = n16(event.node),
               .a = n.speed_factor});
-  tasks_.touch_priority_all();
 }
 
 void Engine::rebase_running(int node) {
@@ -444,7 +442,6 @@ void Engine::replace_waiting_task(Gid g) {
   ClusterState::Node& old_n = nodes_.node_mut(old_node);
   old_n.backlog_mi = std::max(0.0, old_n.backlog_mi - task_info(g).size_mi);
   r.node = best;
-  tasks_.touch_priority(g);
   nodes_.node_mut(best).backlog_mi += task_info(g).size_mi;
   nodes_.insert_waiting(best, g, tasks_);
   emit_event({.kind = obs::EventKind::kTaskMigrate,
@@ -571,7 +568,6 @@ void Engine::enqueue_waiting(int node, Gid g) {
               .task = g,
               .node = n16(node)});
   r.waiting_since = now_;
-  tasks_.touch_priority(g);
   nodes_.insert_waiting(node, g, tasks_);
 }
 
@@ -650,7 +646,6 @@ void Engine::start_hoarding(int node, Gid g) {
   }
   r.state = TaskState::kHoarding;
   ++r.token;
-  tasks_.touch_priority(g);
   n.available -= task_info(g).demand;
   --n.free_slots;
   n.running.push_back(g);
@@ -674,7 +669,6 @@ void Engine::activate_hoarding(Gid g) {
   r.last_dispatch = now_;
   r.current_overhead = 0;
   ++r.token;
-  tasks_.touch_priority(g);
   const double remaining = std::max(0.0, task_info(g).size_mi - r.executed_mi);
   const SimTime run_time =
       from_seconds(remaining / node_rate(r.node));
@@ -702,7 +696,6 @@ void Engine::on_hoard_timeout(Gid g, std::uint32_t token) {
   // Re-insert into the waiting queue; state must not look unscheduled.
   nodes_.insert_waiting(node, g, tasks_);
   r.waiting_since = now_;
-  tasks_.touch_priority(g);
   emit_event({.kind = obs::EventKind::kHoardEvict,
               .job = tasks_.job_of(g),
               .task = g,
@@ -735,7 +728,6 @@ void Engine::start_task(int node, Gid g, SimTime resume_overhead) {
   r.last_dispatch = now_;
   r.current_overhead = resume_overhead;
   ++r.token;
-  tasks_.touch_priority(g);
   metrics_.overhead_s += to_seconds(resume_overhead);
 
   n.available -= task_info(g).demand;
@@ -846,7 +838,6 @@ bool Engine::migrate_task(Gid g, int to_node) {
   ClusterState::Node& src = nodes_.node_mut(from);
   src.backlog_mi = std::max(0.0, src.backlog_mi - task_info(g).size_mi);
   r.node = to_node;
-  tasks_.touch_priority(g);
   dst.backlog_mi += task_info(g).size_mi;
   nodes_.insert_waiting(to_node, g, tasks_);
   emit_event({.kind = obs::EventKind::kTaskMigrate,
@@ -868,7 +859,6 @@ void Engine::on_finish(Gid g, std::uint32_t token) {
   r.finish = now_;
   r.executed_mi = task_info(g).size_mi;
   ++r.token;
-  tasks_.touch_priority_topo(g);
   n.busy_us += static_cast<double>(now_ - r.last_dispatch);
   n.available += task_info(g).demand;
   ++n.free_slots;

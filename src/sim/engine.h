@@ -263,26 +263,6 @@ class Engine {
   /// Count of successful preemptions so far (for adaptive controllers).
   std::uint64_t preemptions_so_far() const { return metrics_.preemptions; }
 
-  // ------------------------------------------------------------------
-  // Incremental-priority support (core/priority.h).
-  // ------------------------------------------------------------------
-  /// Version counter of `job`'s priority inputs. Bumped on every event
-  /// that can change a Formula 12/13 priority of the job's tasks: state
-  /// transitions (start/suspend/finish/hoard), queue entries that reset
-  /// waiting clocks, migrations and node-rate changes. The priority
-  /// engine recomputes a job only when its stored version is stale (or
-  /// simulated time advanced, which moves every t^w/t^a input).
-  std::uint64_t priority_version(JobId j) const {
-    return tasks_.priority_version(j);
-  }
-  /// The job's unfinished tasks in reverse topological order (children
-  /// before parents) as gids. Cached; rebuilt lazily after a task of the
-  /// job finishes. Mostly-finished jobs walk only their live suffix
-  /// instead of the whole DAG every epoch.
-  const std::vector<Gid>& live_reverse_topo(JobId j) const {
-    return tasks_.live_reverse_topo(j);
-  }
-
   /// The three leaf-priority inputs of Formula 13, fused into one pass
   /// over the task's runtime record (times in seconds):
   ///   t_rem_s   remaining execution time at the assigned node's rate,

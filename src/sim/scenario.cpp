@@ -9,6 +9,49 @@
 #include "util/thread_pool.h"
 
 namespace dsp {
+namespace {
+
+/// One row per enum value: the CLI token to_token returns and the parser
+/// accepts.
+template <typename Kind>
+struct TokenRow {
+  Kind kind;
+  const char* token;
+};
+
+constexpr TokenRow<SchedKind> kSchedTokens[] = {
+    {SchedKind::kDsp, "dsp"},
+    {SchedKind::kAalo, "aalo"},
+    {SchedKind::kTetrisSimDep, "tetris-simdep"},
+    {SchedKind::kTetrisNoDep, "tetris-nodep"},
+};
+
+constexpr TokenRow<PolicyKind> kPolicyTokens[] = {
+    {PolicyKind::kDsp, "dsp"},       {PolicyKind::kDspNoPp, "dsp-nopp"},
+    {PolicyKind::kAmoeba, "amoeba"}, {PolicyKind::kNatjam, "natjam"},
+    {PolicyKind::kSrpt, "srpt"},     {PolicyKind::kNone, "none"},
+};
+
+template <typename Kind, std::size_t N>
+const char* token_of(const TokenRow<Kind> (&table)[N], Kind k) {
+  for (const TokenRow<Kind>& row : table)
+    if (row.kind == k) return row.token;
+  return "?";
+}
+
+template <typename Kind, std::size_t N>
+bool parse_token(const TokenRow<Kind> (&table)[N], std::string_view s,
+                 Kind& out) {
+  for (const TokenRow<Kind>& row : table) {
+    if (s == row.token) {
+      out = row.kind;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 const char* to_string(ClusterProfile p) {
   switch (p) {
@@ -65,19 +108,10 @@ const char* to_string(SchedKind k) {
   return "?";
 }
 
+const char* to_token(SchedKind k) { return token_of(kSchedTokens, k); }
+
 bool parse_sched_kind(std::string_view s, SchedKind& out) {
-  if (s == "dsp") {
-    out = SchedKind::kDsp;
-  } else if (s == "aalo") {
-    out = SchedKind::kAalo;
-  } else if (s == "tetris-simdep") {
-    out = SchedKind::kTetrisSimDep;
-  } else if (s == "tetris-nodep") {
-    out = SchedKind::kTetrisNoDep;
-  } else {
-    return false;
-  }
-  return true;
+  return parse_token(kSchedTokens, s, out);
 }
 
 const char* to_string(PolicyKind k) {
@@ -98,23 +132,10 @@ const char* to_string(PolicyKind k) {
   return "?";
 }
 
+const char* to_token(PolicyKind k) { return token_of(kPolicyTokens, k); }
+
 bool parse_policy_kind(std::string_view s, PolicyKind& out) {
-  if (s == "dsp") {
-    out = PolicyKind::kDsp;
-  } else if (s == "dsp-nopp") {
-    out = PolicyKind::kDspNoPp;
-  } else if (s == "amoeba") {
-    out = PolicyKind::kAmoeba;
-  } else if (s == "natjam") {
-    out = PolicyKind::kNatjam;
-  } else if (s == "srpt") {
-    out = PolicyKind::kSrpt;
-  } else if (s == "none") {
-    out = PolicyKind::kNone;
-  } else {
-    return false;
-  }
-  return true;
+  return parse_token(kPolicyTokens, s, out);
 }
 
 FailurePlan make_failure_plan(const FailureRecipe& recipe,

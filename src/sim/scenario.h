@@ -67,7 +67,11 @@ ClusterSpec make_cluster(const ClusterRecipe& recipe);
 /// Scheduler identifiers (Fig. 5 methods).
 enum class SchedKind : std::uint8_t { kDsp, kAalo, kTetrisSimDep, kTetrisNoDep };
 const char* to_string(SchedKind k);
-/// Parses CLI tokens "dsp", "aalo", "tetris-simdep", "tetris-nodep".
+/// CLI token: "dsp", "aalo", "tetris-simdep" or "tetris-nodep". Tokens are
+/// filesystem-safe and name per-scenario outputs (dsp_sweep scenario
+/// names, event-log files), so their spelling must not change.
+const char* to_token(SchedKind k);
+/// Inverse of to_token; false when `s` names no scheduler.
 bool parse_sched_kind(std::string_view s, SchedKind& out);
 
 /// Preemption-policy identifiers (Fig. 6/7 methods); kNone = offline
@@ -81,7 +85,10 @@ enum class PolicyKind : std::uint8_t {
   kNone,
 };
 const char* to_string(PolicyKind k);
-/// Parses CLI tokens "dsp", "dsp-nopp", "amoeba", "natjam", "srpt", "none".
+/// CLI token: "dsp", "dsp-nopp", "amoeba", "natjam", "srpt" or "none"
+/// (same contract as to_token(SchedKind)).
+const char* to_token(PolicyKind k);
+/// Inverse of to_token; false when `s` names no policy.
 bool parse_policy_kind(std::string_view s, PolicyKind& out);
 
 // ------------------------------------------------------------------

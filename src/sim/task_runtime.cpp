@@ -25,25 +25,9 @@ void TaskRuntime::init(const JobSet& jobs) {
   }
 
   job_rt_.resize(jobs.size());
-  prio_cache_.resize(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j)
     job_rt_[j].unfinished_tasks =
         static_cast<std::uint32_t>(jobs[j].task_count());
-}
-
-const std::vector<Gid>& TaskRuntime::live_reverse_topo(JobId j) const {
-  const JobPrioCache& c = prio_cache_[j];
-  if (!c.topo_valid) {
-    c.live_rtopo.clear();
-    const auto topo = (*jobs_)[j].graph().topo_order();
-    const Gid base = job_offset_[j];
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const Gid g = base + *it;
-      if (rt_[g].state != TaskState::kFinished) c.live_rtopo.push_back(g);
-    }
-    c.topo_valid = true;
-  }
-  return c.live_rtopo;
 }
 
 }  // namespace dsp

@@ -3,10 +3,10 @@
 // One of the four layers of the simulation kernel (see DESIGN.md §16).
 // TaskRuntime owns the flat Gid index over all tasks of all jobs, each
 // task's lifecycle record (progress, checkpoint/recovery bookkeeping,
-// preemption counts, waiting clocks), per-job completion tracking and the
-// incremental-priority cache. It holds no cluster or calendar state: time
-// and node rates are passed in where a computation needs them, so the
-// layer stays independently testable.
+// preemption counts, waiting clocks) and per-job completion tracking. It
+// holds no cluster or calendar state: time and node rates are passed in
+// where a computation needs them, so the layer stays independently
+// testable.
 #pragma once
 
 #include <cassert>
@@ -44,15 +44,6 @@ struct JobRt {
   double serviced_mi = 0.0;
   bool scheduled = false;
   bool finished = false;
-};
-
-/// Per-job bookkeeping for the incremental priority engine. The lazy
-/// members are rebuilt inside const accessors; distinct jobs own distinct
-/// entries, so parallel per-job priority computation never races on them.
-struct JobPrioCache {
-  std::uint64_t version = 1;            // see priority_version()
-  mutable std::vector<Gid> live_rtopo;  // unfinished tasks, reverse topo
-  mutable bool topo_valid = false;
 };
 
 /// The kernel's task/job state store. Initialized once from a finalized
@@ -122,27 +113,6 @@ class TaskRuntime {
            job_rt(job_of(g)).pred_jobs_remaining == 0;
   }
 
-  // ---- Incremental-priority cache (core/priority.h) ------------------
-  std::uint64_t priority_version(JobId j) const {
-    assert(j < prio_cache_.size());
-    return prio_cache_[j].version;
-  }
-  /// Marks `g`'s job dirty for the priority engine.
-  void touch_priority(Gid g) { ++prio_cache_[task_job_[g]].version; }
-  /// Same, plus invalidates the job's live-topo cache (a task finished).
-  void touch_priority_topo(Gid g) {
-    JobPrioCache& c = prio_cache_[task_job_[g]];
-    ++c.version;
-    c.topo_valid = false;
-  }
-  /// Marks every job dirty (node events move t_rem across jobs).
-  void touch_priority_all() {
-    for (JobPrioCache& c : prio_cache_) ++c.version;
-  }
-  /// The job's unfinished tasks in reverse topological order as gids.
-  /// Cached; rebuilt lazily after a task of the job finishes.
-  const std::vector<Gid>& live_reverse_topo(JobId j) const;
-
  private:
   const JobSet* jobs_ = nullptr;
 
@@ -152,7 +122,6 @@ class TaskRuntime {
 
   std::vector<TaskRt> rt_;
   std::vector<JobRt> job_rt_;
-  std::vector<JobPrioCache> prio_cache_;
   std::vector<std::uint8_t> launch_blocked_;  // failed input checks
 };
 

@@ -1,6 +1,7 @@
 #include "trace/trace_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -156,6 +157,16 @@ bool write_trace_csv(const std::string& path, const JobSet& jobs) {
 
 TraceParseResult read_trace_csv(std::istream& in, double reference_rate) {
   TraceParseResult result;
+  if (!std::isfinite(reference_rate) || !(reference_rate > 0.0)) {
+    // Job::finalize would fail every job, and each failure would read as
+    // a cyclic graph.
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "reference rate %g MIPS must be finite and > 0",
+                  reference_rate);
+    result.errors.emplace_back(buf);
+    return result;
+  }
   CsvReader reader(in);
   std::vector<std::string> fields;
   bool saw_header = false;

@@ -37,7 +37,8 @@ struct TraceParseResult {
 };
 
 /// Reads a workload from CSV and finalizes every job at `reference_rate`
-/// MIPS (used to derive per-level task deadlines).
+/// MIPS (used to derive per-level task deadlines). A rate that is not
+/// finite and > 0 yields one error naming it and no jobs.
 TraceParseResult read_trace_csv(std::istream& in, double reference_rate);
 
 /// Convenience overload reading from a file path.

@@ -6,22 +6,6 @@
 
 namespace dsp {
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  return (end && *end == '\0') ? parsed : fallback;
-}
-
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  return (end && *end == '\0') ? parsed : fallback;
-}
-
 std::int64_t env_int_min(const char* name, std::int64_t fallback,
                          std::int64_t min_value) {
   const char* v = std::getenv(name);

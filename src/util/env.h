@@ -1,19 +1,12 @@
-// Environment-variable knobs for the benchmark harness.
-//
-// Benches scale the paper's workloads with DSP_SCALE and select seeds with
-// DSP_SEED so the full suite can be re-run at paper scale when time allows.
+// Environment-variable readers for the runtime knobs (DSP_THREADS,
+// DSP_EVENT_LOG, ...). The bench settings DSP_SCALE, DSP_SEED and
+// DSP_POINTS are parsed strictly by BenchEnv (bench/bench_common.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 namespace dsp {
-
-/// Reads an environment double; returns `fallback` when unset or malformed.
-double env_double(const char* name, double fallback);
-
-/// Reads an environment integer; returns `fallback` when unset or malformed.
-std::int64_t env_int(const char* name, std::int64_t fallback);
 
 /// Reads an environment integer that must be at least `min_value`
 /// (the scenario grid's default worker count, the event ring capacity).

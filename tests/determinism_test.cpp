@@ -1,6 +1,6 @@
-// Determinism guarantees of the incremental epoch hot path: priorities
-// from the incremental compute_all must be bit-identical to a full
-// recompute, and the serial branch and bound must follow a pinned search.
+// Determinism guarantees of the epoch hot path: the priorities compute_all
+// writes each epoch must be bit-identical to a from-scratch Formula 12/13
+// evaluation, and the serial branch and bound must follow a pinned search.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -33,70 +33,114 @@ EngineParams fast_params() {
 }
 
 // ---------------------------------------------------------------------
-// Incremental compute_all vs full recompute
+// compute_all vs a from-scratch Formula 12/13 reference
 // ---------------------------------------------------------------------
 
-/// Each epoch, computes priorities two ways — full recompute
-/// (invalidate() before every call) and incremental — plus a
-/// same-timestamp repeat that exercises the all-clean skip path, and
-/// requires exact equality across all of them.
-class DualProbe : public PreemptionPolicy {
+/// Formula 12/13 from scratch: a task without unfinished children takes
+/// the leaf priority (Formula 13); any other task sums (gamma + 1) * P
+/// over its unfinished children in graph.children() order (Formula 12).
+/// Memoized per job (`done`/`memo` indexed by task), so a child shared by
+/// several parents is evaluated once.
+double reference_priority(const Engine& engine,
+                          const DependencyPriority& priority, double g1,
+                          JobId job, TaskIndex t, std::vector<double>& memo,
+                          std::vector<char>& done) {
+  if (done[t]) return memo[t];
+  double sum = 0.0;
+  bool has_live_child = false;
+  for (TaskIndex c : engine.job(job).graph().children(t)) {
+    if (engine.state(engine.gid(job, c)) == TaskState::kFinished) continue;
+    has_live_child = true;
+    sum += g1 * reference_priority(engine, priority, g1, job, c, memo, done);
+  }
+  memo[t] = has_live_child ? sum
+                           : priority.leaf_priority(engine, engine.gid(job, t));
+  done[t] = 1;
+  return memo[t];
+}
+
+/// Each epoch, runs the policy-owned compute_all (its output vector
+/// persists across epochs, as DspPreemption's does) and checks every task
+/// of every scheduled, unfinished job against reference_priority, bit for
+/// bit: finished tasks must read 0. The returned Range must equal the
+/// min, max and count over the jobs' waiting, running, suspended and
+/// hoarding tasks.
+class ReferenceProbe : public PreemptionPolicy {
  public:
-  explicit DualProbe(const DspParams& params)
-      : reference_(params), incremental_(params) {}
-  const char* name() const override { return "DualProbe"; }
+  explicit ReferenceProbe(const DspParams& params)
+      : params_(params), priority_(params_) {}
+  const char* name() const override { return "ReferenceProbe"; }
 
   void on_epoch(Engine& engine) override {
-    reference_.invalidate();  // force the full-recompute reference path
-    const auto r0 = reference_.compute_all(engine, ref_out_);
-    const auto r1 = incremental_.compute_all(engine, inc_out_);
+    const DependencyPriority::Range range = priority_.compute_all(engine, out_);
     ++epochs;
-    // operator== on vector<double> is exact element equality; priorities
-    // are never NaN (t_rem is clamped), so this is bit-for-bit.
-    if (inc_out_ != ref_out_) ++incremental_mismatches;
-    if (r1.min_p != r0.min_p || r1.max_p != r0.max_p ||
-        r1.live_tasks != r0.live_tasks)
+    ASSERT_EQ(out_.size(), engine.total_task_count());
+    const double g1 = params_.gamma + 1.0;
+    DependencyPriority::Range expected;
+    for (JobId j = 0; j < engine.job_count(); ++j) {
+      if (!engine.job_scheduled(j) || engine.job_finished(j)) continue;
+      const std::size_t n = engine.job(j).task_count();
+      std::vector<double> memo(n, 0.0);
+      std::vector<char> done(n, 0);
+      for (TaskIndex t = 0; t < n; ++t) {
+        const Gid g = engine.gid(j, t);
+        const TaskState state = engine.state(g);
+        if (state == TaskState::kFinished) {
+          ++finished_checked;
+          if (out_[g] != 0.0) ++priority_mismatches;
+          continue;
+        }
+        const double p =
+            reference_priority(engine, priority_, g1, j, t, memo, done);
+        // Exact comparison: both sides run the same floating-point
+        // operations in the same order, and priorities are never NaN
+        // (t_rem is clamped).
+        if (out_[g] != p) ++priority_mismatches;
+        if (state == TaskState::kUnscheduled) continue;
+        if (expected.live_tasks == 0 || p < expected.min_p) expected.min_p = p;
+        if (expected.live_tasks == 0 || p > expected.max_p) expected.max_p = p;
+        ++expected.live_tasks;
+      }
+    }
+    if (range.min_p != expected.min_p || range.max_p != expected.max_p ||
+        range.live_tasks != expected.live_tasks)
       ++range_mismatches;
-    // Repeat at the same timestamp with no intervening events: every job
-    // is clean, so this must take the skip path and change nothing.
-    const auto r3 = incremental_.compute_all(engine, inc_out_);
-    if (inc_out_ != ref_out_ || r3.live_tasks != r0.live_tasks)
-      ++skip_path_mismatches;
   }
 
   int epochs = 0;
-  int incremental_mismatches = 0;
+  int priority_mismatches = 0;
   int range_mismatches = 0;
-  int skip_path_mismatches = 0;
+  /// Finished tasks of live jobs checked (they must read 0).
+  int finished_checked = 0;
 
  private:
-  DependencyPriority reference_;
-  DependencyPriority incremental_;
-  std::vector<double> ref_out_;
-  std::vector<double> inc_out_;
+  const DspParams& params_;
+  DependencyPriority priority_;
+  std::vector<double> out_;
 };
 
-TEST(DeterminismTest, IncrementalMatchesFullRecomputeBitwise) {
+TEST(DeterminismTest, ComputeAllMatchesFromScratchReferenceBitwise) {
   const JobSet jobs = WorkloadGenerator(contended_config(10), 311).generate();
   DspScheduler sched;
   DspParams params;
-  DualProbe probe(params);
+  ReferenceProbe probe(params);
   Engine engine(ClusterSpec::ec2(4), jobs, sched, &probe, fast_params());
   const RunMetrics m = engine.run();
   EXPECT_EQ(m.tasks_finished, total_tasks(jobs));
   ASSERT_GT(probe.epochs, 10);
-  EXPECT_EQ(probe.incremental_mismatches, 0);
+  // Jobs must finish tasks while still live, or the zeroing goes unchecked.
+  EXPECT_GT(probe.finished_checked, 0);
+  EXPECT_EQ(probe.priority_mismatches, 0);
   EXPECT_EQ(probe.range_mismatches, 0);
-  EXPECT_EQ(probe.skip_path_mismatches, 0);
 }
 
-TEST(DeterminismTest, IncrementalMatchesFullRecomputeUnderNodeEvents) {
+TEST(DeterminismTest, ComputeAllMatchesFromScratchReferenceUnderNodeEvents) {
   // Failures, slowdowns and recoveries change node rates out from under
-  // waiting tasks; the dirty-bit plumbing must invalidate those jobs too.
+  // waiting tasks, and failed nodes send tasks back through the queues.
   const JobSet jobs = WorkloadGenerator(contended_config(8), 313).generate();
   DspScheduler sched;
   DspParams params;
-  DualProbe probe(params);
+  ReferenceProbe probe(params);
   const ClusterSpec cluster = ClusterSpec::ec2(4);
   Engine engine(cluster, jobs, sched, &probe, fast_params());
   FailurePlan plan = FailurePlan::random_outages(cluster, 4 * kHour, 0.5, 2.0, 317);
@@ -104,9 +148,9 @@ TEST(DeterminismTest, IncrementalMatchesFullRecomputeUnderNodeEvents) {
   engine.set_failure_plan(plan);
   engine.run();
   ASSERT_GT(probe.epochs, 10);
-  EXPECT_EQ(probe.incremental_mismatches, 0);
+  EXPECT_GT(probe.finished_checked, 0);
+  EXPECT_EQ(probe.priority_mismatches, 0);
   EXPECT_EQ(probe.range_mismatches, 0);
-  EXPECT_EQ(probe.skip_path_mismatches, 0);
 }
 
 // ---------------------------------------------------------------------

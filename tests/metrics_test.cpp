@@ -153,8 +153,12 @@ TEST(TableIiTest, DefaultsMatchThePaper) {
   EXPECT_DOUBLE_EQ(p.omega2, 0.3);    // waiting-time weight
   EXPECT_DOUBLE_EQ(p.omega3, 0.2);    // allowable-waiting-time weight
   EXPECT_DOUBLE_EQ(p.omega1 + p.omega2 + p.omega3, 1.0);
-  EXPECT_DOUBLE_EQ(p.theta1, 0.5);    // CPU weight in g(k)
-  EXPECT_DOUBLE_EQ(p.theta2, 0.5);    // memory weight in g(k)
+  // theta1/theta2 (CPU and memory weights in g(k)) belong to the cluster.
+  for (const ClusterSpec& cluster :
+       {ClusterSpec::real_cluster(), ClusterSpec::ec2()}) {
+    EXPECT_DOUBLE_EQ(cluster.theta1(), 0.5);
+    EXPECT_DOUBLE_EQ(cluster.theta2(), 0.5);
+  }
   const SrptPolicy srpt;              // alpha = 0.5, beta = 1 per Table II
   (void)srpt;
   const EngineParams ep;

@@ -100,6 +100,7 @@ TEST(ScenarioTokensTest, SchedKindTokensParse) {
     SchedKind out;
     ASSERT_TRUE(parse_sched_kind(token, out)) << token;
     EXPECT_EQ(out, want);
+    EXPECT_EQ(to_token(want), token);
   }
   SchedKind out;
   EXPECT_FALSE(parse_sched_kind("fifo", out));
@@ -115,6 +116,7 @@ TEST(ScenarioTokensTest, PolicyKindTokensParse) {
     PolicyKind out;
     ASSERT_TRUE(parse_policy_kind(token, out)) << token;
     EXPECT_EQ(out, want);
+    EXPECT_EQ(to_token(want), token);
   }
   PolicyKind out;
   EXPECT_FALSE(parse_policy_kind("fcfs", out));

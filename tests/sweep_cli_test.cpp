@@ -1,4 +1,7 @@
-// Black-box tests of the tools/dsp_sweep CLI.
+// Black-box tests of the tools/dsp_sweep CLI and of the other front ends
+// that take the same tokens and numbers: the bench environment
+// (fig8_scalability) and the trace_replay and analytics_pipeline
+// examples.
 //
 // The installed binary is driven over small grids: bad flags and tokens
 // must fail with usage, the --json report must parse with the documented
@@ -155,6 +158,86 @@ TEST(SweepCliTest, ReportIsByteIdenticalAcrossAxisOrder) {
   const std::string a = slurp(fwd);
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, slurp(rev));
+}
+
+// ---------------------------------------------------------------------
+// Other front ends
+// ---------------------------------------------------------------------
+
+TEST(BenchEnvCliTest, InvalidSettingExitsBeforeAnyRunNamingIt) {
+  // Each case once ran silently: with a substituted value (abc), tiny
+  // jobs (-1), empty tables (DSP_POINTS=0) or a wrapped point count.
+  const struct {
+    const char* name;
+    const char* value;
+  } cases[] = {
+      {"DSP_SCALE", "abc"}, {"DSP_SCALE", "-1"},  {"DSP_SCALE", "0"},
+      {"DSP_SCALE", "inf"}, {"DSP_SCALE", "nan"}, {"DSP_POINTS", "0"},
+      {"DSP_POINTS", "-1"}, {"DSP_POINTS", "6"},  {"DSP_POINTS", "2x"},
+      {"DSP_SEED", "abc"},  {"DSP_SEED", "-1"},   {"DSP_SEED", "1.5"},
+  };
+  for (const auto& c : cases) {
+    const std::string assignment = std::string(c.name) + "=" + c.value;
+    // The small scale keeps a run short should validation ever let one
+    // start; a DSP_SCALE case overrides it.
+    const CliResult r =
+        run_cli("DSP_SCALE=0.01 " + assignment + " " + DSP_FIG8_BIN, "");
+    EXPECT_EQ(r.exit_code, 2) << assignment << "\n" << r.output;
+    EXPECT_NE(r.output.find(c.name), std::string::npos) << assignment;
+    EXPECT_NE(r.output.find(std::string("\"") + c.value + "\""),
+              std::string::npos)
+        << assignment << "\n" << r.output;
+    EXPECT_EQ(r.output.find("Figure 8"), std::string::npos)
+        << assignment << ": a run started\n" << r.output;
+  }
+}
+
+TEST(ExampleCliTest, TraceReplayTakesTheSweepTokens) {
+  const std::string trace = tmp_path("replay_tokens.csv");
+  ASSERT_EQ(run_cli(DSP_TRACE_REPLAY_BIN, "--emit " + trace + " 4 42").exit_code,
+            0);
+  const CliResult r = run_cli(DSP_TRACE_REPLAY_BIN,
+                              trace + " tetris-simdep none ec2 6");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("tetris-simdep + none on ec2(6)"), std::string::npos)
+      << r.output;
+  for (const char* args : {"tetris none", "dsp fcfs", "dsp dsp palmetto"}) {
+    const CliResult bad = run_cli(DSP_TRACE_REPLAY_BIN, trace + " " + args);
+    EXPECT_EQ(bad.exit_code, 2) << args << "\n" << bad.output;
+    EXPECT_NE(bad.output.find("unknown"), std::string::npos) << args;
+  }
+}
+
+TEST(ExampleCliTest, BadNumberExitsNamingTheToken) {
+  const std::string trace = tmp_path("replay_numbers.csv");
+  ASSERT_EQ(run_cli(DSP_TRACE_REPLAY_BIN, "--emit " + trace + " 4 42").exit_code,
+            0);
+  const struct {
+    const char* bin;
+    std::string args;
+    const char* token;
+  } cases[] = {
+      // Node counts once built an empty cluster whose zero mean rate made
+      // every job of the trace read as cyclic.
+      {DSP_TRACE_REPLAY_BIN, trace + " dsp srpt ec2 abc", "abc"},
+      {DSP_TRACE_REPLAY_BIN, trace + " dsp srpt ec2 0", "0"},
+      {DSP_TRACE_REPLAY_BIN, trace + " dsp srpt ec2 -3", "-3"},
+      {DSP_TRACE_REPLAY_BIN, trace + " dsp srpt ec2 32769", "32769"},
+      // Job counts once wrapped into a huge reserve() and aborted.
+      {DSP_TRACE_REPLAY_BIN, "--emit " + tmp_path("never.csv") + " -5", "-5"},
+      {DSP_TRACE_REPLAY_BIN, "--emit " + tmp_path("never.csv") + " 4 x1", "x1"},
+      {DSP_ANALYTICS_PIPELINE_BIN, "-5", "-5"},
+      {DSP_ANALYTICS_PIPELINE_BIN, "0", "0"},
+      {DSP_ANALYTICS_PIPELINE_BIN, "3 abc", "abc"},
+  };
+  for (const auto& c : cases) {
+    const CliResult r = run_cli(c.bin, c.args);
+    EXPECT_EQ(r.exit_code, 2) << c.args << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string("'") + c.token + "'"),
+              std::string::npos)
+        << c.args << "\n" << r.output;
+    EXPECT_EQ(r.output.find("cyclic"), std::string::npos) << c.args;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Workload generator and trace I/O tests.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "dag/validate.h"
 #include "trace/trace_io.h"
@@ -231,6 +233,26 @@ TEST(TraceIoTest, ReportsCyclicJob) {
   const TraceParseResult parsed = read_trace_csv(in, 1000.0);
   EXPECT_FALSE(parsed.ok());
   EXPECT_NE(parsed.errors.front().find("cyclic"), std::string::npos);
+}
+
+TEST(TraceIoTest, RejectsBadReferenceRateOnceNamingIt) {
+  // An empty cluster's mean rate is 0; finalizing every job at it used to
+  // report each one as cyclic.
+  const std::string trace =
+      "job_id,task_index,size_mi,cpu,mem,disk,bw,arrival_us,deadline_us,"
+      "size_class,tier,parents\n"
+      "0,0,10,1,1,0,0,0,1000000,small,production,\n"
+      "1,0,10,1,1,0,0,0,1000000,small,production,\n";
+  for (const double rate : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(rate);
+    std::stringstream in(trace);
+    const TraceParseResult parsed = read_trace_csv(in, rate);
+    EXPECT_TRUE(parsed.jobs.empty());
+    ASSERT_EQ(parsed.errors.size(), 1u);
+    EXPECT_NE(parsed.errors.front().find("reference rate"), std::string::npos)
+        << parsed.errors.front();
+  }
 }
 
 TEST(TraceIoTest, ParsesHandWrittenTrace) {

@@ -186,7 +186,7 @@ if ! skipped bench-smoke; then
   build/tools/json_check "$smoke_tmp/micro.json" \
     bench env.scale env.seed env.points series runs scalars \
     scalars.BM_SimplexSolve_60_ns scalars.BM_MilpSolve_1_ns scalars.BM_PriorityComputeJob_1000_ns \
-    scalars.BM_ComputeAllIncremental_20_ns \
+    scalars.BM_ComputeAllFullRecompute_20_ns \
     registry.counters registry.gauges registry.histograms
   rm -rf "$smoke_tmp"
 fi

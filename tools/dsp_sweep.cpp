@@ -14,12 +14,8 @@
 // the report is byte-identical at any --threads setting and any axis
 // order on the command line. tools/ci.sh sweep-smoke enforces this.
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -29,6 +25,7 @@
 #include "obs/metrics.h"
 #include "scenarios/standard.h"
 #include "sim/scenario.h"
+#include "util/parse.h"
 #include "util/time.h"
 
 namespace {
@@ -61,26 +58,6 @@ std::vector<std::string> split_commas(const char* arg) {
     }
   }
   return out;
-}
-
-// Whole-token numeric parses. strtoull alone skips leading blanks,
-// stops at trailing garbage and wraps a leading '-' into a huge value,
-// so each parse demands a leading digit and a fully consumed token.
-bool parse_count(const std::string& token, unsigned long long& out) {
-  if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0])))
-    return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(token.c_str(), &end, 10);
-  return errno == 0 && *end == '\0';
-}
-
-bool parse_positive(const std::string& token, double& out) {
-  if (token.empty() || std::isspace(static_cast<unsigned char>(token[0])))
-    return false;
-  char* end = nullptr;
-  out = std::strtod(token.c_str(), &end);
-  return *end == '\0' && std::isfinite(out) && out > 0.0;
 }
 
 void usage(const char* argv0) {
@@ -202,30 +179,6 @@ Cli parse_cli(int argc, char** argv) {
   return cli;
 }
 
-/// CLI token for a policy kind (to_string gives the display name; names
-/// must be filesystem-safe and re-parseable).
-const char* policy_token(PolicyKind k) {
-  switch (k) {
-    case PolicyKind::kDsp: return "dsp";
-    case PolicyKind::kDspNoPp: return "dsp-nopp";
-    case PolicyKind::kAmoeba: return "amoeba";
-    case PolicyKind::kNatjam: return "natjam";
-    case PolicyKind::kSrpt: return "srpt";
-    case PolicyKind::kNone: return "none";
-  }
-  return "?";
-}
-
-const char* sched_token(SchedKind k) {
-  switch (k) {
-    case SchedKind::kDsp: return "dsp";
-    case SchedKind::kAalo: return "aalo";
-    case SchedKind::kTetrisSimDep: return "tetris-simdep";
-    case SchedKind::kTetrisNoDep: return "tetris-nodep";
-  }
-  return "?";
-}
-
 std::vector<ScenarioSpec> build_grid(const Cli& cli) {
   std::vector<ScenarioSpec> grid;
   for (const ClusterProfile cluster : cli.clusters)
@@ -235,7 +188,7 @@ std::vector<ScenarioSpec> build_grid(const Cli& cli) {
           for (const unsigned long long seed : cli.seeds) {
             ScenarioSpec spec;
             spec.name = std::string(to_string(cluster)) + "-" +
-                        sched_token(sched) + "-" + policy_token(policy) +
+                        to_token(sched) + "-" + to_token(policy) +
                         "-j" + std::to_string(jobs) + "-s" +
                         std::to_string(seed);
             spec.cluster.profile = cluster;
