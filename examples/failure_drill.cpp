@@ -46,9 +46,9 @@ int main() {
   params.period = 30 * kSecond;
   params.epoch = 5 * kSecond;
 
-  // The timeline recorder reads the engine's event stream. Attaching a
-  // log replaces the one Engine::run would build from DSP_EVENT_LOG, so
-  // build that one here (or a ring-only log when the variable is unset).
+  // The timeline recorder reads the engine's event stream. The Engine
+  // reads no environment, so honour DSP_EVENT_LOG here (or record into a
+  // ring-only log when the variable is unset).
   std::unique_ptr<obs::EventLog> log = obs::EventLog::from_env();
   if (!log) log = std::make_unique<obs::EventLog>(1);
   TimelineRecorder recorder;

@@ -18,7 +18,8 @@
 namespace dsp {
 
 /// Runs one simulation: constructs an Engine over the cluster/workload with
-/// the given policies and executes it to completion.
+/// the given policies and executes it to completion, recording into the
+/// log DSP_EVENT_LOG names when that variable is set (obs/events.h).
 /// `preempt` may be null (offline scheduling only).
 RunMetrics simulate(const ClusterSpec& cluster, JobSet jobs,
                     Scheduler& scheduler, PreemptionPolicy* preempt,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/profiler.h"
 #include "util/log.h"
 
 namespace dsp {
@@ -34,23 +35,27 @@ void DspPreemption::on_epoch(Engine& engine) {
   if (std::all_of(victims_.begin(), victims_.end(),
                   [](const std::vector<Gid>& v) { return v.empty(); }))
     return;
-  const auto range = priority_.compute_all(engine, prio_);
-  // Every victim is a running task, which compute_all counts as live.
-  assert(range.live_tasks > 0);
-  const double pbar = range.mean_neighbor_gap();
+  // A new epoch: every job's priorities are stale until read again.
+  ++epoch_;
+  all_computed_ = false;
+  prio_.resize(engine.total_task_count());
+  job_epoch_.resize(engine.job_count(), 0);
 
   std::uint64_t considered = 0, preempted = 0;
   for (std::size_t k = 0; k < nodes; ++k) {
     std::vector<Gid>& preemptable = victims_[k];
     if (preemptable.empty()) continue;
-    // Ascending (priority, gid). The passes never write prio_, so a node's
-    // order does not depend on the passes already run for earlier nodes.
+    // Ascending (priority, gid). Recomputing a job mid-epoch reproduces
+    // its epoch-start values, so a node's order does not depend on the
+    // passes already run for earlier nodes.
+    for (Gid v : preemptable) compute_job_once(engine, engine.job_of(v));
     std::sort(preemptable.begin(), preemptable.end(), [this](Gid a, Gid b) {
-      return prio_at(a) != prio_at(b) ? prio_at(a) < prio_at(b) : a < b;
+      assert(a < prio_.size() && b < prio_.size());
+      return prio_[a] != prio_[b] ? prio_[a] < prio_[b] : a < b;
     });
     const auto node = static_cast<int>(k);
-    urgent_pass(engine, node, preemptable, pbar);
-    const auto [c, p] = window_pass(engine, node, preemptable, pbar);
+    urgent_pass(engine, node, preemptable);
+    const auto [c, p] = window_pass(engine, node, preemptable);
     considered += c;
     preempted += p;
   }
@@ -67,18 +72,46 @@ void DspPreemption::on_epoch(Engine& engine) {
   }
 }
 
+void DspPreemption::compute_job_once(const Engine& engine, JobId j) {
+  if (all_computed_ || job_epoch_[j] == epoch_) return;
+  job_epoch_[j] = epoch_;
+  DSP_PROFILE("priority.job_s");
+  priority_.compute_job(engine, j, prio_);
+}
+
+double DspPreemption::mean_gap(const Engine& engine) {
+  if (!all_computed_) {
+    const auto range = priority_.compute_all(engine, prio_);
+    // Every victim is a running task, which compute_all counts as live.
+    assert(range.live_tasks > 0);
+    pbar_ = range.mean_neighbor_gap();
+    all_computed_ = true;
+  }
+  return pbar_;
+}
+
 obs::PreemptDecision DspPreemption::make_decision(int node, Gid w) const {
   obs::PreemptDecision d;
   d.node = node;
   d.candidate = w;
-  d.candidate_priority = prio_at(w);
   d.rho = params_.rho;
   d.pp = params_.normalized_pp;
   return d;
 }
 
+void DspPreemption::mark_fired(const Engine& engine, obs::PreemptDecision& d,
+                               Gid v) {
+  d.outcome = obs::PreemptOutcome::kFired;
+  d.victim = v;
+  d.victim_priority = prio_at(engine, v);
+  if (engine.event_log() == nullptr) return;
+  const double pbar = mean_gap(engine);
+  if (pbar > 0.0)
+    d.normalized_gap = (prio_at(engine, d.candidate) - d.victim_priority) / pbar;
+}
+
 void DspPreemption::urgent_pass(Engine& engine, int node,
-                                std::vector<Gid>& preemptable, double pbar) {
+                                std::vector<Gid>& preemptable) {
   // DSP never launches unready tasks, so only the ready subset is
   // scanned. Snapshot it into the reusable buffer: try_preempt mutates the
   // queue, and a fresh vector per node per epoch is allocator churn.
@@ -101,6 +134,10 @@ void DspPreemption::urgent_pass(Engine& engine, int node,
     if (!urgent) continue;
     obs::PreemptDecision d = make_decision(node, w);
     d.urgent = true;
+    // Urgency ignores C1 and PP, so only the event stream reads the
+    // candidate's priority.
+    if (engine.event_log() != nullptr)
+      d.candidate_priority = prio_at(engine, w);
     bool dep_blocked = false;
     // Lowest-priority victim the urgent task does not depend on (C2),
     // ignoring C1 and the PP gap.
@@ -113,10 +150,7 @@ void DspPreemption::urgent_pass(Engine& engine, int node,
       }
       const PreemptResult res = engine.try_preempt(node, v, w);
       if (res == PreemptResult::kOk) {
-        d.outcome = obs::PreemptOutcome::kFired;
-        d.victim = v;
-        d.victim_priority = prio_at(v);
-        if (pbar > 0.0) d.normalized_gap = (prio_at(w) - prio_at(v)) / pbar;
+        mark_fired(engine, d, v);
         preemptable.erase(it);
         break;
       }
@@ -131,7 +165,7 @@ void DspPreemption::urgent_pass(Engine& engine, int node,
 }
 
 std::pair<std::uint64_t, std::uint64_t> DspPreemption::window_pass(
-    Engine& engine, int node, std::vector<Gid>& preemptable, double pbar) {
+    Engine& engine, int node, std::vector<Gid>& preemptable) {
   // The window is the first ceil(delta * |queue|) waiting tasks; only its
   // ready members are candidates. Snapshot them (the prefix of the ready
   // subset keyed at or before the window's last entry) into the reusable
@@ -151,6 +185,10 @@ std::pair<std::uint64_t, std::uint64_t> DspPreemption::window_pass(
     ++considered;
 
     obs::PreemptDecision d = make_decision(node, w);
+    // C1 below reads the candidate's priority whenever a victim is left;
+    // otherwise only the event stream does.
+    if (!preemptable.empty() || engine.event_log() != nullptr)
+      d.candidate_priority = prio_at(engine, w);
     bool dep_blocked = false;
     // Victims in ascending priority: the first one passing all conditions
     // is the cheapest to displace.
@@ -162,7 +200,7 @@ std::pair<std::uint64_t, std::uint64_t> DspPreemption::window_pass(
       }
       // C1: higher priority required. Victims are sorted ascending, so no
       // later victim can satisfy C1 either.
-      if (prio_at(w) <= prio_at(v)) break;
+      if (d.candidate_priority <= prio_at(engine, v)) break;
       // C2: never preempt a task the waiting task depends on.
       if (engine.depends_on(w, v)) {
         dep_blocked = true;
@@ -171,12 +209,14 @@ std::pair<std::uint64_t, std::uint64_t> DspPreemption::window_pass(
       }
       // PP: the priority gap must exceed rho times the global mean
       // neighbor gap, or the context-switch cost outweighs the gain.
-      if (params_.normalized_pp && pbar > 0.0) {
-        const double gap = prio_at(w) - prio_at(v);
-        if (gap / pbar <= params_.rho) {
+      // P-bar is computed at the first PP test of the epoch.
+      if (params_.normalized_pp) {
+        const double pbar = mean_gap(engine);
+        const double gap = d.candidate_priority - prio_at(engine, v);
+        if (pbar > 0.0 && gap / pbar <= params_.rho) {
           d.outcome = obs::PreemptOutcome::kSuppressedPP;
           d.victim = v;
-          d.victim_priority = prio_at(v);
+          d.victim_priority = prio_at(engine, v);
           d.normalized_gap = gap / pbar;
           break;  // later victims have higher priority -> smaller gaps
         }
@@ -184,10 +224,7 @@ std::pair<std::uint64_t, std::uint64_t> DspPreemption::window_pass(
       const PreemptResult res = engine.try_preempt(node, v, w);
       if (res == PreemptResult::kOk) {
         ++preempted;
-        d.outcome = obs::PreemptOutcome::kFired;
-        d.victim = v;
-        d.victim_priority = prio_at(v);
-        if (pbar > 0.0) d.normalized_gap = (prio_at(w) - prio_at(v)) / pbar;
+        mark_fired(engine, d, v);
         preemptable.erase(it);
         break;
       }

@@ -9,12 +9,13 @@
 // of Fig. 3).
 //
 // Priorities keep no state between calls: t^w and t^a move with
-// simulated time, so every compute_all recomputes every scheduled,
-// unfinished job from the engine's live state.
+// simulated time, so every compute_job / compute_all recomputes from the
+// engine's live state.
 //
-// DspPreemption::on_epoch calls compute_all lazily: it first collects
-// preemptable victims and computes priorities only when some node has
-// one.
+// DspPreemption::on_epoch reads priorities on demand: compute_job runs
+// for a job the first time one of its tasks is read in the epoch (each
+// node's victims before their sort, a window candidate at its first C1
+// test), and compute_all only for P-bar, at the epoch's first PP test.
 #pragma once
 
 #include <vector>

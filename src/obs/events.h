@@ -19,8 +19,9 @@
 // and tools/dsp_report's first-divergence diff turns that determinism
 // guarantee into a debuggable property.
 //
-// Knobs (read by EventLog::from_env, applied by Engine::run when no log
-// was attached explicitly):
+// Knobs (read by EventLog::from_env, applied by simulate() and
+// run_scenario() when they are given no log; the Engine itself and the
+// scenario grid never read them):
 //   DSP_EVENT_LOG=<path>    stream accepted events to <path> as JSONL
 //   DSP_EVENT_RING=<n>      in-memory ring capacity (default 65536)
 //   DSP_EVENT_SAMPLE=spec   per-kind sampling, e.g.

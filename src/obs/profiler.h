@@ -9,6 +9,7 @@
 //   lp.simplex_solve_s       one simplex solve
 //   lp.milp_solve_s          one branch-and-bound solve
 //   priority.compute_all_s   one Formula 12/13 recomputation over all jobs
+//   priority.job_s           one on-demand job recomputation in DspPreemption
 //   engine.epoch_s           one online-preemption epoch tick
 //   sched.round_s            one offline scheduling round
 //   engine.run_s             one whole simulation run

@@ -165,12 +165,6 @@ RunMetrics Engine::run() {
     std::abort();
   }
   lifecycle_ = Lifecycle::kRunning;
-  if (events_log_ == nullptr) {
-    // DSP_EVENT_LOG turns the recorder on for any run without code
-    // changes (examples, benches, the report-smoke CI stage).
-    owned_events_ = obs::EventLog::from_env();
-    events_log_ = owned_events_.get();
-  }
   emit_event({.kind = obs::EventKind::kRunInfo,
               .job = static_cast<std::uint32_t>(jobs_.size()),
               .task = static_cast<Gid>(tasks_.task_count()),

@@ -32,7 +32,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "dag/job.h"
@@ -98,9 +97,10 @@ class Engine {
   /// epochs, ...) is emitted as an obs::Event. This is the engine's only
   /// observation channel: timeline recording and invariant checking
   /// attach through the log's consumer hook (EventLog::set_consumer).
-  /// Call before run(); the engine does not own the log. When no log is
-  /// attached, run() builds one from the environment (DSP_EVENT_LOG et
-  /// al., see obs/events.h) and owns it for the run.
+  /// Call before run(); the engine does not own the log. Without one the
+  /// run records nothing: the engine reads no environment. simulate()
+  /// and run_scenario() attach the DSP_EVENT_LOG log (obs/events.h)
+  /// when they are given none; the scenario grid never does.
   void set_event_log(obs::EventLog* log) { events_log_ = log; }
   /// The attached recorder, if any (policies use this to emit their own
   /// events through emit_event).
@@ -367,7 +367,6 @@ class Engine {
   PreemptionPolicy* preempt_;
   EngineParams params_;
   obs::EventLog* events_log_ = nullptr;
-  std::unique_ptr<obs::EventLog> owned_events_;  // from_env() in run()
   std::uint32_t epoch_index_ = 0;  // epoch ordinal stamped onto events
 
   // The kernel components (DESIGN.md §16). tasks_ indexes into jobs_ and

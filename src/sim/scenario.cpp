@@ -51,6 +51,28 @@ bool parse_token(const TokenRow<Kind> (&table)[N], std::string_view s,
   return false;
 }
 
+/// Runs `spec` on a fresh Engine with `event_log` attached, or with no
+/// recorder at all when it is null.
+RunMetrics run_with_log(const ScenarioSpec& spec,
+                        const ScenarioFactory& factory,
+                        obs::EventLog* event_log) {
+  ClusterSpec cluster = make_cluster(spec.cluster);
+  JobSet jobs = WorkloadGenerator(spec.workload, spec.seed).generate();
+
+  std::unique_ptr<Scheduler> scheduler = factory.make_scheduler(spec);
+  assert(scheduler != nullptr);
+  std::unique_ptr<PreemptionPolicy> policy = factory.make_policy(spec);
+
+  Engine engine(std::move(cluster), std::move(jobs), *scheduler, policy.get(),
+                spec.engine);
+  engine.set_event_log(event_log);
+  if (spec.failures.kind != FailureRecipe::Kind::kNone) {
+    engine.set_failure_plan(
+        make_failure_plan(spec.failures, engine.cluster(), spec.seed));
+  }
+  return engine.run();
+}
+
 }  // namespace
 
 const char* to_string(ClusterProfile p) {
@@ -176,21 +198,11 @@ std::uint64_t scenario_seed(std::uint64_t base, std::string_view name) {
 RunMetrics run_scenario(const ScenarioSpec& spec,
                         const ScenarioFactory& factory,
                         obs::EventLog* event_log) {
-  ClusterSpec cluster = make_cluster(spec.cluster);
-  JobSet jobs = WorkloadGenerator(spec.workload, spec.seed).generate();
-
-  std::unique_ptr<Scheduler> scheduler = factory.make_scheduler(spec);
-  assert(scheduler != nullptr);
-  std::unique_ptr<PreemptionPolicy> policy = factory.make_policy(spec);
-
-  Engine engine(std::move(cluster), std::move(jobs), *scheduler, policy.get(),
-                spec.engine);
-  if (event_log != nullptr) engine.set_event_log(event_log);
-  if (spec.failures.kind != FailureRecipe::Kind::kNone) {
-    engine.set_failure_plan(
-        make_failure_plan(spec.failures, engine.cluster(), spec.seed));
-  }
-  return engine.run();
+  if (event_log != nullptr) return run_with_log(spec, factory, event_log);
+  // DSP_EVENT_LOG turns the recorder on for a bench run without code
+  // changes.
+  const std::unique_ptr<obs::EventLog> env_log = obs::EventLog::from_env();
+  return run_with_log(spec, factory, env_log.get());
 }
 
 std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
@@ -203,9 +215,9 @@ std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
 
   std::vector<RunMetrics> results(grid.size());
   parallel_for(grid.size(), threads, [&](std::size_t i) {
-    // One private recorder per scenario: concurrent runs sharing the
-    // DSP_EVENT_LOG sink would interleave their streams, so the grid
-    // runner never consults the environment.
+    // One private recorder per scenario, and only for event_log_dir:
+    // concurrent runs sharing the DSP_EVENT_LOG sink would interleave
+    // their streams, so the grid never consults that variable.
     std::unique_ptr<obs::EventLog> log;
     if (!options.event_log_dir.empty()) {
       log = std::make_unique<obs::EventLog>();
@@ -218,12 +230,7 @@ std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
         log.reset();
       }
     }
-    if (log == nullptr) {
-      // Sink-less stub (minimal ring): emits cost a mutex hold and a ring
-      // store, and the engine's DSP_EVENT_LOG fallback stays disarmed.
-      log = std::make_unique<obs::EventLog>(/*capacity=*/1);
-    }
-    results[i] = run_scenario(grid[i], factory, log.get());
+    results[i] = run_with_log(grid[i], factory, log.get());
   });
   return results;
 }

@@ -170,8 +170,9 @@ class ScenarioFactory {
 std::uint64_t scenario_seed(std::uint64_t base, std::string_view name);
 
 /// Runs one scenario to completion on a fresh Engine. When `event_log` is
-/// non-null it is attached for the run (otherwise the engine falls back
-/// to the DSP_EVENT_LOG environment, as always).
+/// non-null it is attached for the run; otherwise the run records into
+/// the log DSP_EVENT_LOG names (obs/events.h), or into none when that
+/// variable is unset.
 RunMetrics run_scenario(const ScenarioSpec& spec,
                         const ScenarioFactory& factory,
                         obs::EventLog* event_log = nullptr);
@@ -181,9 +182,9 @@ struct GridOptions {
   /// Worker threads; 0 reads DSP_THREADS (default 1).
   unsigned threads = 0;
   /// When non-empty, each scenario streams its flight recorder to
-  /// `<event_log_dir>/<name>.jsonl`. Empty = no recorder (the env sink is
-  /// deliberately NOT consulted: parallel runs sharing one file would
-  /// corrupt it).
+  /// `<event_log_dir>/<name>.jsonl`. Empty = no recorder: the scenarios
+  /// run unlogged, and DSP_EVENT_LOG is deliberately NOT consulted
+  /// (parallel runs sharing one file would corrupt it).
   std::string event_log_dir;
 };
 

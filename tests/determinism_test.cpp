@@ -1,14 +1,18 @@
 // Determinism guarantees of the epoch hot path: the priorities compute_all
 // writes each epoch must be bit-identical to a from-scratch Formula 12/13
-// evaluation, and the serial branch and bound must follow a pinned search.
+// evaluation, DspPreemption's on-demand priority reads must equal an
+// epoch-start snapshot, and the serial branch and bound must follow a
+// pinned search.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "core/dsp_scheduler.h"
 #include "core/ilp_model.h"
+#include "core/preemption.h"
 #include "core/priority.h"
 #include "lp/milp.h"
+#include "obs/events.h"
 #include "sim/engine.h"
 #include "sim/failures.h"
 #include "trace/workload.h"
@@ -151,6 +155,108 @@ TEST(DeterminismTest, ComputeAllMatchesFromScratchReferenceUnderNodeEvents) {
   EXPECT_GT(probe.finished_checked, 0);
   EXPECT_EQ(probe.priority_mismatches, 0);
   EXPECT_EQ(probe.range_mismatches, 0);
+}
+
+// ---------------------------------------------------------------------
+// On-demand priorities vs an epoch-start snapshot
+// ---------------------------------------------------------------------
+
+/// Wraps a DspPreemption. At each epoch start it runs compute_all into its
+/// own vector, before the inner policy reads or changes anything; the
+/// inner policy's decisions then reach check() through the engine log's
+/// consumer while the epoch runs. DspPreemption computes a job's
+/// priorities at its first read in the epoch and P-bar at its first use,
+/// possibly after preemptions, so every decision must still carry the
+/// snapshot's candidate and victim priorities and P-tilde against the
+/// snapshot's P-bar, bit for bit.
+class SnapshotProbe : public PreemptionPolicy {
+ public:
+  explicit SnapshotProbe(const DspParams& params)
+      : params_(params), priority_(params_), inner_(params) {}
+  const char* name() const override { return "SnapshotProbe"; }
+  CheckpointMode checkpoint_mode() const override {
+    return inner_.checkpoint_mode();
+  }
+
+  void on_epoch(Engine& engine) override {
+    pbar_ = priority_.compute_all(engine, snapshot_).mean_neighbor_gap();
+    in_epoch_ = true;
+    inner_.on_epoch(engine);
+    in_epoch_ = false;
+  }
+
+  void check(const obs::Event& e) {
+    if (e.kind != obs::EventKind::kPreemptDecision) return;
+    ++decisions;
+    const obs::PreemptDecision d = obs::decision_of(e);
+    if (!in_epoch_) {
+      ++outside_epoch;
+      return;
+    }
+    if (d.urgent) ++urgent;
+    if (d.outcome == obs::PreemptOutcome::kSuppressedPP) ++suppressed;
+    // Exact comparisons: both sides run the same floating-point
+    // operations on the same inputs.
+    if (d.candidate_priority != snapshot_[d.candidate]) ++mismatches;
+    double gap = 0.0;
+    if (d.victim != kInvalidGid) {
+      ++with_victim;
+      if (d.victim_priority != snapshot_[d.victim]) ++mismatches;
+      if (pbar_ > 0.0)
+        gap = (snapshot_[d.candidate] - snapshot_[d.victim]) / pbar_;
+    }
+    if (d.normalized_gap != gap) ++mismatches;
+  }
+
+  int decisions = 0;
+  int outside_epoch = 0;
+  int urgent = 0;
+  int suppressed = 0;
+  int with_victim = 0;
+  int mismatches = 0;
+
+ private:
+  const DspParams& params_;
+  DependencyPriority priority_;
+  DspPreemption inner_;
+  std::vector<double> snapshot_;
+  double pbar_ = 0.0;
+  bool in_epoch_ = false;
+};
+
+/// Runs the contended EC2 workload under a SnapshotProbe with `params`.
+void expect_decisions_match_snapshot(const DspParams& params) {
+  const JobSet jobs = WorkloadGenerator(contended_config(12), 331).generate();
+  DspScheduler sched;
+  SnapshotProbe probe(params);
+  obs::EventLog log(1);
+  log.set_consumer([&probe](const obs::Event& e) { probe.check(e); });
+  Engine engine(ClusterSpec::ec2(4), jobs, sched, &probe, fast_params());
+  engine.set_event_log(&log);
+  const RunMetrics m = engine.run();
+  EXPECT_EQ(m.tasks_finished, total_tasks(jobs));
+  EXPECT_EQ(static_cast<std::uint64_t>(probe.decisions), m.preempt_evaluations);
+  EXPECT_EQ(probe.outside_epoch, 0);
+  // Fired decisions (P-tilde read only for the log), urgent candidates
+  // (priority read only for the log) and, with PP, suppressions (P-bar
+  // read to decide) must all occur, or the comparison proves little.
+  EXPECT_GT(m.preemptions, 0u);
+  EXPECT_GT(probe.urgent, 0);
+  if (params.normalized_pp) {
+    EXPECT_GT(probe.suppressed, 0);
+  }
+  EXPECT_GT(probe.with_victim, 0);
+  EXPECT_EQ(probe.mismatches, 0);
+}
+
+TEST(DeterminismTest, OnDemandPrioritiesEqualEpochStartSnapshot) {
+  expect_decisions_match_snapshot(DspParams{});
+}
+
+TEST(DeterminismTest, OnDemandPrioritiesEqualEpochStartSnapshotWithoutPp) {
+  DspParams params;
+  params.normalized_pp = false;
+  expect_decisions_match_snapshot(params);
 }
 
 // ---------------------------------------------------------------------

@@ -1,12 +1,14 @@
 // Tests for the declarative scenario layer (sim/scenario.h) and the
 // standard factory (scenarios/standard.h): cluster recipes, CLI token
 // round-trips, seed derivation, failure-recipe instantiation, equivalence
-// of run_scenario with the plain simulate() entry point, and grid-runner
+// of run_scenario with the plain simulate() entry point, logged against
+// unlogged runs, which entry points honour DSP_EVENT_LOG, and grid-runner
 // determinism across thread counts, down to each scenario's event stream.
 #include "sim/scenario.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -30,6 +32,20 @@ std::string fingerprint(RunMetrics m) {
   m.sim_wall_s = 0.0;
   std::ostringstream os;
   write_json(os, m);
+  return os.str();
+}
+
+/// Every per-job record and waiting time plus the exact makespan, which
+/// the JSON fingerprint leaves out or rounds; doubles in hex, so equal
+/// strings mean bit-identical values.
+std::string job_fingerprint(const RunMetrics& m) {
+  std::ostringstream os;
+  os << std::hexfloat << m.makespan << '\n';
+  for (const JobRecord& r : m.job_records)
+    os << r.id << ' ' << static_cast<int>(r.size_class) << ' '
+       << static_cast<int>(r.tier) << ' ' << r.arrival << ' ' << r.finish
+       << ' ' << r.mean_task_wait_s << ' ' << r.met_deadline << '\n';
+  for (const double w : m.job_waiting_s) os << w << '\n';
   return os.str();
 }
 
@@ -201,6 +217,56 @@ TEST(RunScenarioTest, DefaultSpecMatchesPlainSimulate) {
   EXPECT_EQ(fingerprint(via_scenario), fingerprint(direct));
 }
 
+TEST(RunScenarioTest, LoggedAndUnloggedRunsDecideAlike) {
+  // DspPreemption reads some priorities only when a log is attached (an
+  // urgent candidate's, and P-bar for a fired decision's P-tilde), so the
+  // two paths run different code. They must decide alike: every counter
+  // and per-job record of an unlogged grid cell equals that of the same
+  // spec run with a consumer-attached log.
+  std::vector<ScenarioSpec> grid;
+  for (const ClusterProfile cluster :
+       {ClusterProfile::kEc2, ClusterProfile::kRealCluster}) {
+    for (const SchedKind sched : {SchedKind::kDsp, SchedKind::kTetrisNoDep}) {
+      for (const PolicyKind policy : {PolicyKind::kDsp, PolicyKind::kDspNoPp}) {
+        ScenarioSpec spec;
+        spec.name = std::string(to_string(cluster)) + "-" + to_token(sched) +
+                    "-" + to_token(policy);
+        spec.cluster.profile = cluster;
+        spec.cluster.nodes = 8;
+        spec.workload.job_count = 30;
+        spec.workload.task_scale = 0.03;
+        spec.sched = sched;
+        spec.policy = policy;
+        grid.push_back(std::move(spec));
+      }
+    }
+  }
+  GridOptions options;
+  options.threads = 1;
+  const std::vector<RunMetrics> unlogged = run_standard_grid(grid, options);
+  ASSERT_EQ(unlogged.size(), grid.size());
+
+  std::uint64_t fired = 0, suppressed = 0;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    obs::EventLog log(1);
+    std::uint64_t decisions = 0;
+    log.set_consumer([&decisions](const obs::Event& e) {
+      if (e.kind == obs::EventKind::kPreemptDecision) ++decisions;
+    });
+    const RunMetrics logged = run_standard_scenario(grid[i], &log);
+    EXPECT_EQ(decisions, logged.preempt_evaluations) << grid[i].name;
+    EXPECT_EQ(fingerprint(logged), fingerprint(unlogged[i])) << grid[i].name;
+    EXPECT_EQ(job_fingerprint(logged), job_fingerprint(unlogged[i]))
+        << grid[i].name;
+    fired += logged.preemptions;
+    suppressed += logged.suppressed_preemptions;
+  }
+  // Both decisions that read P-bar only for the log and PP tests that
+  // read it to decide must occur, or the comparison proves little.
+  EXPECT_GT(fired, 0u);
+  EXPECT_GT(suppressed, 0u);
+}
+
 TEST(RunScenarioTest, NonePolicyRunsOfflineOnly) {
   ScenarioSpec spec = small_spec("offline");
   spec.policy = PolicyKind::kNone;
@@ -267,6 +333,58 @@ TEST(ScenarioGridTest, EventStreamsIdenticalAcrossThreadCounts) {
         << spec.name << ": streams differ between 1 and 4 workers";
   }
   std::filesystem::remove_all(root);
+}
+
+/// Sets DSP_EVENT_LOG for one scope and unsets it on the way out, also
+/// when an assertion returns early.
+class ScopedEventLogEnv {
+ public:
+  explicit ScopedEventLogEnv(const std::string& path) {
+    setenv("DSP_EVENT_LOG", path.c_str(), 1);
+  }
+  ~ScopedEventLogEnv() { unsetenv("DSP_EVENT_LOG"); }
+  ScopedEventLogEnv(const ScopedEventLogEnv&) = delete;
+  ScopedEventLogEnv& operator=(const ScopedEventLogEnv&) = delete;
+};
+
+/// True when `path` exists and is non-empty; removes it either way.
+bool take_file(const std::string& path) {
+  std::error_code ec;
+  const bool written = std::filesystem::file_size(path, ec) > 0 && !ec;
+  std::filesystem::remove(path, ec);
+  return written;
+}
+
+TEST(ScenarioGridTest, OnlySingleRunEntryPointsHonourEventLogEnv) {
+  const std::string path = ::testing::TempDir() + "/env_event_log.jsonl";
+  std::filesystem::remove(path);
+  const ScopedEventLogEnv env(path);
+
+  // The grid attaches a log only for event_log_dir: its cells run
+  // unlogged and never open the DSP_EVENT_LOG sink.
+  GridOptions options;
+  options.threads = 2;
+  run_standard_grid(policy_grid(), options);
+  EXPECT_FALSE(take_file(path)) << "a grid run wrote DSP_EVENT_LOG";
+
+  // The Engine itself reads no environment either.
+  const ScenarioSpec spec = small_spec("env");
+  const JobSet jobs = WorkloadGenerator(spec.workload, spec.seed).generate();
+  {
+    DspScheduler sched;
+    DspPreemption policy;
+    Engine engine(ClusterSpec::ec2(6), jobs, sched, &policy, spec.engine);
+    engine.run();
+  }
+  EXPECT_FALSE(take_file(path)) << "a bare Engine run wrote DSP_EVENT_LOG";
+
+  // run_scenario given no log, and simulate(), record into it.
+  run_standard_scenario(spec);
+  EXPECT_TRUE(take_file(path)) << "run_scenario ignored DSP_EVENT_LOG";
+  DspScheduler sched;
+  DspPreemption policy;
+  simulate(ClusterSpec::ec2(6), jobs, sched, &policy, spec.engine);
+  EXPECT_TRUE(take_file(path)) << "simulate ignored DSP_EVENT_LOG";
 }
 
 }  // namespace

@@ -43,9 +43,10 @@
 #            --threads 1 and 4, whose per-scenario JSONL event streams
 #            must be byte-identical pair by pair; then the
 #            40-stream scheduler x policy grid, whose streams must
-#            match tests/fixtures/golden/sweep_streams.sha256 and whose
-#            8 DSP-policy streams must replay clean under dsp_analyze
-#            audit
+#            match tests/fixtures/golden/sweep_streams.sha256, whose
+#            --json must be byte-identical to the same grid run without
+#            --event-log-dir (every cell unlogged), and whose 8
+#            DSP-policy streams must replay clean under dsp_analyze audit
 #   perfbench  builds the standalone benchmark harness (perfbench/
 #            globs every src/ module, so a deleted or renamed module can
 #            break it while tier1 stays green) and runs its self-test
@@ -273,15 +274,24 @@ if ! skipped sweep-smoke; then
   echo "dsp_sweep golden event streams (every scheduler x policy)"
   golden="$PWD/tests/fixtures/golden/sweep_streams.sha256"
   mkdir -p "$sweep_tmp/golden"
-  "$SWEEP" --cluster ec2,real --sched dsp,aalo,tetris-simdep,tetris-nodep \
-    --policy none,dsp,amoeba,natjam,srpt --jobs 40 --seeds 42 --scale 0.1 \
-    --threads 4 --event-log-dir "$sweep_tmp/golden" >/dev/null
+  golden_grid=(--cluster ec2,real --sched dsp,aalo,tetris-simdep,tetris-nodep
+    --policy none,dsp,amoeba,natjam,srpt --jobs 40 --seeds 42 --scale 0.1
+    --threads 4)
+  "$SWEEP" "${golden_grid[@]}" --event-log-dir "$sweep_tmp/golden" \
+    --json "$sweep_tmp/golden-logged.json" >/dev/null
   (cd "$sweep_tmp/golden" && sha256sum --quiet --strict -c "$golden")
   written=$(find "$sweep_tmp/golden" -name '*.jsonl' | wc -l)
   if [[ $written -ne $(wc -l <"$golden") ]]; then
     echo "ci: $written golden streams written, digest file lists $(wc -l <"$golden")"
     exit 1
   fi
+
+  # Without --event-log-dir every cell runs with no log, which skips the
+  # decision encoding and DSP's log-only priority reads: all 40 cells
+  # must still report exactly what the logged run reported.
+  echo "dsp_sweep golden grid unlogged (--json must match the logged run)"
+  "$SWEEP" "${golden_grid[@]}" --json "$sweep_tmp/golden-unlogged.json" >/dev/null
+  cmp "$sweep_tmp/golden-logged.json" "$sweep_tmp/golden-unlogged.json"
 
   # Audit replay of every Algorithm-1 decision the DSP policy made in the
   # grid (about 75k preempt_decision lines), straight from the streams.
