@@ -105,7 +105,7 @@ struct BenchCli {
 /// object:
 ///   {"bench":...,"env":{"scale","seed","points"},
 ///    "series":[{"name",...}],"runs":[{"name","metrics"}],
-///    "scalars":{...},"registry":{"counters","gauges","histograms"}}
+///    "scalars":{...},"registry":{"counters","histograms"}}
 class BenchJsonReport {
  public:
   BenchJsonReport(std::string bench, BenchEnv env);

@@ -253,12 +253,12 @@ void BM_ComputeAllFullRecompute(benchmark::State& state) {
 BENCHMARK(BM_ComputeAllFullRecompute)->Arg(20)->Arg(60);
 
 void BM_EventLogEmit(benchmark::State& state) {
-  // Flight-recorder emit cost: range(0)==0 rings only, ==1 rings plus a
-  // JSONL sink (to the null device, so the cost measured is formatting +
-  // buffered fwrite, not disk). The acceptance bar is that recorder-on
-  // adds <5% to a fig8-style end-to-end run; at ~10^5 events per run a
-  // sub-microsecond emit keeps it far below that.
-  obs::EventLog log(1 << 12);
+  // Flight-recorder emit cost: range(0)==0 stamps seq only, ==1 also
+  // appends to a JSONL sink (to the null device, so the cost measured is
+  // formatting + buffered fwrite, not disk). The acceptance bar is that
+  // recorder-on adds <5% to a fig8-style end-to-end run; at ~10^5 events
+  // per run a sub-microsecond emit keeps it far below that.
+  obs::EventLog log;
   if (state.range(0) != 0 && !log.open_sink("/dev/null")) {
     state.SkipWithError("cannot open /dev/null sink");
     return;

@@ -47,10 +47,10 @@ int main() {
   params.epoch = 5 * kSecond;
 
   // The timeline recorder reads the engine's event stream. The Engine
-  // reads no environment, so honour DSP_EVENT_LOG here (or record into a
-  // ring-only log when the variable is unset).
+  // reads no environment, so honour DSP_EVENT_LOG here (or feed only the
+  // recorder when the variable is unset).
   std::unique_ptr<obs::EventLog> log = obs::EventLog::from_env();
-  if (!log) log = std::make_unique<obs::EventLog>(1);
+  if (!log) log = std::make_unique<obs::EventLog>();
   TimelineRecorder recorder;
   log->set_consumer([&recorder](const obs::Event& e) { recorder.on_event(e); });
   Engine engine(cluster, std::move(jobs), dsp.scheduler(), &dsp.preemption(),

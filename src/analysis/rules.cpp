@@ -87,8 +87,7 @@ constexpr RuleInfo kCatalog[] = {
      "§V reproducibility"},
     // ---- Source concurrency/robustness lint (dsp_tidy) -----------------
     {"C000", "unguarded-global-state", Severity::kError,
-     "mutable file-scope state without a DSP_GUARDED_BY annotation (or "
-     "atomic/thread_local/const qualification)",
+     "mutable file-scope state without atomic, thread_local or const",
      "-"},
     {"C001", "io-under-lock", Severity::kError,
      "blocking I/O or logging while a lock is held stalls every thread "
@@ -107,8 +106,8 @@ constexpr RuleInfo kCatalog[] = {
      "through DSP_LOG so levels and line atomicity hold",
      "-"},
     {"C005", "manual-lock", Severity::kError,
-     "manual mutex lock()/unlock() instead of RAII (MutexLock / "
-     "scoped_lock, Core Guidelines CP.20)",
+     "manual mutex lock()/unlock() instead of RAII (std::scoped_lock, "
+     "Core Guidelines CP.20)",
      "-"},
 };
 

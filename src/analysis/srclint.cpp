@@ -78,7 +78,7 @@ const std::vector<SimpleRule>& simple_rules() {
                  "console I/O outside util/log; use DSP_LOG so levels and line atomicity hold"});
     r.push_back({"C005", Scope::kAll, {},
                  std::regex(R"(\.\s*(unlock|lock)\s*\(\s*\))"),
-                 "manual lock()/unlock(); hold locks via MutexLock/std::scoped_lock"});
+                 "manual lock()/unlock(); hold locks via std::scoped_lock"});
     return r;
   }();
   return kRules;
@@ -86,9 +86,9 @@ const std::vector<SimpleRule>& simple_rules() {
 
 // C000: mutable file-scope state. Namespace bodies are not indented in
 // this codebase, so a column-0 `static` declaration is file-scope; it is
-// fine when immutable (const/constexpr), synchronized (atomic or
-// DSP_GUARDED_BY), or per-thread (thread_local). Lines containing '('
-// are function definitions/declarations, not objects.
+// fine when immutable (const/constexpr), atomic, or per-thread
+// (thread_local). Lines containing '(' are function
+// definitions/declarations, not objects.
 const std::regex& c000_re() {
   static const std::regex re(R"(^static\s+)");
   return re;
@@ -96,8 +96,7 @@ const std::regex& c000_re() {
 
 bool c000_exempt(const std::string& code) {
   if (code.find('(') != std::string::npos) return true;
-  for (const char* ok : {"constexpr", "const ", "atomic", "thread_local",
-                         "DSP_GUARDED_BY", "DSP_PT_GUARDED_BY"})
+  for (const char* ok : {"constexpr", "const ", "atomic", "thread_local"})
     if (code.find(ok) != std::string::npos) return true;
   return false;
 }
@@ -105,7 +104,7 @@ bool c000_exempt(const std::string& code) {
 // C001: blocking I/O while a lock is held.
 const std::regex& lock_decl_re() {
   static const std::regex re(
-      R"(\b(MutexLock|scoped_lock|lock_guard|unique_lock|shared_lock)\s*(<[^;>]*>)?\s+[A-Za-z_])");
+      R"(\b(scoped_lock|lock_guard|unique_lock|shared_lock)\s*(<[^;>]*>)?\s+[A-Za-z_])");
   return re;
 }
 
@@ -139,13 +138,6 @@ void scan_source(std::string_view path, std::string_view text,
   const std::vector<Line> lines = lex_lines(text);
   const std::string npath = normalize_path(path);
   const bool hot = in_hot_scope(npath);
-  // C001 path scoping: util/log's line emitter and obs/events' JSONL sink
-  // are the sanctioned single-writer paths — each holds its own mutex
-  // around exactly one buffered fwrite so concurrent lines never
-  // interleave. Everywhere else, I/O under a lock is a latency bug.
-  const bool c001_exempt =
-      path_has(npath, "util/log.") || path_has(npath, "obs/events.");
-
   int depth = 0;                 // brace nesting across the file
   std::vector<int> lock_depths;  // depth at which each active RAII lock lives
 
@@ -171,8 +163,8 @@ void scan_source(std::string_view path, std::string_view text,
       if (!allowed(allows, "C000") &&
           std::regex_search(line.code, c000_re()) && !c000_exempt(line.code))
         report.add("C000", subject,
-                   "mutable file-scope state without DSP_GUARDED_BY, atomic, "
-                   "const or thread_local");
+                   "mutable file-scope state without atomic, thread_local or "
+                   "const");
 
       if (hot && !allowed(allows, "C003") &&
           std::regex_search(line.code, m, ret_index_re())) {
@@ -197,7 +189,7 @@ void scan_source(std::string_view path, std::string_view text,
       }
       if (std::regex_search(line.code, lock_decl_re()))
         lock_depths.push_back(depth);
-      if (!lock_depths.empty() && !c001_exempt && !allowed(allows, "C001") &&
+      if (!lock_depths.empty() && !allowed(allows, "C001") &&
           std::regex_search(line.code, m, io_call_re()))
         report.add("C001", subject,
                    "blocking I/O while a lock is held (`" + strip_ws(m.str()) +

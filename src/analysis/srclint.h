@@ -32,9 +32,7 @@ namespace dsp::analysis {
 /// ("src/foo.cpp:42") and for rule scoping: D003/C003 apply only under
 /// src/core and src/sim (plus out-of-tree fixtures), and per-rule
 /// whitelists exempt the sanctioned homes of an operation (util/time for
-/// clocks, util/thread_pool for threads, util/log for console I/O,
-/// util/log and obs/events for the single-fwrite-under-own-mutex emit
-/// paths C001 otherwise forbids).
+/// clocks, util/thread_pool for threads, util/log for console I/O).
 void scan_source(std::string_view path, std::string_view text, Report& report);
 
 /// Reads `path` from disk and scans it. Returns false (and sets `error`

@@ -1,13 +1,10 @@
 #include "obs/events.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <ostream>
 
 #include "obs/json.h"
 #include "util/env.h"
@@ -159,29 +156,25 @@ void EventLog::append_jsonl(const Event& e, std::string& out) {
   out.append(buf, static_cast<std::size_t>(p - buf));
 }
 
-EventLog::EventLog(std::size_t capacity) : capacity_(capacity ? capacity : 1) {
-  MutexLock lock(mu_);
-  ring_.resize(capacity_);
-  sample_every_.fill(1);
-  seen_.fill(0);
-}
-
 EventLog::~EventLog() { close_sink(); }
 
-void EventLog::flush_sink_locked() {
-  if (sink_ != nullptr && !line_buf_.empty())
-    std::fwrite(line_buf_.data(), 1, line_buf_.size(), sink_);
+void EventLog::note_sink_failure(const char* what) {
+  if (sink_ok_)
+    DSP_ERROR("event log: cannot %s sink %s", what, sink_path_.c_str());
+  sink_ok_ = false;
+}
+
+void EventLog::flush_sink() {
+  if (!line_buf_.empty() &&
+      std::fwrite(line_buf_.data(), 1, line_buf_.size(), sink_) !=
+          line_buf_.size())
+    note_sink_failure("write");
   line_buf_.clear();
 }
 
 bool EventLog::open_sink(const std::string& path) {
-  MutexLock lock(mu_);
-  if (sink_ != nullptr) {
-    flush_sink_locked();
-    std::fclose(sink_);
-    sink_ = nullptr;
-  }
-  line_buf_.clear();
+  close_sink();
+  sink_path_ = path;
   sink_ = std::fopen(path.c_str(), "wb");
   if (sink_ == nullptr) {
     DSP_ERROR("event log: cannot open sink %s", path.c_str());
@@ -190,123 +183,33 @@ bool EventLog::open_sink(const std::string& path) {
   return true;
 }
 
-void EventLog::close_sink() {
-  MutexLock lock(mu_);
-  if (sink_ != nullptr) {
-    flush_sink_locked();
-    std::fclose(sink_);
-    sink_ = nullptr;
-  }
-}
-
-void EventLog::set_sample_every(EventKind kind, std::uint32_t n) {
-  MutexLock lock(mu_);
-  sample_every_[static_cast<std::size_t>(kind)] = n == 0 ? 1 : n;
-}
-
-bool EventLog::configure_sampling(std::string_view spec, std::string* error) {
-  std::array<std::pair<EventKind, std::uint32_t>, kEventKindCount> parsed;
-  std::size_t count = 0;
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    std::string_view item = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    // Trim surrounding spaces.
-    while (!item.empty() && item.front() == ' ') item.remove_prefix(1);
-    while (!item.empty() && item.back() == ' ') item.remove_suffix(1);
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    EventKind kind;
-    if (eq == std::string_view::npos ||
-        !parse_event_kind(item.substr(0, eq), kind)) {
-      if (error) *error = "unknown event kind in \"" + std::string(item) + "\"";
-      return false;
-    }
-    const std::string num(item.substr(eq + 1));
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(num.c_str(), &end, 10);
-    if (num.empty() || end == nullptr || *end != '\0' || n == 0) {
-      if (error) *error = "bad sample count in \"" + std::string(item) + "\"";
-      return false;
-    }
-    if (count < parsed.size())
-      parsed[count++] = {kind, static_cast<std::uint32_t>(n)};
-  }
-  MutexLock lock(mu_);
-  for (std::size_t i = 0; i < count; ++i)
-    sample_every_[static_cast<std::size_t>(parsed[i].first)] =
-        parsed[i].second;
-  return true;
+bool EventLog::close_sink() {
+  if (sink_ == nullptr) return true;
+  flush_sink();
+  if (std::fclose(sink_) != 0) note_sink_failure("close");
+  sink_ = nullptr;
+  const bool ok = sink_ok_;
+  sink_ok_ = true;
+  return ok;
 }
 
 void EventLog::emit(const Event& input) {
-  if (consumer_) consumer_(input);
-  MutexLock lock(mu_);
-  const auto ki = static_cast<std::size_t>(input.kind);
-  if (ki < kEventKindCount) {
-    const std::uint32_t every = sample_every_[ki];
-    if (every > 1 && seen_[ki]++ % every != 0) {
-      ++sampled_out_;
-      return;
-    }
-    if (every <= 1) ++seen_[ki];
-  }
   Event e = input;
-  e.seq = accepted_;
-  ring_[static_cast<std::size_t>(accepted_ % capacity_)] = e;
-  ++accepted_;
+  e.seq = next_seq_++;
+  if (consumer_) consumer_(e);
   if (sink_ != nullptr) {
     // Lines accumulate in line_buf_ and flush in ~32 KiB batches: one
     // fwrite per few hundred events instead of one per event keeps the
     // recorder-on overhead of an end-to-end run in the low percent.
     append_jsonl(e, line_buf_);
-    if (line_buf_.size() >= kSinkFlushBytes) flush_sink_locked();
+    if (line_buf_.size() >= kSinkFlushBytes) flush_sink();
   }
-}
-
-std::vector<Event> EventLog::snapshot() const {
-  MutexLock lock(mu_);
-  const std::uint64_t n =
-      std::min<std::uint64_t>(accepted_, static_cast<std::uint64_t>(capacity_));
-  std::vector<Event> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = accepted_ - n; i < accepted_; ++i)
-    out.push_back(ring_[static_cast<std::size_t>(i % capacity_)]);
-  return out;
-}
-
-void EventLog::write_jsonl(std::ostream& out) const {
-  // Snapshot first: no stream I/O happens under the emit mutex.
-  std::string buf;
-  for (const Event& e : snapshot()) {
-    buf.clear();
-    append_jsonl(e, buf);
-    out << buf;
-  }
-}
-
-std::uint64_t EventLog::accepted() const {
-  MutexLock lock(mu_);
-  return accepted_;
-}
-
-std::uint64_t EventLog::sampled_out() const {
-  MutexLock lock(mu_);
-  return sampled_out_;
 }
 
 std::unique_ptr<EventLog> EventLog::from_env() {
   const std::string path = env_string("DSP_EVENT_LOG", "");
   if (path.empty()) return nullptr;
-  const auto ring = static_cast<std::size_t>(env_int_min(
-      "DSP_EVENT_RING", static_cast<std::int64_t>(kDefaultCapacity), 1));
-  auto log = std::make_unique<EventLog>(ring);
-  const std::string spec = env_string("DSP_EVENT_SAMPLE", "");
-  std::string error;
-  if (!spec.empty() && !log->configure_sampling(spec, &error))
-    DSP_WARN("DSP_EVENT_SAMPLE ignored: %s", error.c_str());
+  auto log = std::make_unique<EventLog>();
   if (!log->open_sink(path)) return nullptr;
   return log;
 }

@@ -1,35 +1,30 @@
-// Flight recorder: a low-overhead, fixed-size ring of POD event records
-// covering every externally meaningful transition of a simulation run —
-// job arrivals and completions, task dispatch/finish/preempt/migrate,
-// hoarding, Algorithm-1 preempt decisions, node failures and rate
-// changes, scheduling rounds, epoch boundaries and delta adaptation.
+// Flight recorder: the event stream of one simulation run, covering
+// every externally meaningful transition — job arrivals and
+// completions, task dispatch/finish/preempt/migrate, hoarding,
+// Algorithm-1 preempt decisions, node failures and rate changes,
+// scheduling rounds, epoch boundaries and delta adaptation.
 //
 // This is the engine's only observation channel. The engine (and,
-// through Engine::emit_event, the policies) emit into an EventLog; the
-// last `capacity` events are always available in memory via snapshot(),
-// when a JSONL sink is open (open_sink / DSP_EVENT_LOG) every accepted
-// event is also streamed as one JSON object per line, and an in-process
-// consumer (set_consumer) sees every event as it is emitted. Consumers —
-// the timeline recorder, the invariant checker, the audit replay, the
+// through Engine::emit_event, the policies) emit into an EventLog; an
+// in-process consumer (set_consumer) sees every event as it is emitted,
+// and when a JSONL sink is open (open_sink / DSP_EVENT_LOG) every event
+// is also streamed as one JSON object per line. Consumers — the
+// timeline recorder, the invariant checker, the audit replay, the
 // Chrome trace, dsp_report — read either that hook or a recorded file
 // (read_event_log). A run is serial — every emit point sits in the
-// engine's event loop or in a policy's epoch — so the stream is a pure
-// function of the run's inputs: same-seed runs, including the same
-// scenario run by dsp_sweep at any --threads, write identical streams,
-// and tools/dsp_report's first-divergence diff turns that determinism
-// guarantee into a debuggable property.
+// engine's event loop or in a policy's epoch — so a log belongs to one
+// run on one thread, and the stream is a pure function of the run's
+// inputs: same-seed runs, including the same scenario run by dsp_sweep
+// at any --threads, write identical streams, and tools/dsp_report's
+// first-divergence diff turns that determinism guarantee into a
+// debuggable property.
 //
-// Knobs (read by EventLog::from_env, applied by simulate() and
-// run_scenario() when they are given no log; the Engine itself and the
-// scenario grid never read them):
-//   DSP_EVENT_LOG=<path>    stream accepted events to <path> as JSONL
-//   DSP_EVENT_RING=<n>      in-memory ring capacity (default 65536)
-//   DSP_EVENT_SAMPLE=spec   per-kind sampling, e.g.
-//                           "task_dispatch=10,preempt_decision=100"
-//                           keeps every 10th dispatch / 100th decision
+// DSP_EVENT_LOG=<path> (read by EventLog::from_env, applied by
+// simulate() and run_scenario() when they are given no log; the Engine
+// itself and the scenario grid never read it) streams every event to
+// <path> as JSONL.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -41,13 +36,12 @@
 #include <vector>
 
 #include "sim/types.h"
-#include "util/thread_annotations.h"
 #include "util/time.h"
 
 namespace dsp::obs {
 
 /// What happened. Names (to_string) are the `kind` strings of the JSONL
-/// schema and of DSP_EVENT_SAMPLE specs.
+/// schema.
 enum class EventKind : std::uint8_t {
   kRunInfo,          ///< First event of a run: cluster + workload shape.
   kJobArrival,       ///< A job arrived (payload a: task count).
@@ -84,8 +78,8 @@ inline constexpr std::uint8_t kEventFlagFailover = 1;       ///< kTaskMigrate: f
 inline constexpr std::uint8_t kEventFlagDeadlineMet = 1;    ///< kJobComplete: finished by its deadline.
 // kPreemptDecision flags are private to decision_event / decision_of.
 
-/// One recorded event. POD by design: emit copies it into the ring with
-/// no allocation. Field semantics vary by kind (see EventKind); unused
+/// One recorded event. POD by design: emit copies it with no
+/// allocation. Field semantics vary by kind (see EventKind); unused
 /// ids stay at their invalid defaults and serialize as -1.
 struct Event {
   SimTime time = 0;          ///< Simulation time of the event (us).
@@ -141,82 +135,56 @@ Event decision_event(const PreemptDecision& d, std::uint32_t job);
 /// Decodes a kPreemptDecision event (the inverse of decision_event).
 PreemptDecision decision_of(const Event& e);
 
-/// Thread-safe fixed-capacity recorder with an optional JSONL sink and an
-/// optional in-process consumer. emit() is the only hot operation: one
-/// short Mutex hold covering the sampling decision, the ring store and
-/// (when a sink is open) a single buffered fwrite of the pre-formatted
-/// line.
+/// One run's event log: stamps each event's seq, hands it to the
+/// optional in-process consumer, and appends it to the optional JSONL
+/// sink. Written by one serial run, so it takes no lock.
 class EventLog {
  public:
-  static constexpr std::size_t kDefaultCapacity = 1 << 16;
-
-  explicit EventLog(std::size_t capacity = kDefaultCapacity);
+  EventLog() = default;
   ~EventLog();
 
   EventLog(const EventLog&) = delete;
   EventLog& operator=(const EventLog&) = delete;
 
-  /// Streams every subsequently accepted event to `path` (truncates).
+  /// Streams every subsequently emitted event to `path` (truncates).
   /// Returns false (and logs) when the file cannot be opened.
   bool open_sink(const std::string& path);
-  void close_sink();
+
+  /// Flushes and closes the sink. Returns false when a write or the
+  /// close failed; the first failure is logged with the sink's path.
+  bool close_sink();
 
   /// Installs the in-process consumer (replacing any previous one): it
-  /// is called with every event passed to emit(), before sampling, on
-  /// the emitting thread and outside the log's lock; `seq` is not yet
-  /// stamped. Set it before the first emit.
+  /// is called with every event passed to emit(), seq stamped. Set it
+  /// before the first emit.
   using Consumer = std::function<void(const Event&)>;
   void set_consumer(Consumer consumer) { consumer_ = std::move(consumer); }
 
-  /// Keep only every `n`-th event of `kind` (n <= 1 keeps all).
-  void set_sample_every(EventKind kind, std::uint32_t n);
-
-  /// Parses a "kind=N,kind=N" spec (see DSP_EVENT_SAMPLE). Unknown kinds
-  /// or malformed counts fail the whole spec; nothing is applied then.
-  bool configure_sampling(std::string_view spec, std::string* error = nullptr);
-
-  /// Hands `e` to the consumer, then records it (stamping its seq).
-  /// Sampled-out events are dropped before touching the ring or the
+  /// Stamps `e`'s seq, hands it to the consumer, then appends it to the
   /// sink.
   void emit(const Event& e);
-
-  /// The retained events, oldest first (at most capacity()).
-  std::vector<Event> snapshot() const;
-
-  /// Writes the retained events as JSONL, oldest first.
-  void write_jsonl(std::ostream& out) const;
-
-  std::size_t capacity() const { return capacity_; }
-  /// Events accepted (post-sampling) since construction.
-  std::uint64_t accepted() const;
-  /// Events dropped by per-kind sampling.
-  std::uint64_t sampled_out() const;
 
   /// Appends `e` as one JSONL line (including the trailing newline).
   static void append_jsonl(const Event& e, std::string& out);
 
   /// Builds a log from the environment: returns null when DSP_EVENT_LOG
-  /// is unset or the sink cannot be opened; otherwise applies
-  /// DSP_EVENT_RING and DSP_EVENT_SAMPLE (malformed specs are logged and
-  /// ignored).
+  /// is unset or the sink cannot be opened.
   static std::unique_ptr<EventLog> from_env();
 
  private:
   /// Sink lines batch in line_buf_ up to this size before one fwrite.
   static constexpr std::size_t kSinkFlushBytes = 32 * 1024;
 
-  void flush_sink_locked() DSP_REQUIRES(mu_);
+  void flush_sink();
+  /// Logs the first failed write or close of the current sink.
+  void note_sink_failure(const char* what);
 
-  const std::size_t capacity_;
-  Consumer consumer_;  // set before the first emit; read without mu_
-  mutable Mutex mu_;
-  std::vector<Event> ring_ DSP_GUARDED_BY(mu_);
-  std::uint64_t accepted_ DSP_GUARDED_BY(mu_) = 0;
-  std::uint64_t sampled_out_ DSP_GUARDED_BY(mu_) = 0;
-  std::array<std::uint32_t, kEventKindCount> sample_every_ DSP_GUARDED_BY(mu_);
-  std::array<std::uint32_t, kEventKindCount> seen_ DSP_GUARDED_BY(mu_);
-  std::FILE* sink_ DSP_GUARDED_BY(mu_) = nullptr;
-  std::string line_buf_ DSP_GUARDED_BY(mu_);
+  std::uint64_t next_seq_ = 0;
+  Consumer consumer_;
+  std::FILE* sink_ = nullptr;
+  std::string sink_path_;
+  std::string line_buf_;
+  bool sink_ok_ = true;
 };
 
 /// Result of parsing a JSONL event log.
@@ -227,7 +195,7 @@ struct EventParseResult {
   bool ok() const { return error.empty(); }
 };
 
-/// Reads a log written by the JSONL sink / write_jsonl. Blank lines are
+/// Reads a log written by the JSONL sink. Blank lines are
 /// skipped. A malformed line yields a non-empty `error` naming the line:
 /// a missing or ill-typed field, an id, node, flags, seq, epoch or time
 /// that is not an integer in its field's range (ids and nodes may be -1),

@@ -32,7 +32,6 @@ void Histo::add(double x) {
   // A NaN sample would poison min/max/sum and sort unpredictably in the
   // percentile pass; non-finite samples are dropped instead.
   if (!std::isfinite(x)) return;
-  MutexLock lock(mu_);
   if (count_ == 0) {
     min_ = max_ = x;
   } else {
@@ -40,11 +39,33 @@ void Histo::add(double x) {
     max_ = std::max(max_, x);
   }
   sum_ += x;
-  if (samples_.size() < max_samples_)
-    samples_.push_back(x);
-  else
-    samples_[static_cast<std::size_t>(count_ % max_samples_)] = x;
   ++count_;
+  keep(x);
+}
+
+void Histo::keep(double x) {
+  if (samples_.size() < max_samples_) {
+    samples_.push_back(x);
+    return;
+  }
+  samples_[oldest_] = x;
+  oldest_ = (oldest_ + 1) % max_samples_;
+}
+
+void Histo::merge(const Histo& other) {
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    min_ = other.min_;
+    max_ = other.max_;
+  } else {
+    min_ = std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
+  }
+  sum_ += other.sum_;
+  count_ += other.count_;
+  const std::size_t n = other.samples_.size();
+  for (std::size_t i = 0; i < n; ++i)
+    keep(other.samples_[(other.oldest_ + i) % n]);
 }
 
 namespace {
@@ -64,7 +85,6 @@ double sorted_percentile(const std::vector<double>& sorted, double p) {
 }  // namespace
 
 Histo::Snapshot Histo::snapshot() const {
-  MutexLock lock(mu_);
   Snapshot s;
   s.count = count_;
   if (count_ == 0) return s;
@@ -81,62 +101,59 @@ Histo::Snapshot Histo::snapshot() const {
 }
 
 void Histo::reset() {
-  MutexLock lock(mu_);
   count_ = 0;
   sum_ = min_ = max_ = 0.0;
   samples_.clear();
+  oldest_ = 0;
 }
+
+namespace {
+
+/// Catalogue index of `name`, or `count` when it is not listed.
+template <std::size_t N>
+std::size_t find_name(const std::string_view (&names)[N],
+                      std::string_view name) {
+  return static_cast<std::size_t>(std::find(names, names + N, name) - names);
+}
+
+}  // namespace
 
 Counter* MetricsRegistry::counter(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end())
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>()).first;
-  return it->second.get();
-}
-
-Gauge* MetricsRegistry::gauge(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end())
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-  return it->second.get();
+  const std::size_t i = find_name(kCounterNames, name);
+  return i < kCounterCount ? &counters_[i] : nullptr;
 }
 
 Histo* MetricsRegistry::histogram(std::string_view name) {
-  MutexLock lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end())
-    it = histograms_.emplace(std::string(name), std::make_unique<Histo>()).first;
-  return it->second.get();
+  const std::size_t i = find_name(kHistogramNames, name);
+  return i < kHistogramCount ? &histograms_[i] : nullptr;
+}
+
+void MetricsRegistry::merge(const MetricsRegistry& other) {
+  for (std::size_t i = 0; i < kCounterCount; ++i)
+    counters_[i].add(other.counters_[i].value());
+  for (std::size_t i = 0; i < kHistogramCount; ++i)
+    histograms_[i].merge(other.histograms_[i]);
 }
 
 void MetricsRegistry::to_json(std::ostream& out) const {
-  MutexLock lock(mu_);
   out << "{\"counters\":{";
   bool first = true;
-  for (const auto& [name, c] : counters_) {
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    const std::uint64_t value = counters_[i].value();
+    if (value == 0) continue;
     if (!first) out << ',';
     first = false;
-    write_json_string(out, name);
-    out << ':' << c->value();
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    if (!first) out << ',';
-    first = false;
-    write_json_string(out, name);
-    out << ':';
-    write_json_number(out, g->value());
+    write_json_string(out, kCounterNames[i]);
+    out << ':' << value;
   }
   out << "},\"histograms\":{";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  for (std::size_t i = 0; i < kHistogramCount; ++i) {
+    const Histo::Snapshot s = histograms_[i].snapshot();
+    if (s.count == 0) continue;
     if (!first) out << ',';
     first = false;
-    write_json_string(out, name);
-    const Histo::Snapshot s = h->snapshot();
+    write_json_string(out, kHistogramNames[i]);
     out << ":{\"count\":" << s.count << ",\"sum\":";
     write_json_number(out, s.sum);
     out << ",\"min\":";
@@ -157,15 +174,14 @@ void MetricsRegistry::to_json(std::ostream& out) const {
 }
 
 void MetricsRegistry::reset() {
-  MutexLock lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  for (Counter& c : counters_) c.reset();
+  for (Histo& h : histograms_) h.reset();
 }
 
-MetricsRegistry& default_registry() {
-  static MetricsRegistry registry;
-  return registry;
+MetricsRegistry& detail::bind_thread_registry() {
+  thread_local MetricsRegistry own;
+  t_current = &own;
+  return own;
 }
 
 }  // namespace dsp::obs

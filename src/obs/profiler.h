@@ -2,8 +2,9 @@
 //
 // DSP_PROFILE("lp.simplex_solve_s"); at the top of a scope records the
 // scope's wall-clock duration (in seconds) into the named histogram of
-// the default registry, so bench --json dumps carry p50/p95/p99 solve and
-// epoch timings. With DSP_OBS_DISABLED the macro compiles to nothing.
+// the current registry, so bench --json dumps carry p50/p95/p99 solve
+// and epoch timings. The name must be in obs/metrics.h's
+// kHistogramNames.
 //
 // Instrumented hot paths (see DESIGN.md "Observability"):
 //   lp.simplex_solve_s       one simplex solve
@@ -22,41 +23,34 @@
 namespace dsp::obs {
 
 /// RAII timer: records the elapsed wall-clock seconds between
-/// construction and destruction into `sink` (no-op when sink is null).
+/// construction and destruction into `sink`.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(Histo* sink)
+  explicit ScopedTimer(Histo& sink)
       : sink_(sink), start_(std::chrono::steady_clock::now()) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 
   ~ScopedTimer() {
-    if (sink_)
-      sink_->add(std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start_)
-                     .count());
+    sink_.add(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start_)
+                  .count());
   }
 
  private:
-  Histo* sink_;
+  Histo& sink_;
   std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace dsp::obs
 
-#ifndef DSP_OBS_DISABLED
+#define DSP_OBS_CONCAT_INNER(a, b) a##b
+#define DSP_OBS_CONCAT(a, b) DSP_OBS_CONCAT_INNER(a, b)
 
-/// Times the enclosing scope into histogram `name` of the default
-/// registry. The histogram pointer is resolved once per call site.
-#define DSP_PROFILE(name)                                              \
-  static ::dsp::obs::Histo* DSP_OBS_CONCAT(_dsp_prof_h, __LINE__) =    \
-      ::dsp::obs::default_registry().histogram(name);                  \
-  ::dsp::obs::ScopedTimer DSP_OBS_CONCAT(_dsp_prof_t, __LINE__)(       \
-      DSP_OBS_CONCAT(_dsp_prof_h, __LINE__))
-
-#else
-
-#define DSP_PROFILE(name) ((void)0)
-
-#endif  // DSP_OBS_DISABLED
+/// Times the enclosing scope into histogram `name` of the registry that
+/// is current when the scope opens.
+#define DSP_PROFILE(name)                                        \
+  ::dsp::obs::ScopedTimer DSP_OBS_CONCAT(_dsp_prof_t, __LINE__)( \
+      ::dsp::obs::default_registry().histogram(                  \
+          ::dsp::obs::histogram_id(name)))

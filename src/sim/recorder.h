@@ -49,15 +49,13 @@ struct Interval {
 /// Records the full execution timeline of one simulation run.
 ///
 /// Usage, in process:
-///   obs::EventLog log(1);  // the ring is not needed, only the consumer
+///   obs::EventLog log;
 ///   TimelineRecorder recorder;
 ///   log.set_consumer([&](const obs::Event& e) { recorder.on_event(e); });
 ///   engine.set_event_log(&log);
 ///   engine.run();
 ///   auto problems = check_run_invariants(recorder, ...);
 /// or from a file: feed on_event every event of read_event_log(path).
-/// The stream must be unsampled (no DSP_EVENT_SAMPLE), or the timeline
-/// has holes.
 class TimelineRecorder {
  public:
   /// Folds one event into the timeline. Dispatches, finishes,

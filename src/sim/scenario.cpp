@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/events.h"
+#include "obs/metrics.h"
 #include "util/env.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
@@ -214,7 +215,12 @@ std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
           : static_cast<unsigned>(env_int_min("DSP_THREADS", 1, 1));
 
   std::vector<RunMetrics> results(grid.size());
+  // Each cell records into its own registry; after the join they merge
+  // into the caller's in grid order, so the caller sees the same totals
+  // at any thread count.
+  std::vector<obs::MetricsRegistry> registries(grid.size());
   parallel_for(grid.size(), threads, [&](std::size_t i) {
+    const obs::RegistryScope scope(registries[i]);
     // One private recorder per scenario, and only for event_log_dir:
     // concurrent runs sharing the DSP_EVENT_LOG sink would interleave
     // their streams, so the grid never consults that variable.
@@ -232,6 +238,8 @@ std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
     }
     results[i] = run_with_log(grid[i], factory, log.get());
   });
+  obs::MetricsRegistry& caller = obs::default_registry();
+  for (const obs::MetricsRegistry& cell : registries) caller.merge(cell);
   return results;
 }
 

@@ -190,10 +190,12 @@ struct GridOptions {
 
 /// Runs every spec of `grid`, fanned over parallel_for's workers, which
 /// take the next unstarted scenario as they free up. Each scenario
-/// gets its own Engine, workload and (optional) event log, so runs are
-/// independent; results come back in grid order. The per-scenario output
-/// is a pure function of the spec — thread count and grid order change
-/// only the wall-clock fields of the returned metrics.
+/// gets its own Engine, workload, metrics registry and (optional) event
+/// log, so runs are independent; results come back in grid order. The
+/// per-scenario output is a pure function of the spec — thread count and
+/// grid order change only the wall-clock fields of the returned metrics.
+/// After the join the scenarios' registries merge into the caller's
+/// current registry (obs/metrics.h) in grid order.
 std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
                                           const ScenarioFactory& factory,
                                           const GridOptions& options = {});

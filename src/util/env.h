@@ -9,7 +9,7 @@
 namespace dsp {
 
 /// Reads an environment integer that must be at least `min_value`
-/// (the scenario grid's default worker count, the event ring capacity).
+/// (the scenario grid's default worker count).
 /// Unset returns `fallback` silently; a malformed value falls back to
 /// `fallback` and a parsed value below `min_value` clamps to it — both
 /// with a logged warning, so a typo'd DSP_THREADS=O2 or DSP_THREADS=-1

@@ -229,7 +229,7 @@ void expect_decisions_match_snapshot(const DspParams& params) {
   const JobSet jobs = WorkloadGenerator(contended_config(12), 331).generate();
   DspScheduler sched;
   SnapshotProbe probe(params);
-  obs::EventLog log(1);
+  obs::EventLog log;
   log.set_consumer([&probe](const obs::Event& e) { probe.check(e); });
   Engine engine(ClusterSpec::ec2(4), jobs, sched, &probe, fast_params());
   engine.set_event_log(&log);

@@ -1,5 +1,6 @@
-// Flight recorder tests: JSONL schema round-trip, ring-buffer wrap,
-// per-kind sampling and the engine's emit wiring.
+// Flight recorder tests: JSONL schema round-trip, seq stamping, the
+// consumer against the sink, sink write failures and the engine's emit
+// wiring.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -91,53 +92,25 @@ TEST(EventLogTest, NonFinitePayloadSerializesAsNull) {
   EXPECT_EQ(parsed.events[0].b, 0.0);
 }
 
-TEST(EventLogTest, EmitAssignsDenseSequenceAndRingWraps) {
-  obs::EventLog log(4);
+TEST(EventLogTest, EmitStampsDenseSequenceInEmitOrder) {
+  obs::EventLog log;
+  std::vector<obs::Event> seen;
+  log.set_consumer([&seen](const obs::Event& e) { seen.push_back(e); });
   for (int i = 0; i < 10; ++i)
-    log.emit({.time = i, .kind = obs::EventKind::kTaskFinish,
+    log.emit({.time = i, .seq = 99, .kind = obs::EventKind::kTaskFinish,
               .task = static_cast<Gid>(i)});
-  EXPECT_EQ(log.accepted(), 10u);
-
-  const std::vector<obs::Event> kept = log.snapshot();
-  ASSERT_EQ(kept.size(), 4u);  // ring keeps the newest capacity() events
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    EXPECT_EQ(kept[i].seq, 6 + i);
-    EXPECT_EQ(kept[i].task, static_cast<Gid>(6 + i));
+  ASSERT_EQ(seen.size(), 10u);
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(seen[i].seq, i);  // emit overwrites any caller-set seq
+    EXPECT_EQ(seen[i].task, static_cast<Gid>(i));
   }
-}
-
-TEST(EventLogTest, PerKindSamplingKeepsEveryNth) {
-  obs::EventLog log(64);
-  log.set_sample_every(obs::EventKind::kTaskDispatch, 3);
-  for (int i = 0; i < 9; ++i)
-    log.emit({.kind = obs::EventKind::kTaskDispatch});
-  log.emit({.kind = obs::EventKind::kJobArrival});  // unsampled kind
-
-  // Dispatches 0, 3, 6 survive; the arrival is untouched.
-  EXPECT_EQ(log.accepted(), 4u);
-  EXPECT_EQ(log.sampled_out(), 6u);
-  // seq stays dense over accepted events so diffs line up.
-  const std::vector<obs::Event> kept = log.snapshot();
-  ASSERT_EQ(kept.size(), 4u);
-  EXPECT_EQ(kept.back().seq, 3u);
-}
-
-TEST(EventLogTest, ConfigureSamplingParsesAndRejects) {
-  obs::EventLog log(8);
-  std::string error;
-  EXPECT_TRUE(log.configure_sampling("task_dispatch=10, epoch=2", &error))
-      << error;
-  EXPECT_FALSE(log.configure_sampling("no_such_kind=4", &error));
-  EXPECT_NE(error.find("no_such_kind"), std::string::npos);
-  EXPECT_FALSE(log.configure_sampling("task_dispatch=zero", &error));
-  EXPECT_FALSE(log.configure_sampling("task_dispatch=0", &error));
 }
 
 TEST(EventLogTest, SinkRoundTripsThroughReader) {
   const std::string path =
       ::testing::TempDir() + "/events_sink_round_trip.jsonl";
   {
-    obs::EventLog log(8);
+    obs::EventLog log;
     ASSERT_TRUE(log.open_sink(path));
     log.emit({.time = 10, .kind = obs::EventKind::kJobArrival, .job = 1,
               .a = 5.0});
@@ -145,7 +118,7 @@ TEST(EventLogTest, SinkRoundTripsThroughReader) {
               .task = 3, .node = 2, .a = 0.125});
     log.emit({.time = 30, .kind = obs::EventKind::kTaskMigrate, .task = 3,
               .node = 2, .node2 = 4});
-    log.close_sink();  // flushes the batched lines
+    EXPECT_TRUE(log.close_sink());  // flushes the batched lines
   }
   const obs::EventParseResult parsed = obs::read_event_log(path);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
@@ -242,33 +215,44 @@ TEST(EventLogTest, DecisionLineRequiresGapAndRho) {
   EXPECT_EQ(epoch.find("gap"), std::string::npos) << epoch;
 }
 
-TEST(EventLogTest, ConsumerSeesEveryEventBeforeSampling) {
-  obs::EventLog log(4);
-  log.set_sample_every(obs::EventKind::kTaskDispatch, 3);
-  std::vector<obs::Event> seen;
-  log.set_consumer([&seen](const obs::Event& e) { seen.push_back(e); });
-  for (int i = 0; i < 9; ++i)
-    log.emit({.time = i, .kind = obs::EventKind::kTaskDispatch});
-  EXPECT_EQ(log.accepted(), 3u);
-  ASSERT_EQ(seen.size(), 9u);
-  for (int i = 0; i < 9; ++i) EXPECT_EQ(seen[i].time, i);
+TEST(EventLogTest, UnwritableSinkFailsClose) {
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  obs::EventLog log;
+  if (!log.open_sink("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  std::string line;
+  obs::EventLog::append_jsonl({.kind = obs::EventKind::kTaskDispatch}, line);
+  const std::size_t events = 2 * 32 * 1024 / line.size() + 1;
+  for (std::size_t i = 0; i < events; ++i)
+    log.emit({.time = static_cast<SimTime>(i),
+              .kind = obs::EventKind::kTaskDispatch});
+  EXPECT_FALSE(log.close_sink());
 }
 
 // ---------------------------------------------------------------------
 // Engine wiring
 // ---------------------------------------------------------------------
 
-/// One contended run with the recorder attached; returns the stream.
-std::vector<obs::Event> record_run(std::uint64_t seed) {
+/// One contended run with the recorder attached; returns the stream the
+/// consumer saw, and streams it to `sink_path` too when that is set.
+std::vector<obs::Event> record_run(std::uint64_t seed,
+                                   const std::string& sink_path = "") {
   const JobSet jobs = WorkloadGenerator(contended_config(8), seed).generate();
   DspScheduler sched;
   DspPreemption policy;
   Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 2), jobs, sched, &policy,
                 fast_params());
-  obs::EventLog log(1 << 14);
+  std::vector<obs::Event> seen;
+  obs::EventLog log;
+  log.set_consumer([&seen](const obs::Event& e) { seen.push_back(e); });
+  if (!sink_path.empty()) {
+    EXPECT_TRUE(log.open_sink(sink_path));
+  }
   engine.set_event_log(&log);
   engine.run();
-  return log.snapshot();
+  EXPECT_TRUE(log.close_sink());
+  return seen;
 }
 
 TEST(EngineEventsTest, RunEmitsCoherentStream) {
@@ -298,6 +282,25 @@ TEST(EngineEventsTest, RunEmitsCoherentStream) {
   EXPECT_GT(counts[obs::EventKind::kScheduleRound], 0u);
   // The contended cluster forces Algorithm-1 activity.
   EXPECT_GT(counts[obs::EventKind::kPreemptDecision], 0u);
+}
+
+TEST(EngineEventsTest, ConsumerSeesExactlyWhatTheSinkWrites) {
+  const std::string path = ::testing::TempDir() + "/events_consumer_sink.jsonl";
+  const std::vector<obs::Event> seen = record_run(331, path);
+  const obs::EventParseResult parsed = obs::read_event_log(path);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_EQ(parsed.events.size(), seen.size());
+  ASSERT_FALSE(seen.empty());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    // Compare through the JSONL encoding: every field the sink writes,
+    // seq included, must match what the consumer was handed.
+    std::string from_consumer, from_file;
+    obs::EventLog::append_jsonl(seen[i], from_consumer);
+    obs::EventLog::append_jsonl(parsed.events[i], from_file);
+    ASSERT_EQ(from_consumer, from_file) << "event " << i;
+    EXPECT_EQ(seen[i].seq, i);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

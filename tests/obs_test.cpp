@@ -1,13 +1,14 @@
-// Tests for the observability layer: metrics registry, histogram
-// percentiles, preemption decision events (engine integration), Chrome
-// trace export, the JSON parser, and the profiler macro.
+// Tests for the observability layer: metrics registry (catalogue
+// lookups, merge, registry scopes), histogram percentiles, preemption
+// decision events (engine integration), Chrome trace export, the JSON
+// parser, and the profiler macro.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <thread>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,18 +50,56 @@ ClusterSpec tight_cluster() { return ClusterSpec::uniform(2, 1800.0, 2.0, 2); }
 // MetricsRegistry
 // ---------------------------------------------------------------------
 
-TEST(MetricsRegistryTest, CountersAndGauges) {
+TEST(MetricsRegistryTest, CountersAddPlainly) {
   obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("events");
-  c->add();
-  c->add(41);
-  EXPECT_EQ(c->value(), 42u);
-  // Same name resolves to the same object.
-  EXPECT_EQ(reg.counter("events"), c);
+  obs::Counter& c = reg.counter(obs::counter_id("engine.events"));
+  c.add();
+  c.add(41);
+  EXPECT_EQ(c.value(), 42u);
+}
 
-  obs::Gauge* g = reg.gauge("load");
-  g->set(0.75);
-  EXPECT_DOUBLE_EQ(g->value(), 0.75);
+TEST(MetricsRegistryTest, ByNameLookupFindsWhatTheMacrosWrite) {
+  obs::MetricsRegistry reg;
+  const obs::RegistryScope scope(reg);
+  DSP_COUNT_N("preempt.fired", 3);
+  DSP_OBSERVE("engine.run_s", 0.5);
+  ASSERT_NE(reg.counter("preempt.fired"), nullptr);
+  EXPECT_EQ(reg.counter("preempt.fired"),
+            &reg.counter(obs::counter_id("preempt.fired")));
+  EXPECT_EQ(reg.counter("preempt.fired")->value(), 3u);
+  ASSERT_NE(reg.histogram("engine.run_s"), nullptr);
+  EXPECT_EQ(reg.histogram("engine.run_s")->snapshot().count, 1u);
+  // Every catalogue name resolves; anything else is null.
+  for (const std::string_view name : obs::kCounterNames)
+    EXPECT_NE(reg.counter(name), nullptr) << name;
+  for (const std::string_view name : obs::kHistogramNames)
+    EXPECT_NE(reg.histogram(name), nullptr) << name;
+  EXPECT_EQ(reg.counter("no.such_counter"), nullptr);
+  EXPECT_EQ(reg.histogram("no.such_histogram"), nullptr);
+  EXPECT_EQ(reg.counter("engine.run_s"), nullptr);  // a histogram's name
+}
+
+TEST(MetricsRegistryTest, NestedScopesRestoreThePreviousRegistry) {
+  obs::MetricsRegistry& own = obs::default_registry();
+  const std::uint64_t own_before =
+      own.counter(obs::counter_id("engine.runs")).value();
+  obs::MetricsRegistry outer;
+  obs::MetricsRegistry inner;
+  {
+    const obs::RegistryScope outer_scope(outer);
+    EXPECT_EQ(&obs::default_registry(), &outer);
+    {
+      const obs::RegistryScope inner_scope(inner);
+      EXPECT_EQ(&obs::default_registry(), &inner);
+      DSP_COUNT("engine.runs");
+    }
+    EXPECT_EQ(&obs::default_registry(), &outer);
+    DSP_COUNT_N("engine.runs", 2);
+  }
+  EXPECT_EQ(&obs::default_registry(), &own);
+  EXPECT_EQ(inner.counter("engine.runs")->value(), 1u);
+  EXPECT_EQ(outer.counter("engine.runs")->value(), 2u);
+  EXPECT_EQ(own.counter("engine.runs")->value(), own_before);
 }
 
 TEST(MetricsRegistryTest, HistogramPercentilesOnKnownData) {
@@ -135,61 +174,79 @@ TEST(MetricsRegistryTest, HistogramRejectsNonFiniteSamples) {
   EXPECT_DOUBLE_EQ(s.max, 2.0);
 }
 
-TEST(MetricsRegistryTest, ResetZeroesInPlaceWithoutInvalidatingPointers) {
+TEST(MetricsRegistryTest, MergeKeepsAggregatesExact) {
+  obs::Histo a(/*max_samples=*/4);
+  obs::Histo b(/*max_samples=*/4);
+  for (int i = 1; i <= 10; ++i) a.add(i);
+  for (int i = 11; i <= 13; ++i) b.add(i);
+  b.add(-5.0);
+  a.merge(b);
+  const auto s = a.snapshot();
+  EXPECT_EQ(s.count, 14u);
+  EXPECT_DOUBLE_EQ(s.sum, 55.0 + 36.0 - 5.0);
+  EXPECT_DOUBLE_EQ(s.min, -5.0);
+  EXPECT_DOUBLE_EQ(s.max, 13.0);
+  // b's retained samples entered the window oldest first, as if they had
+  // been recorded after a's: the window is {11, 12, 13, -5}.
+  EXPECT_NEAR(s.p50, 11.5, 1e-9);
+
+  // Merging into an empty histogram copies; merging an empty one is a
+  // no-op.
+  obs::Histo empty;
+  empty.merge(a);
+  EXPECT_EQ(empty.snapshot().count, 14u);
+  EXPECT_DOUBLE_EQ(empty.snapshot().min, -5.0);
+  a.merge(obs::Histo());
+  EXPECT_EQ(a.snapshot().count, 14u);
+
+  obs::MetricsRegistry total;
+  obs::MetricsRegistry cell;
+  total.counter(obs::counter_id("lp.milp_nodes")).add(2);
+  cell.counter(obs::counter_id("lp.milp_nodes")).add(5);
+  cell.histogram(obs::histogram_id("lp.milp_solve_s")).add(0.25);
+  total.merge(cell);
+  EXPECT_EQ(total.counter("lp.milp_nodes")->value(), 7u);
+  EXPECT_EQ(total.histogram("lp.milp_solve_s")->snapshot().count, 1u);
+  EXPECT_DOUBLE_EQ(total.histogram("lp.milp_solve_s")->snapshot().sum, 0.25);
+}
+
+TEST(MetricsRegistryTest, ResetZeroesInPlace) {
   obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("c");
-  obs::Histo* h = reg.histogram("h");
+  obs::Counter* c = reg.counter("engine.runs");
+  obs::Histo* h = reg.histogram("engine.run_s");
   c->add(5);
   h->add(1.0);
   reg.reset();
   EXPECT_EQ(c->value(), 0u);
   EXPECT_EQ(h->snapshot().count, 0u);
-  // The macro caches depend on stable addresses across reset().
-  EXPECT_EQ(reg.counter("c"), c);
-  EXPECT_EQ(reg.histogram("h"), h);
-}
-
-TEST(MetricsRegistryTest, ConcurrentRecordingIsSafe) {
-  obs::MetricsRegistry reg;
-  obs::Counter* c = reg.counter("hits");
-  obs::Histo* h = reg.histogram("lat");
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t)
-    threads.emplace_back([&] {
-      for (int i = 0; i < 10000; ++i) {
-        c->add();
-        h->add(1.0);
-      }
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c->value(), 40000u);
-  EXPECT_EQ(h->snapshot().count, 40000u);
-  EXPECT_DOUBLE_EQ(h->snapshot().sum, 40000.0);
+  EXPECT_EQ(reg.counter("engine.runs"), c);
+  EXPECT_EQ(reg.histogram("engine.run_s"), h);
 }
 
 TEST(MetricsRegistryTest, JsonRoundTripsThroughParser) {
   obs::MetricsRegistry reg;
-  reg.counter("hits")->add(3);
-  reg.gauge("load")->set(1.5);
-  reg.histogram("lat")->add(2.0);
+  reg.counter("preempt.fired")->add(3);
+  reg.histogram("sched.round_s")->add(2.0);
   std::ostringstream os;
   reg.to_json(os);
 
   obs::json::Value root;
   std::string error;
   ASSERT_TRUE(obs::json::parse(os.str(), root, &error)) << error;
-  const auto* hits = root.at_path("counters.hits");
-  ASSERT_NE(hits, nullptr);
-  EXPECT_DOUBLE_EQ(hits->number, 3.0);
-  const auto* load = root.at_path("gauges.load");
-  ASSERT_NE(load, nullptr);
-  EXPECT_DOUBLE_EQ(load->number, 1.5);
-  const auto* lat_count = root.at_path("histograms.lat.count");
-  ASSERT_NE(lat_count, nullptr);
-  EXPECT_DOUBLE_EQ(lat_count->number, 1.0);
-  const auto* lat_p50 = root.at_path("histograms.lat.p50");
-  ASSERT_NE(lat_p50, nullptr);
-  EXPECT_DOUBLE_EQ(lat_p50->number, 2.0);
+  // Metrics that recorded nothing are left out.
+  ASSERT_NE(root.find("counters"), nullptr);
+  EXPECT_EQ(root.find("counters")->object.size(), 1u);
+  ASSERT_NE(root.find("histograms"), nullptr);
+  EXPECT_EQ(root.find("histograms")->object.size(), 1u);
+  const auto* fired = root.find("counters")->find("preempt.fired");
+  ASSERT_NE(fired, nullptr);
+  EXPECT_DOUBLE_EQ(fired->number, 3.0);
+  const auto* round = root.find("histograms")->find("sched.round_s");
+  ASSERT_NE(round, nullptr);
+  ASSERT_NE(round->find("count"), nullptr);
+  EXPECT_DOUBLE_EQ(round->find("count")->number, 1.0);
+  ASSERT_NE(round->find("p50"), nullptr);
+  EXPECT_DOUBLE_EQ(round->find("p50")->number, 2.0);
 }
 
 TEST(JsonParserTest, RejectsMalformedInput) {
@@ -279,20 +336,20 @@ TEST(JsonParserTest, RejectsDeepNestingInsteadOfOverflowing) {
 TEST(ProfilerTest, ScopedTimerFeedsHistogram) {
   obs::Histo h;
   {
-    obs::ScopedTimer timer(&h);
+    obs::ScopedTimer timer(h);
   }
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 1u);
   EXPECT_GE(s.min, 0.0);
 }
 
-TEST(ProfilerTest, ProfileMacroRecordsIntoDefaultRegistry) {
-  obs::Histo* h = obs::default_registry().histogram("test.profile_scope_s");
-  const auto before = h->snapshot().count;
+TEST(ProfilerTest, ProfileMacroRecordsIntoCurrentRegistry) {
+  obs::MetricsRegistry reg;
+  const obs::RegistryScope scope(reg);
   {
-    DSP_PROFILE("test.profile_scope_s");
+    DSP_PROFILE("sched.round_s");
   }
-  EXPECT_EQ(h->snapshot().count, before + 1);
+  EXPECT_EQ(reg.histogram("sched.round_s")->snapshot().count, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -307,7 +364,7 @@ std::pair<RunMetrics, std::vector<obs::PreemptDecision>> run_decisions(
   Engine engine(tight_cluster(), contended_workload(8, 101), sched, &policy,
                 fast_params());
   std::vector<obs::PreemptDecision> decisions;
-  obs::EventLog log(1);
+  obs::EventLog log;
   log.set_consumer([&decisions](const obs::Event& e) {
     if (e.kind == obs::EventKind::kPreemptDecision)
       decisions.push_back(obs::decision_of(e));

@@ -172,14 +172,9 @@ Probed run_probed(const ClusterSpec& cluster, JobSet jobs, Scheduler& sched,
                   PreemptionPolicy* policy, ReadyProbe& probe, Setup setup) {
   CheckingScheduler checking(sched, probe);
   ProbePolicy probing(policy, probe);
-  obs::EventLog log;
-  Engine engine(cluster, std::move(jobs), checking, &probing, fast_params());
-  engine.set_event_log(&log);
-  setup(engine);
   Probed out;
-  out.metrics = engine.run();
-  EXPECT_LE(log.accepted(), log.capacity()) << "ring too small to tally";
-  for (const obs::Event& e : log.snapshot()) {
+  obs::EventLog log;
+  log.set_consumer([&out](const obs::Event& e) {
     ++out.events[static_cast<std::size_t>(e.kind)];
     if (e.kind == obs::EventKind::kTaskMigrate &&
         (e.flags & obs::kEventFlagFailover) != 0)
@@ -187,7 +182,11 @@ Probed run_probed(const ClusterSpec& cluster, JobSet jobs, Scheduler& sched,
     if (e.kind == obs::EventKind::kTaskPreempt &&
         (e.flags & obs::kEventFlagKeptProgress) == 0)
       ++out.restarts;
-  }
+  });
+  Engine engine(cluster, std::move(jobs), checking, &probing, fast_params());
+  engine.set_event_log(&log);
+  setup(engine);
+  out.metrics = engine.run();
   return out;
 }
 

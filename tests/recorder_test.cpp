@@ -140,7 +140,7 @@ TEST(RecorderFileTest, FileAndInProcessRecordersAgree) {
   const std::string events_path =
       ::testing::TempDir() + "recorder_file_test.jsonl";
   TimelineRecorder live;
-  obs::EventLog log(1);
+  obs::EventLog log;
   log.set_consumer([&live](const obs::Event& e) { live.on_event(e); });
   ASSERT_TRUE(log.open_sink(events_path));
   engine.set_event_log(&log);

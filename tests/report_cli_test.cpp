@@ -5,7 +5,8 @@
 // --json must parse with the documented schema, the diff mode must
 // report zero divergence for two same-seed runs (the determinism
 // guarantee) and must pinpoint the exact first differing event in a
-// seeded-mutation log. Binary locations are
+// seeded-mutation log; the latency percentiles must cover every sample
+// of a hand-written log. Binary locations are
 // injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
@@ -70,7 +71,7 @@ void write_log(const std::string& path, std::uint64_t seed) {
   ep.epoch = 500 * kMillisecond;
   Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 2), jobs, sched, &policy,
                 ep);
-  obs::EventLog log(1 << 14);
+  obs::EventLog log;
   ASSERT_TRUE(log.open_sink(path));
   engine.set_event_log(&log);
   engine.run();
@@ -116,6 +117,52 @@ TEST(DspReportCliTest, AnalyticsJsonMatchesSchema) {
   EXPECT_EQ(root.at_path("jobs.count")->number, 6.0);
   EXPECT_EQ(root.at_path("jobs.completed")->number, 6.0);
   EXPECT_GT(root.at_path("events")->number, 0.0);
+  std::remove(log.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(DspReportCliTest, PercentilesCoverEveryQueueingSample) {
+  // 10,000 enqueue -> dispatch pairs: the first 5,000 wait 1 s, the last
+  // 5,000 wait 3 s. Over all samples the median falls between the two
+  // halves (2 s); a window of the most recent samples would see mostly
+  // 3 s waits.
+  const std::string log = tmp_path("report_percentiles.jsonl");
+  const std::string out = tmp_path("report_percentiles.json");
+  {
+    std::ofstream f(log);
+    std::string lines;
+    constexpr int kPairs = 10000;
+    for (int i = 0; i < kPairs; ++i) {
+      const SimTime start = static_cast<SimTime>(i) * 10 * kSecond;
+      const SimTime wait = (i < kPairs / 2 ? 1 : 3) * kSecond;
+      const Gid task = static_cast<Gid>(i);
+      obs::EventLog::append_jsonl(
+          {.time = start, .kind = obs::EventKind::kTaskEnqueue, .job = 0,
+           .task = task, .node = 0},
+          lines);
+      obs::EventLog::append_jsonl(
+          {.time = start + wait, .kind = obs::EventKind::kTaskDispatch,
+           .job = 0, .task = task, .node = 0},
+          lines);
+      obs::EventLog::append_jsonl(
+          {.time = start + wait + kSecond, .kind = obs::EventKind::kTaskFinish,
+           .job = 0, .task = task, .node = 0},
+          lines);
+    }
+    f << lines;
+  }
+
+  const CliResult r = report(log + " --json " + out);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  obs::json::Value root;
+  std::string error;
+  ASSERT_TRUE(parse_file(out, root, error)) << error;
+  ASSERT_NE(root.at_path("queueing_delay_s.count"), nullptr);
+  EXPECT_EQ(root.at_path("queueing_delay_s.count")->number, 10000.0);
+  EXPECT_DOUBLE_EQ(root.at_path("queueing_delay_s.mean")->number, 2.0);
+  EXPECT_DOUBLE_EQ(root.at_path("queueing_delay_s.p50")->number, 2.0);
+  EXPECT_DOUBLE_EQ(root.at_path("queueing_delay_s.p95")->number, 3.0);
+  EXPECT_DOUBLE_EQ(root.at_path("queueing_delay_s.p99")->number, 3.0);
   std::remove(log.c_str());
   std::remove(out.c_str());
 }

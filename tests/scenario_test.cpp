@@ -3,23 +3,27 @@
 // round-trips, seed derivation, failure-recipe instantiation, equivalence
 // of run_scenario with the plain simulate() entry point, logged against
 // unlogged runs, which entry points honour DSP_EVENT_LOG, and grid-runner
-// determinism across thread counts, down to each scenario's event stream.
+// determinism across thread counts, down to each scenario's event stream
+// and the metrics registry totals the grid hands its caller.
 #include "sim/scenario.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/dsp_scheduler.h"
 #include "core/dsp_system.h"
 #include "core/preemption.h"
 #include "metrics/report.h"
+#include "obs/metrics.h"
 #include "scenarios/standard.h"
 #include "trace/workload.h"
 
@@ -248,7 +252,7 @@ TEST(RunScenarioTest, LoggedAndUnloggedRunsDecideAlike) {
 
   std::uint64_t fired = 0, suppressed = 0;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    obs::EventLog log(1);
+    obs::EventLog log;
     std::uint64_t decisions = 0;
     log.set_consumer([&decisions](const obs::Event& e) {
       if (e.kind == obs::EventKind::kPreemptDecision) ++decisions;
@@ -333,6 +337,59 @@ TEST(ScenarioGridTest, EventStreamsIdenticalAcrossThreadCounts) {
         << spec.name << ": streams differ between 1 and 4 workers";
   }
   std::filesystem::remove_all(root);
+}
+
+/// The shape of micro_bench's BM_SweepGrid: EC2, 20 jobs at task scale
+/// 0.02, every policy.
+std::vector<ScenarioSpec> sweep_grid() {
+  std::vector<ScenarioSpec> grid;
+  for (PolicyKind policy : {PolicyKind::kDsp, PolicyKind::kDspNoPp,
+                            PolicyKind::kAmoeba, PolicyKind::kNatjam,
+                            PolicyKind::kSrpt, PolicyKind::kNone}) {
+    ScenarioSpec spec;
+    spec.name = std::string("sweep-") + to_string(policy);
+    spec.cluster.profile = ClusterProfile::kEc2;
+    spec.workload.job_count = 20;
+    spec.workload.task_scale = 0.02;
+    spec.policy = policy;
+    grid.push_back(std::move(spec));
+  }
+  return grid;
+}
+
+/// Every counter value and histogram count of the calling thread's
+/// current registry, in catalogue order. Histogram sums are wall-clock
+/// timings, so only their counts are comparable across runs.
+std::vector<std::uint64_t> registry_tally() {
+  obs::MetricsRegistry& reg = obs::default_registry();
+  std::vector<std::uint64_t> tally;
+  for (const std::string_view name : obs::kCounterNames)
+    tally.push_back(reg.counter(name)->value());
+  for (const std::string_view name : obs::kHistogramNames)
+    tally.push_back(reg.histogram(name)->snapshot().count);
+  return tally;
+}
+
+TEST(ScenarioGridTest, CallerRegistryTotalsMatchAtAnyThreadCount) {
+  const std::vector<ScenarioSpec> grid = sweep_grid();
+  std::vector<std::vector<std::uint64_t>> tallies;
+  for (const unsigned threads : {1u, 4u}) {
+    obs::default_registry().reset();
+    GridOptions options;
+    options.threads = threads;
+    run_standard_grid(grid, options);
+    tallies.push_back(registry_tally());
+  }
+  obs::MetricsRegistry& caller = obs::default_registry();
+  caller.reset();
+  for (const ScenarioSpec& spec : grid) run_standard_scenario(spec);
+  EXPECT_EQ(caller.counter("engine.runs")->value(), grid.size());
+  EXPECT_GT(caller.counter("preempt.fired")->value(), 0u);
+
+  EXPECT_EQ(tallies[0], tallies[1]) << "registry totals depend on --threads";
+  EXPECT_EQ(tallies[0], registry_tally())
+      << "the grid's merged totals differ from the same runs one at a time";
+  caller.reset();
 }
 
 /// Sets DSP_EVENT_LOG for one scope and unsets it on the way out, also

@@ -119,7 +119,7 @@ std::vector<TaskPlacement> PinnedScheduler::schedule(
 }
 
 std::unique_ptr<obs::EventLog> recorder_log(TimelineRecorder& recorder) {
-  auto log = std::make_unique<obs::EventLog>(1);
+  auto log = std::make_unique<obs::EventLog>();
   log->set_consumer([&recorder](const obs::Event& e) { recorder.on_event(e); });
   return log;
 }

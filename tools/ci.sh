@@ -7,22 +7,17 @@
 #   tier1    cmake + build + full ctest in ./build
 #   asan     address/undefined preset: build + full ctest
 #   tsan     thread preset: build + exactly the test binaries that start
-#            threads: parallel_for's own stress tests, the scenario grid
-#            runner (its only caller) via scenario_test, and obs_test,
-#            whose concurrent-recording test guards the metrics registry
-#            that concurrent grid cells share (the rest of the suite is
-#            single-threaded; running it under TSan adds minutes, not
-#            coverage)
+#            threads: parallel_for's own stress tests and the scenario
+#            grid runner (its only caller, whose cells each record into
+#            their own metrics registry) via scenario_test (the rest of
+#            the suite is single-threaded; running it under TSan adds
+#            minutes, not coverage)
 #   ubsan    undefined-behaviour preset (+ -fsanitize=integer where the
 #            compiler supports it): build + full ctest
 #   lint     tools/lint.sh (clang-tidy or strict-warning fallback)
 #   srclint  dsp_tidy self-scan of src/ (must be clean, --json validated
 #            by json_check) plus the seeded per-rule fixtures, which must
 #            each fail naming exactly their rule
-#   threadsafety  clang++ build with -DDSP_THREAD_SAFETY=ON so the
-#            Clang Thread Safety Analysis annotations are checked as
-#            errors; skipped (with a notice) when clang++ is not
-#            installed
 #   analyze  dsp_analyze over examples/workloads and the analysis
 #            fixtures (audit fixtures are JSONL event logs), with --json
 #            output validated by json_check
@@ -76,7 +71,7 @@ if ! skipped tsan; then
   banner "tsan preset (concurrency tests)"
   cmake --preset tsan >/dev/null
   cmake --build --preset tsan -j
-  ctest --preset tsan -R 'thread_pool_stress_test|scenario_test|obs_test'
+  ctest --preset tsan -R 'thread_pool_stress_test|scenario_test'
 fi
 
 if ! skipped ubsan; then
@@ -118,19 +113,6 @@ if ! skipped srclint; then
   echo "dsp_tidy tests/fixtures/srclint/clean.cpp"
   "$TIDY" tests/fixtures/srclint/clean.cpp >/dev/null
   rm -rf "$srclint_tmp"
-fi
-
-if ! skipped threadsafety; then
-  banner "thread-safety analysis (clang)"
-  if command -v clang++ >/dev/null 2>&1; then
-    cmake -B build-tsa -S . \
-      -DCMAKE_CXX_COMPILER=clang++ -DDSP_THREAD_SAFETY=ON >/dev/null
-    cmake --build build-tsa -j
-    echo "thread-safety: clean"
-  else
-    echo "thread-safety: clang++ not installed; skipping (annotations"
-    echo "compile away under GCC — see src/util/thread_annotations.h)"
-  fi
 fi
 
 if ! skipped analyze; then
@@ -188,7 +170,7 @@ if ! skipped bench-smoke; then
     bench env.scale env.seed env.points series runs scalars \
     scalars.BM_SimplexSolve_60_ns scalars.BM_MilpSolve_1_ns scalars.BM_PriorityComputeJob_1000_ns \
     scalars.BM_ComputeAllFullRecompute_20_ns \
-    registry.counters registry.gauges registry.histograms
+    registry.counters registry.histograms
   rm -rf "$smoke_tmp"
 fi
 

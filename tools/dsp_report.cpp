@@ -16,6 +16,7 @@
 //       and --threads 4 — a non-empty diff localizes a determinism bug to
 //       the first event where the runs disagree.
 //       Exit 0 when identical, 1 on divergence, 2 on usage/parse errors.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -25,6 +26,7 @@
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/stats.h"
 #include "util/table.h"
 #include "util/time.h"
 
@@ -53,15 +55,16 @@ struct RunReport {
   std::size_t events = 0;
   double slots = 0.0;  // from kRunInfo payload b (0 when absent)
   std::vector<JobRow> jobs;
-  obs::Histo queueing_delay;    // enqueue -> dispatch, seconds
-  obs::Histo preempt_latency;   // preempt -> re-dispatch, seconds
+  // Every sample is kept, so the percentiles cover the whole run.
+  std::vector<double> queueing_delay;   // enqueue -> dispatch, seconds
+  std::vector<double> preempt_latency;  // preempt -> re-dispatch, seconds
   std::vector<EpochUtil> utilization;
   std::uint64_t preempt_decisions = 0;
   std::uint64_t preempt_fired = 0;
 };
 
-// Out-parameter because RunReport is non-movable (Histo owns a Mutex).
-void analyze(const std::vector<obs::Event>& events, RunReport& r) {
+RunReport analyze(const std::vector<obs::Event>& events) {
+  RunReport r;
   r.events = events.size();
 
   std::map<std::uint32_t, RunReport::JobRow> jobs;
@@ -118,12 +121,12 @@ void analyze(const std::vector<obs::Event>& events, RunReport& r) {
         row.job = e.job;
         if (row.first_dispatch < 0) row.first_dispatch = e.time;
         if (auto it = enqueued_at.find(e.task); it != enqueued_at.end()) {
-          r.queueing_delay.add(
+          r.queueing_delay.push_back(
               static_cast<double>(e.time - it->second) / kUsPerSecond);
           enqueued_at.erase(it);
         }
         if (auto it = preempted_at.find(e.task); it != preempted_at.end()) {
-          r.preempt_latency.add(
+          r.preempt_latency.push_back(
               static_cast<double>(e.time - it->second) / kUsPerSecond);
           preempted_at.erase(it);
         }
@@ -158,6 +161,27 @@ void analyze(const std::vector<obs::Event>& events, RunReport& r) {
 
   r.jobs.reserve(jobs.size());
   for (auto& [id, row] : jobs) r.jobs.push_back(row);
+  return r;
+}
+
+/// Summary of one latency distribution over all of its samples.
+struct Distribution {
+  std::size_t count = 0;
+  double mean = 0.0;
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  double max = 0.0;
+};
+
+Distribution summarize(const std::vector<double>& samples) {
+  if (samples.empty()) return {};
+  return {.count = samples.size(),
+          .mean = mean_of(samples),
+          .p50 = percentile(samples, 0.50),
+          .p95 = percentile(samples, 0.95),
+          .p99 = percentile(samples, 0.99),
+          .max = *std::max_element(samples.begin(), samples.end())};
 }
 
 std::string fmt_time_s(SimTime t) {
@@ -182,11 +206,11 @@ void print_text(const RunReport& r) {
   Table histos{"Latency distributions (s)"};
   histos.set_header(
       {"metric", "count", "mean", "p50", "p95", "p99", "max"});
-  for (const auto& [name, h] :
-       {std::pair<const char*, const obs::Histo*>{"queueing_delay",
-                                                  &r.queueing_delay},
+  for (const auto& [name, samples] :
+       {std::pair<const char*, const std::vector<double>*>{"queueing_delay",
+                                                           &r.queueing_delay},
         {"preempt_latency", &r.preempt_latency}}) {
-    const auto s = h->snapshot();
+    const Distribution s = summarize(*samples);
     histos.add_row({name, fmt_count(static_cast<long long>(s.count)),
                     fmt(s.mean, 4), fmt(s.p50, 4), fmt(s.p95, 4),
                     fmt(s.p99, 4), fmt(s.max, 4)});
@@ -204,8 +228,9 @@ void print_text(const RunReport& r) {
               static_cast<unsigned long long>(r.preempt_fired));
 }
 
-void write_histo_json(std::ostream& out, const obs::Histo& h) {
-  const auto s = h.snapshot();
+void write_distribution_json(std::ostream& out,
+                             const std::vector<double>& samples) {
+  const Distribution s = summarize(samples);
   out << "{\"count\":" << s.count << ",\"mean\":";
   obs::write_json_number(out, s.mean);
   out << ",\"p50\":";
@@ -238,9 +263,9 @@ bool write_json_report(const RunReport& r, const std::string& log_path,
       << "\",\"events\":" << r.events << ",\"jobs\":{\"count\":"
       << r.jobs.size() << ",\"completed\":" << completed
       << ",\"deadline_met\":" << met << "},\"queueing_delay_s\":";
-  write_histo_json(out, r.queueing_delay);
+  write_distribution_json(out, r.queueing_delay);
   out << ",\"preempt_latency_s\":";
-  write_histo_json(out, r.preempt_latency);
+  write_distribution_json(out, r.preempt_latency);
   out << ",\"preempt\":{\"decisions\":" << r.preempt_decisions
       << ",\"fired\":" << r.preempt_fired << "}";
   out << ",\"utilization\":{\"epochs\":" << r.utilization.size()
@@ -381,8 +406,7 @@ int main(int argc, char** argv) {
                  parsed.error.c_str());
     return 2;
   }
-  dsp::RunReport report;
-  dsp::analyze(parsed.events, report);
+  const dsp::RunReport report = dsp::analyze(parsed.events);
   dsp::print_text(report);
   if (!json_path.empty() && !dsp::write_json_report(report, pos[0], json_path))
     return 2;
