@@ -20,22 +20,29 @@ int main(int argc, char** argv) {
 
   const std::size_t jobs_n = 300;
 
-  Table table("gamma sweep: " + std::to_string(jobs_n) + " jobs, EC2 profile");
-  table.set_header({"gamma", "throughput(t/ms)", "makespan(s)", "avg-wait(s)",
-                    "preemptions", "deadline-met"});
-  for (double gamma : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+  const std::vector<double> gammas{0.1, 0.3, 0.5, 0.7, 0.9};
+  std::vector<ScenarioSpec> grid;
+  for (const double gamma : gammas) {
     // gamma feeds both the scheduler (level weights) and the preemption
     // policy (urgency); the knob plumbs it to both via the factory.
     ScenarioSpec spec = fig_scenario(ClusterProfile::kEc2, jobs_n, env);
     spec.knobs.gamma = gamma;
-    const RunMetrics m = run_standard_scenario(spec);
-    table.add_row({fmt(gamma, 1), fmt(m.throughput_tasks_per_ms(), 4),
+    grid.push_back(std::move(spec));
+  }
+  const std::vector<RunMetrics> results =
+      run_standard_grid(grid, env.grid_options());
+
+  Table table("gamma sweep: " + std::to_string(jobs_n) + " jobs, EC2 profile");
+  table.set_header({"gamma", "throughput(t/ms)", "makespan(s)", "avg-wait(s)",
+                    "preemptions", "deadline-met"});
+  for (std::size_t i = 0; i < gammas.size(); ++i) {
+    const RunMetrics& m = results[i];
+    table.add_row({fmt(gammas[i], 1), fmt(m.throughput_tasks_per_ms(), 4),
                    fmt(to_seconds(m.makespan)), fmt(m.avg_job_waiting_s()),
                    fmt_count(static_cast<long long>(m.preemptions)),
                    fmt_count(static_cast<long long>(m.jobs_met_deadline))});
-    report.add_run("gamma=" + fmt(gamma, 1), m);
+    report.add_run("gamma=" + fmt(gammas[i], 1), m);
   }
   std::fputs(table.render().c_str(), stdout);
-  report.write_if_requested(cli);
-  return 0;
+  return report.write_if_requested(cli) ? 0 : 1;
 }

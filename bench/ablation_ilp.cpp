@@ -103,6 +103,5 @@ int main(int argc, char** argv) {
               rr_ratio.mean(), heur_ratio.mean());
   report.add_scalar("rr_over_exact_mean", rr_ratio.mean());
   report.add_scalar("heur_over_exact_mean", heur_ratio.mean());
-  report.write_if_requested(cli);
-  return 0;
+  return report.write_if_requested(cli) ? 0 : 1;
 }

@@ -20,10 +20,7 @@ int main(int argc, char** argv) {
   const ScenarioSpec base = fig_scenario(ClusterProfile::kEc2, jobs_n, env);
   const std::size_t cluster_nodes = make_cluster(base.cluster).size();
 
-  Table table("locality-aware vs blind placement (200 jobs, EC2 profile)");
-  table.set_header({"pinned-fraction", "variant", "hit-rate", "makespan(s)",
-                    "throughput(t/ms)", "overhead(s)"});
-
+  std::vector<ScenarioSpec> grid;
   for (double fraction : {0.0, 0.4, 0.8}) {
     for (bool aware : {true, false}) {
       ScenarioSpec spec = base;
@@ -31,19 +28,25 @@ int main(int argc, char** argv) {
       spec.workload.locality_fraction = fraction;
       spec.workload.input_mb_mu = 6.5;
       spec.knobs.locality_aware = aware;
-      const RunMetrics m = run_standard_scenario(spec);
-      table.add_row({fmt(fraction, 1), aware ? "aware" : "blind",
-                     fmt(m.locality_hit_rate(), 3),
-                     fmt(to_seconds(m.makespan)),
-                     fmt(m.throughput_tasks_per_ms(), 4),
-                     fmt(m.overhead_s, 0)});
-      report.add_run("pinned=" + fmt(fraction, 1) +
-                         (aware ? "-aware" : "-blind"),
-                     m);
+      grid.push_back(std::move(spec));
       if (fraction == 0.0) break;  // variants identical with no pinning
     }
   }
+  const std::vector<RunMetrics> results =
+      run_standard_grid(grid, env.grid_options());
+
+  Table table("locality-aware vs blind placement (200 jobs, EC2 profile)");
+  table.set_header({"pinned-fraction", "variant", "hit-rate", "makespan(s)",
+                    "throughput(t/ms)", "overhead(s)"});
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const double fraction = grid[i].workload.locality_fraction;
+    const char* variant = grid[i].knobs.locality_aware ? "aware" : "blind";
+    const RunMetrics& m = results[i];
+    table.add_row({fmt(fraction, 1), variant, fmt(m.locality_hit_rate(), 3),
+                   fmt(to_seconds(m.makespan)),
+                   fmt(m.throughput_tasks_per_ms(), 4), fmt(m.overhead_s, 0)});
+    report.add_run("pinned=" + fmt(fraction, 1) + "-" + variant, m);
+  }
   std::fputs(table.render().c_str(), stdout);
-  report.write_if_requested(cli);
-  return 0;
+  return report.write_if_requested(cli) ? 0 : 1;
 }

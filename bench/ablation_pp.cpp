@@ -33,14 +33,22 @@ int main(int argc, char** argv) {
       {"rho=500", true, 500.0}, {"rho=2000", true, 2000.0},
   };
 
-  Table table("PP ablation: " + std::to_string(jobs_n) + " jobs, EC2 profile");
-  table.set_header({"variant", "preemptions", "suppressed", "throughput(t/ms)",
-                    "makespan(s)", "avg-wait(s)"});
+  std::vector<ScenarioSpec> grid;
   for (const auto& v : variants) {
     ScenarioSpec spec = fig_scenario(ClusterProfile::kEc2, jobs_n, env);
     spec.knobs.normalized_pp = v.pp;
     if (v.pp) spec.knobs.rho = v.rho;
-    const RunMetrics m = run_standard_scenario(spec);
+    grid.push_back(std::move(spec));
+  }
+  const std::vector<RunMetrics> results =
+      run_standard_grid(grid, env.grid_options());
+
+  Table table("PP ablation: " + std::to_string(jobs_n) + " jobs, EC2 profile");
+  table.set_header({"variant", "preemptions", "suppressed", "throughput(t/ms)",
+                    "makespan(s)", "avg-wait(s)"});
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const Variant& v = variants[i];
+    const RunMetrics& m = results[i];
     table.add_row({v.name, fmt_count(static_cast<long long>(m.preemptions)),
                    fmt_count(static_cast<long long>(m.suppressed_preemptions)),
                    fmt(m.throughput_tasks_per_ms(), 4),
@@ -48,6 +56,5 @@ int main(int argc, char** argv) {
     report.add_run(v.name, m);
   }
   std::fputs(table.render().c_str(), stdout);
-  report.write_if_requested(cli);
-  return 0;
+  return report.write_if_requested(cli) ? 0 : 1;
 }

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -40,22 +41,14 @@ BenchEnv BenchEnv::from_env() {
       reject_env("DSP_POINTS", points, "an integer from 1 to 5");
     env.points = static_cast<std::size_t>(n);
   }
+  const std::string threads = env_string("DSP_THREADS", "");
+  if (!threads.empty()) {
+    if (!parse_count(threads, n) || n < 1 ||
+        n > std::numeric_limits<unsigned>::max())
+      reject_env("DSP_THREADS", threads, "an integer from 1 to 4294967295");
+    env.threads = static_cast<unsigned>(n);
+  }
   return env;
-}
-
-JobSet make_workload(std::size_t jobs, double scale, std::uint64_t seed) {
-  WorkloadConfig cfg;
-  cfg.job_count = jobs;
-  cfg.task_scale = scale;
-  return WorkloadGenerator(cfg, seed).generate();
-}
-
-EngineParams paper_engine_params() {
-  EngineParams p;
-  p.period = 5 * kMinute;  // paper §V: "ran the scheduling periodically
-                           // every 5mins"
-  p.epoch = 30 * kSecond;
-  return p;
 }
 
 ScenarioSpec fig_scenario(ClusterProfile profile, std::size_t jobs,
@@ -65,7 +58,6 @@ ScenarioSpec fig_scenario(ClusterProfile profile, std::size_t jobs,
   spec.cluster.profile = profile;
   spec.workload.job_count = jobs;
   spec.workload.task_scale = env.scale;
-  spec.engine = paper_engine_params();
   spec.seed = env.seed;
   return spec;
 }
@@ -93,6 +85,19 @@ void print_bench_header(const std::string& name, const BenchEnv& env) {
   std::printf("### %s  (DSP_SCALE=%g DSP_SEED=%llu DSP_POINTS=%zu)\n\n",
               name.c_str(), env.scale,
               static_cast<unsigned long long>(env.seed), env.points);
+}
+
+MetricSeries make_series(std::vector<std::string> methods,
+                         std::vector<long long> xs,
+                         const std::vector<RunMetrics>& results,
+                         std::size_t first) {
+  const std::size_t n_methods = methods.size();
+  const std::size_t n_xs = xs.size();
+  MetricSeries series(std::move(methods), std::move(xs));
+  for (std::size_t x = 0; x < n_xs; ++x)
+    for (std::size_t m = 0; m < n_methods; ++m)
+      series.set(m, x, results.at(first + x * n_methods + m));
+  return series;
 }
 
 BenchCli BenchCli::parse(int argc, char** argv) {
@@ -142,8 +147,7 @@ void BenchJsonReport::add_scalar(const std::string& name, double value) {
 bool BenchJsonReport::write(const std::string& path) const {
   std::ofstream out(path);
   if (!out) {
-    std::fprintf(stderr, "warning: cannot open %s for writing\n",
-                 path.c_str());
+    std::fprintf(stderr, "error: cannot open %s for writing\n", path.c_str());
     return false;
   }
   out << "{\"bench\":";
@@ -175,13 +179,58 @@ bool BenchJsonReport::write(const std::string& path) const {
   out << "},\"registry\":";
   obs::default_registry().to_json(out);
   out << "}\n";
-  return out.good();
+  // Closing flushes the buffer: a full disk shows up only here.
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
-void BenchJsonReport::write_if_requested(const BenchCli& cli) const {
-  if (cli.json_path.empty()) return;
-  if (write(cli.json_path))
-    std::printf("\nJSON report written to %s\n", cli.json_path.c_str());
+bool BenchJsonReport::write_if_requested(const BenchCli& cli) const {
+  if (cli.json_path.empty()) return true;
+  if (!write(cli.json_path)) return false;
+  std::printf("\nJSON report written to %s\n", cli.json_path.c_str());
+  return true;
+}
+
+int run_preemption_figure(const char* figure, const char* bench_name,
+                          ClusterProfile profile, const BenchCli& cli) {
+  const BenchEnv env = BenchEnv::from_env();
+  print_bench_header(std::string(figure) + ": preemption methods", env);
+
+  const std::vector<PolicyKind> methods{PolicyKind::kDsp, PolicyKind::kDspNoPp,
+                                        PolicyKind::kAmoeba, PolicyKind::kNatjam,
+                                        PolicyKind::kSrpt};
+  std::vector<ScenarioSpec> grid;
+  for (const long long jobs : env.job_counts())
+    for (const PolicyKind m : methods)
+      grid.push_back(
+          policy_scenario(m, profile, static_cast<std::size_t>(jobs), env));
+  std::vector<std::string> names;
+  for (const PolicyKind m : methods) names.emplace_back(to_string(m));
+  const MetricSeries series =
+      make_series(std::move(names), env.job_counts(),
+                  run_standard_grid(grid, env.grid_options()));
+
+  const std::string f = figure;
+  std::fputs(series.disorders_table(f + "(a): # of disorders vs #jobs")
+                 .render().c_str(), stdout);
+  std::fputs("\n", stdout);
+  std::fputs(series.throughput_table(f + "(b): throughput (tasks/ms) vs #jobs")
+                 .render().c_str(), stdout);
+  std::fputs("\n", stdout);
+  std::fputs(series.waiting_table(f + "(c): avg job waiting time (s) vs #jobs")
+                 .render().c_str(), stdout);
+  std::fputs("\n", stdout);
+  std::fputs(series.preemptions_table(f + "(d): # of preemptions vs #jobs")
+                 .render().c_str(), stdout);
+  std::fputs("\n", stdout);
+
+  BenchJsonReport report(bench_name, env);
+  report.add_series(figure, series);
+  return report.write_if_requested(cli) ? 0 : 1;
 }
 
 }  // namespace dsp::bench

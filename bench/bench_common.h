@@ -1,11 +1,12 @@
 // Shared harness for the figure-reproduction benches.
 //
-// The figure binaries describe their experiments as ScenarioSpec grids
-// (sim/scenario.h) and run them through the standard factory
-// (scenarios/standard.h): one spec per (testbed, method, job count) cell,
-// executed sequentially so the flight-recorder environment knobs
-// (DSP_EVENT_LOG) keep their one-run-per-sink semantics. tools/dsp_sweep
-// is the parallel front-end over the same specs.
+// A simulation bench describes its whole experiment as one ScenarioSpec
+// list (sim/scenario.h), one spec per (testbed, method, x) cell, and runs
+// it with a single run_standard_grid call (scenarios/standard.h) on
+// DSP_THREADS workers. Results come back in list order and do not depend
+// on the worker count, so a bench prints the same tables and --json at
+// any DSP_THREADS. A bench records no event stream: every fig5-fig8 cell
+// is also a dsp_sweep cell, and dsp_sweep --event-log-dir records it.
 //
 // Scaling: the paper runs up to 750 jobs x up to 2000 tasks for hours on
 // 50 physical servers. The benches keep the paper's job counts and
@@ -14,18 +15,18 @@
 //   DSP_SCALE=1.0  paper-scale task counts (slow); finite and > 0
 //   DSP_SEED=7     workload seed; an unsigned integer
 //   DSP_POINTS=3   how many x-axis points to run, 1 to 5 (default all 5)
+//   DSP_THREADS=4  grid workers, 1 to 4294967295 (default 1); changes
+//                  wall time only
 // A bench given any other value exits with status 2 before its first run.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "metrics/report.h"
 #include "scenarios/standard.h"
 #include "sim/cluster.h"
-#include "trace/workload.h"
 
 namespace dsp::bench {
 
@@ -36,9 +37,20 @@ struct BenchEnv {
   double scale = 0.1;
   std::uint64_t seed = 42;
   std::size_t points = kMaxPoints;
+  /// Grid workers. No output depends on it, so neither the header line
+  /// nor the --json env object shows it.
+  unsigned threads = 1;
 
-  /// Reads DSP_SCALE, DSP_SEED and DSP_POINTS. A set but invalid value
-  /// prints the variable and its value to stderr and exits with status 2.
+  /// Runs a bench's grid on `threads` workers, with no event stream.
+  GridOptions grid_options() const {
+    GridOptions options;
+    options.threads = threads;
+    return options;
+  }
+
+  /// Reads DSP_SCALE, DSP_SEED, DSP_POINTS and DSP_THREADS. A set but
+  /// invalid value prints the variable and its value to stderr and exits
+  /// with status 2.
   static BenchEnv from_env();
 
   /// The paper's Fig. 5-7 x-axis: 150..750 step 150 (truncated to
@@ -57,23 +69,10 @@ struct BenchEnv {
   }
 };
 
-/// Generates the paper's workload for `jobs` jobs at the given scale.
-JobSet make_workload(std::size_t jobs, double scale, std::uint64_t seed);
-
-/// Engine parameters used by all figure benches (paper: scheduling every
-/// 5 minutes; preemption each epoch).
-EngineParams paper_engine_params();
-
-// The method identifiers moved into dsp:: with the scenario layer
-// (sim/scenario.h); re-exported so figure code keeps its spelling.
-// to_string(SchedKind/PolicyKind) resolves to the dsp:: display names
-// ("DSP", "TetrisW/oDep", ...) via argument-dependent lookup.
-using SchedKind = dsp::SchedKind;
-using PolicyKind = dsp::PolicyKind;
-
 /// Base spec for one figure cell: the given testbed profile, the paper's
-/// workload recipe at `jobs` jobs and env.scale, env.seed, and
-/// paper_engine_params(). Callers then pick the policy pair.
+/// workload recipe at `jobs` jobs and env.scale, env.seed, and the
+/// default EngineParams (the paper's 5-minute scheduling period and
+/// 30-second preemption epoch). Callers then pick the policy pair.
 ScenarioSpec fig_scenario(ClusterProfile profile, std::size_t jobs,
                           const BenchEnv& env);
 
@@ -90,6 +89,13 @@ ScenarioSpec policy_scenario(PolicyKind kind, ClusterProfile profile,
 
 /// Prints a one-line header for a bench binary.
 void print_bench_header(const std::string& name, const BenchEnv& env);
+
+/// The `methods` x `xs` series of a grid slice listed x-major: cell
+/// (m, x) is results[first + x * methods.size() + m].
+MetricSeries make_series(std::vector<std::string> methods,
+                         std::vector<long long> xs,
+                         const std::vector<RunMetrics>& results,
+                         std::size_t first = 0);
 
 /// Command-line flags shared by every bench binary.
 struct BenchCli {
@@ -115,11 +121,13 @@ class BenchJsonReport {
   void add_scalar(const std::string& name, double value);
 
   /// Serializes the report (including obs::default_registry()) to `path`.
-  /// Returns false and warns on I/O failure.
+  /// Returns false, after printing an error naming `path`, when the file
+  /// cannot be opened or written.
   bool write(const std::string& path) const;
 
   /// If cli names a --json path, writes there and prints a confirmation.
-  void write_if_requested(const BenchCli& cli) const;
+  /// False when that write failed; bench mains then exit with status 1.
+  bool write_if_requested(const BenchCli& cli) const;
 
  private:
   std::string bench_;
@@ -128,5 +136,11 @@ class BenchJsonReport {
   std::vector<std::pair<std::string, std::string>> runs_;    // name, json
   std::vector<std::pair<std::string, double>> scalars_;
 };
+
+/// Fig. 6/7: the five preemption methods, all on DSP's initial schedule,
+/// on `profile` at every job count, as one grid. Prints the four panels
+/// and writes --json; returns the bench's exit status.
+int run_preemption_figure(const char* figure, const char* bench_name,
+                          ClusterProfile profile, const BenchCli& cli);
 
 }  // namespace dsp::bench

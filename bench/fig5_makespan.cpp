@@ -7,47 +7,49 @@
 
 #include "bench_common.h"
 
-namespace dsp::bench {
-namespace {
-
-void run_testbed(const char* title, ClusterProfile profile,
-                 const BenchEnv& env, BenchJsonReport& report) {
-  const std::vector<SchedKind> methods{SchedKind::kDsp, SchedKind::kAalo,
-                                       SchedKind::kTetrisSimDep,
-                                       SchedKind::kTetrisNoDep};
-  std::vector<std::string> names;
-  for (auto m : methods) names.emplace_back(to_string(m));
-  MetricSeries series(names, env.job_counts());
-
-  for (std::size_t xi = 0; xi < env.job_counts().size(); ++xi) {
-    const auto jobs_n = static_cast<std::size_t>(env.job_counts()[xi]);
-    for (std::size_t mi = 0; mi < methods.size(); ++mi)
-      series.set(mi, xi,
-                 run_standard_scenario(
-                     scheduler_scenario(methods[mi], profile, jobs_n, env)));
-  }
-
-  std::fputs(series.makespan_table(std::string(title) + ": makespan (s) vs #jobs")
-                 .render()
-                 .c_str(),
-             stdout);
-  std::fputs("\n", stdout);
-  report.add_series(title, series);
-}
-
-}  // namespace
-}  // namespace dsp::bench
-
 int main(int argc, char** argv) {
+  using namespace dsp;
   using namespace dsp::bench;
   const auto cli = BenchCli::parse(argc, argv);
   if (!cli.ok) return 2;
   const BenchEnv env = BenchEnv::from_env();
   print_bench_header("Figure 5: makespan of scheduling methods", env);
+
+  const std::vector<SchedKind> methods{SchedKind::kDsp, SchedKind::kAalo,
+                                       SchedKind::kTetrisSimDep,
+                                       SchedKind::kTetrisNoDep};
+  const struct {
+    const char* title;
+    ClusterProfile profile;
+  } testbeds[] = {{"Fig 5(a) real cluster", ClusterProfile::kRealCluster},
+                  {"Fig 5(b) Amazon EC2", ClusterProfile::kEc2}};
+
+  // Both testbeds in one grid, each testbed's cells x-major.
+  std::vector<ScenarioSpec> grid;
+  for (const auto& testbed : testbeds)
+    for (const long long jobs : env.job_counts())
+      for (const SchedKind m : methods)
+        grid.push_back(scheduler_scenario(m, testbed.profile,
+                                          static_cast<std::size_t>(jobs), env));
+  const std::vector<RunMetrics> results =
+      run_standard_grid(grid, env.grid_options());
+
+  std::vector<std::string> names;
+  for (const SchedKind m : methods) names.emplace_back(to_string(m));
   BenchJsonReport report("fig5_makespan", env);
-  run_testbed("Fig 5(a) real cluster", dsp::ClusterProfile::kRealCluster, env,
-              report);
-  run_testbed("Fig 5(b) Amazon EC2", dsp::ClusterProfile::kEc2, env, report);
-  report.write_if_requested(cli);
-  return 0;
+  std::size_t first = 0;
+  for (const auto& testbed : testbeds) {
+    const MetricSeries series =
+        make_series(names, env.job_counts(), results, first);
+    first += names.size() * env.job_counts().size();
+    std::fputs(series
+                   .makespan_table(std::string(testbed.title) +
+                                   ": makespan (s) vs #jobs")
+                   .render()
+                   .c_str(),
+               stdout);
+    std::fputs("\n", stdout);
+    report.add_series(testbed.title, series);
+  }
+  return report.write_if_requested(cli) ? 0 : 1;
 }

@@ -5,26 +5,23 @@
 
 #include "bench_common.h"
 
-namespace dsp::bench {
-namespace {
-
-void run(const BenchCli& cli) {
+int main(int argc, char** argv) {
+  using namespace dsp;
+  using namespace dsp::bench;
+  const auto cli = BenchCli::parse(argc, argv);
+  if (!cli.ok) return 2;
   const BenchEnv env = BenchEnv::from_env();
   print_bench_header("Figure 8: DSP scalability", env);
 
-  const std::vector<std::string> testbeds{"real-cluster", "EC2"};
-  MetricSeries series(testbeds, env.scalability_counts());
-
-  for (std::size_t xi = 0; xi < env.scalability_counts().size(); ++xi) {
-    const auto jobs_n =
-        static_cast<std::size_t>(env.scalability_counts()[xi]);
-    series.set(0, xi,
-               run_standard_scenario(scheduler_scenario(
-                   SchedKind::kDsp, ClusterProfile::kRealCluster, jobs_n, env)));
-    series.set(1, xi,
-               run_standard_scenario(scheduler_scenario(
-                   SchedKind::kDsp, ClusterProfile::kEc2, jobs_n, env)));
-  }
+  std::vector<ScenarioSpec> grid;
+  for (const long long jobs : env.scalability_counts())
+    for (const ClusterProfile profile :
+         {ClusterProfile::kRealCluster, ClusterProfile::kEc2})
+      grid.push_back(scheduler_scenario(SchedKind::kDsp, profile,
+                                        static_cast<std::size_t>(jobs), env));
+  const MetricSeries series =
+      make_series({"real-cluster", "EC2"}, env.scalability_counts(),
+                  run_standard_grid(grid, env.grid_options()));
 
   std::fputs(series.makespan_table("Fig 8(a): DSP makespan (s) vs #jobs")
                  .render().c_str(), stdout);
@@ -35,15 +32,5 @@ void run(const BenchCli& cli) {
 
   BenchJsonReport report("fig8_scalability", env);
   report.add_series("Fig 8", series);
-  report.write_if_requested(cli);
-}
-
-}  // namespace
-}  // namespace dsp::bench
-
-int main(int argc, char** argv) {
-  const auto cli = dsp::bench::BenchCli::parse(argc, argv);
-  if (!cli.ok) return 2;
-  dsp::bench::run(cli);
-  return 0;
+  return report.write_if_requested(cli) ? 0 : 1;
 }

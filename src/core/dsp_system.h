@@ -19,8 +19,10 @@ namespace dsp {
 
 /// Runs one simulation: constructs an Engine over the cluster/workload with
 /// the given policies and executes it to completion, recording into the
-/// log DSP_EVENT_LOG names when that variable is set (obs/events.h).
-/// `preempt` may be null (offline scheduling only).
+/// log DSP_EVENT_LOG names when that variable is set (obs/events.h). It is
+/// the only library function that reads DSP_EVENT_LOG, and each call
+/// truncates that file: a program that calls it twice keeps only the
+/// second run's stream. `preempt` may be null (offline scheduling only).
 RunMetrics simulate(const ClusterSpec& cluster, JobSet jobs,
                     Scheduler& scheduler, PreemptionPolicy* preempt,
                     EngineParams engine_params = {});

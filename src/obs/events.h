@@ -19,10 +19,12 @@
 // first-divergence diff turns that determinism guarantee into a
 // debuggable property.
 //
-// DSP_EVENT_LOG=<path> (read by EventLog::from_env, applied by
-// simulate() and run_scenario() when they are given no log; the Engine
-// itself and the scenario grid never read it) streams every event to
-// <path> as JSONL.
+// DSP_EVENT_LOG=<path> (read by EventLog::from_env, which simulate() is
+// the only library function to call; the Engine, run_scenario() and the
+// scenario grid record only into a log they are given) streams every
+// event of a simulate() run to <path> as JSONL. Opening the sink
+// truncates <path>, so each simulate() call replaces the previous run's
+// stream; dsp_sweep --event-log-dir writes one file per scenario.
 #pragma once
 
 #include <cstdint>

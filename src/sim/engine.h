@@ -99,8 +99,8 @@ class Engine {
   /// attach through the log's consumer hook (EventLog::set_consumer).
   /// Call before run(); the engine does not own the log. Without one the
   /// run records nothing: the engine reads no environment. simulate()
-  /// and run_scenario() attach the DSP_EVENT_LOG log (obs/events.h)
-  /// when they are given none; the scenario grid never does.
+  /// attaches the DSP_EVENT_LOG log (obs/events.h); run_scenario() and
+  /// the scenario grid attach only a log they are given.
   void set_event_log(obs::EventLog* log) { events_log_ = log; }
   /// The attached recorder, if any (policies use this to emit their own
   /// events through emit_event).

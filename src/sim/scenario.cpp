@@ -1,11 +1,12 @@
 #include "sim/scenario.h"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <utility>
 
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "util/env.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
 
@@ -50,28 +51,6 @@ bool parse_token(const TokenRow<Kind> (&table)[N], std::string_view s,
     }
   }
   return false;
-}
-
-/// Runs `spec` on a fresh Engine with `event_log` attached, or with no
-/// recorder at all when it is null.
-RunMetrics run_with_log(const ScenarioSpec& spec,
-                        const ScenarioFactory& factory,
-                        obs::EventLog* event_log) {
-  ClusterSpec cluster = make_cluster(spec.cluster);
-  JobSet jobs = WorkloadGenerator(spec.workload, spec.seed).generate();
-
-  std::unique_ptr<Scheduler> scheduler = factory.make_scheduler(spec);
-  assert(scheduler != nullptr);
-  std::unique_ptr<PreemptionPolicy> policy = factory.make_policy(spec);
-
-  Engine engine(std::move(cluster), std::move(jobs), *scheduler, policy.get(),
-                spec.engine);
-  engine.set_event_log(event_log);
-  if (spec.failures.kind != FailureRecipe::Kind::kNone) {
-    engine.set_failure_plan(
-        make_failure_plan(spec.failures, engine.cluster(), spec.seed));
-  }
-  return engine.run();
 }
 
 }  // namespace
@@ -199,31 +178,49 @@ std::uint64_t scenario_seed(std::uint64_t base, std::string_view name) {
 RunMetrics run_scenario(const ScenarioSpec& spec,
                         const ScenarioFactory& factory,
                         obs::EventLog* event_log) {
-  if (event_log != nullptr) return run_with_log(spec, factory, event_log);
-  // DSP_EVENT_LOG turns the recorder on for a bench run without code
-  // changes.
-  const std::unique_ptr<obs::EventLog> env_log = obs::EventLog::from_env();
-  return run_with_log(spec, factory, env_log.get());
+  ClusterSpec cluster = make_cluster(spec.cluster);
+  JobSet jobs = WorkloadGenerator(spec.workload, spec.seed).generate();
+
+  std::unique_ptr<Scheduler> scheduler = factory.make_scheduler(spec);
+  assert(scheduler != nullptr);
+  std::unique_ptr<PreemptionPolicy> policy = factory.make_policy(spec);
+
+  Engine engine(std::move(cluster), std::move(jobs), *scheduler, policy.get(),
+                spec.engine);
+  engine.set_event_log(event_log);
+  if (spec.failures.kind != FailureRecipe::Kind::kNone) {
+    engine.set_failure_plan(
+        make_failure_plan(spec.failures, engine.cluster(), spec.seed));
+  }
+  return engine.run();
 }
 
 std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
                                           const ScenarioFactory& factory,
                                           const GridOptions& options) {
-  const unsigned threads =
-      options.threads != 0
-          ? options.threads
-          : static_cast<unsigned>(env_int_min("DSP_THREADS", 1, 1));
+  // Deal order: largest workload first, ties in grid order. Benches list
+  // their cells by job count ascending, so in list order the longest
+  // cells would start last and finish alone.
+  std::vector<std::size_t> order(grid.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto size = [&grid](std::size_t i) {
+    return static_cast<double>(grid[i].workload.job_count) *
+           grid[i].workload.task_scale;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return size(a) > size(b);
+                   });
 
   std::vector<RunMetrics> results(grid.size());
   // Each cell records into its own registry; after the join they merge
   // into the caller's in grid order, so the caller sees the same totals
   // at any thread count.
   std::vector<obs::MetricsRegistry> registries(grid.size());
-  parallel_for(grid.size(), threads, [&](std::size_t i) {
+  parallel_for(grid.size(), options.threads, [&](std::size_t k) {
+    const std::size_t i = order[k];
     const obs::RegistryScope scope(registries[i]);
-    // One private recorder per scenario, and only for event_log_dir:
-    // concurrent runs sharing the DSP_EVENT_LOG sink would interleave
-    // their streams, so the grid never consults that variable.
+    // One private recorder per scenario, and only for event_log_dir.
     std::unique_ptr<obs::EventLog> log;
     if (!options.event_log_dir.empty()) {
       log = std::make_unique<obs::EventLog>();
@@ -236,7 +233,7 @@ std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
         log.reset();
       }
     }
-    results[i] = run_with_log(grid[i], factory, log.get());
+    results[i] = run_scenario(grid[i], factory, log.get());
   });
   obs::MetricsRegistry& caller = obs::default_registry();
   for (const obs::MetricsRegistry& cell : registries) caller.merge(cell);

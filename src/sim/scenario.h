@@ -169,33 +169,35 @@ class ScenarioFactory {
 /// thread count: the same (base, name) always yields the same seed.
 std::uint64_t scenario_seed(std::uint64_t base, std::string_view name);
 
-/// Runs one scenario to completion on a fresh Engine. When `event_log` is
-/// non-null it is attached for the run; otherwise the run records into
-/// the log DSP_EVENT_LOG names (obs/events.h), or into none when that
-/// variable is unset.
+/// Runs one scenario to completion on a fresh Engine, with `event_log`
+/// attached when it is non-null and with no recorder otherwise. Reads no
+/// environment: DSP_EVENT_LOG is simulate()'s alone (core/dsp_system.h).
 RunMetrics run_scenario(const ScenarioSpec& spec,
                         const ScenarioFactory& factory,
                         obs::EventLog* event_log = nullptr);
 
-/// Grid-runner options.
+/// Grid-runner options. The grid reads no environment: a front end that
+/// honours DSP_THREADS parses it and passes the count here.
 struct GridOptions {
-  /// Worker threads; 0 reads DSP_THREADS (default 1).
-  unsigned threads = 0;
+  /// Worker threads, used as given; 0 and 1 both run every scenario on
+  /// the caller, one after another.
+  unsigned threads = 1;
   /// When non-empty, each scenario streams its flight recorder to
   /// `<event_log_dir>/<name>.jsonl`. Empty = no recorder: the scenarios
-  /// run unlogged, and DSP_EVENT_LOG is deliberately NOT consulted
-  /// (parallel runs sharing one file would corrupt it).
+  /// run unlogged.
   std::string event_log_dir;
 };
 
 /// Runs every spec of `grid`, fanned over parallel_for's workers, which
-/// take the next unstarted scenario as they free up. Each scenario
-/// gets its own Engine, workload, metrics registry and (optional) event
-/// log, so runs are independent; results come back in grid order. The
-/// per-scenario output is a pure function of the spec — thread count and
-/// grid order change only the wall-clock fields of the returned metrics.
-/// After the join the scenarios' registries merge into the caller's
-/// current registry (obs/metrics.h) in grid order.
+/// take the next unstarted scenario as they free up. Scenarios are dealt
+/// largest first — descending workload.job_count × workload.task_scale,
+/// ties in grid order — so a long one does not start last and run alone.
+/// Each scenario gets its own Engine, workload, metrics registry and
+/// (optional) event log, so runs are independent; results come back in
+/// grid order. The per-scenario output is a pure function of the spec —
+/// thread count and grid order change only the wall-clock fields of the
+/// returned metrics. After the join the scenarios' registries merge into
+/// the caller's current registry (obs/metrics.h) in grid order.
 std::vector<RunMetrics> run_scenario_grid(const std::vector<ScenarioSpec>& grid,
                                           const ScenarioFactory& factory,
                                           const GridOptions& options = {});

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -251,6 +252,23 @@ TEST(DspReportCliTest, UsageAndMissingFilesExitTwo) {
   EXPECT_EQ(report("diff " + tmp_path("nope1") + " " + tmp_path("nope2"))
                 .exit_code,
             2);
+}
+
+TEST(DspReportCliTest, UnwritableJsonFailsNamingThePath) {
+  // /dev/full accepts the open and fails the write, which once surfaced
+  // only when the stream was flushed after the report claimed success.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string log = tmp_path("report_full.jsonl");
+  write_log(log, 913);
+  for (const std::string& args :
+       {log + " --json /dev/full", "diff " + log + " " + log +
+                                       " --json /dev/full"}) {
+    const CliResult r = report(args);
+    EXPECT_NE(r.exit_code, 0) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("/dev/full"), std::string::npos)
+        << args << "\n" << r.output;
+  }
+  std::remove(log.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -2,9 +2,10 @@
 // standard factory (scenarios/standard.h): cluster recipes, CLI token
 // round-trips, seed derivation, failure-recipe instantiation, equivalence
 // of run_scenario with the plain simulate() entry point, logged against
-// unlogged runs, which entry points honour DSP_EVENT_LOG, and grid-runner
-// determinism across thread counts, down to each scenario's event stream
-// and the metrics registry totals the grid hands its caller.
+// unlogged runs, that simulate() alone honours DSP_EVENT_LOG, the grid's
+// largest-first deal order, and grid-runner determinism across thread
+// counts, down to each scenario's event stream and the metrics registry
+// totals the grid hands its caller.
 #include "sim/scenario.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/dsp_scheduler.h"
@@ -339,6 +341,60 @@ TEST(ScenarioGridTest, EventStreamsIdenticalAcrossThreadCounts) {
   std::filesystem::remove_all(root);
 }
 
+/// Wraps the standard factory and notes, in call order, the name of every
+/// spec it builds a scheduler for: the order the grid starts its cells.
+class RecordingFactory : public ScenarioFactory {
+ public:
+  std::unique_ptr<Scheduler> make_scheduler(
+      const ScenarioSpec& spec) const override {
+    started.push_back(spec.name);
+    return standard_.make_scheduler(spec);
+  }
+  std::unique_ptr<PreemptionPolicy> make_policy(
+      const ScenarioSpec& spec) const override {
+    return standard_.make_policy(spec);
+  }
+
+  mutable std::vector<std::string> started;
+
+ private:
+  StandardScenarioFactory standard_;
+};
+
+TEST(ScenarioGridTest, DealsLargestCellsFirstAndReturnsListOrder) {
+  // Listed in ascending job count, as the benches list their x-axis; the
+  // two 8-job cells tie and must keep their list order.
+  std::vector<ScenarioSpec> grid;
+  for (const auto& [name, jobs, policy] :
+       {std::tuple{"j4", 4, PolicyKind::kDsp},
+        std::tuple{"j8-dsp", 8, PolicyKind::kDsp},
+        std::tuple{"j8-srpt", 8, PolicyKind::kSrpt},
+        std::tuple{"j12", 12, PolicyKind::kDsp},
+        std::tuple{"j16", 16, PolicyKind::kNone}}) {
+    ScenarioSpec spec = small_spec(name);
+    spec.workload.job_count = static_cast<std::size_t>(jobs);
+    spec.policy = policy;
+    grid.push_back(std::move(spec));
+  }
+  const RecordingFactory factory;
+  GridOptions options;
+  options.threads = 1;  // one worker starts the cells in deal order
+  const std::vector<RunMetrics> results =
+      run_scenario_grid(grid, factory, options);
+
+  EXPECT_EQ(factory.started,
+            (std::vector<std::string>{"j16", "j12", "j8-dsp", "j8-srpt",
+                                      "j4"}));
+  ASSERT_EQ(results.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(results[i].jobs_finished, grid[i].workload.job_count)
+        << grid[i].name;
+    EXPECT_EQ(fingerprint(results[i]),
+              fingerprint(run_standard_scenario(grid[i])))
+        << grid[i].name;
+  }
+}
+
 /// The shape of micro_bench's BM_SweepGrid: EC2, 20 jobs at task scale
 /// 0.02, every policy.
 std::vector<ScenarioSpec> sweep_grid() {
@@ -412,7 +468,7 @@ bool take_file(const std::string& path) {
   return written;
 }
 
-TEST(ScenarioGridTest, OnlySingleRunEntryPointsHonourEventLogEnv) {
+TEST(ScenarioGridTest, OnlySimulateHonoursEventLogEnv) {
   const std::string path = ::testing::TempDir() + "/env_event_log.jsonl";
   std::filesystem::remove(path);
   const ScopedEventLogEnv env(path);
@@ -435,9 +491,12 @@ TEST(ScenarioGridTest, OnlySingleRunEntryPointsHonourEventLogEnv) {
   }
   EXPECT_FALSE(take_file(path)) << "a bare Engine run wrote DSP_EVENT_LOG";
 
-  // run_scenario given no log, and simulate(), record into it.
+  // run_scenario given no log runs with none.
   run_standard_scenario(spec);
-  EXPECT_TRUE(take_file(path)) << "run_scenario ignored DSP_EVENT_LOG";
+  EXPECT_FALSE(take_file(path))
+      << "run_scenario given no log wrote DSP_EVENT_LOG";
+
+  // simulate() is the one library entry point that records into it.
   DspScheduler sched;
   DspPreemption policy;
   simulate(ClusterSpec::ec2(6), jobs, sched, &policy, spec.engine);

@@ -3,18 +3,27 @@
 // (fig8_scalability) and the trace_replay and analytics_pipeline
 // examples.
 //
-// The installed binary is driven over small grids: bad flags and tokens
-// must fail with usage, the --json report must parse with the documented
-// schema, and — the grid runner's determinism contract — the report must
-// be byte-identical across --threads settings and across axis order on
-// the command line. Binary locations are injected by tests/CMakeLists.txt.
+// The installed binary is driven over small grids: bad flags, tokens and
+// DSP_THREADS values must fail naming them, the --json report must parse
+// with the documented schema and fail the run when it cannot be written,
+// and — the grid runner's determinism contract — the report must be
+// byte-identical across --threads settings and across axis order on the
+// command line. A figure bench is a grid too: its output must not depend
+// on DSP_THREADS, and its cells must equal dsp_sweep's. Binary locations
+// are injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "obs/json.h"
 
 namespace dsp {
 namespace {
@@ -57,6 +66,15 @@ const char* kSmallGrid =
     "--cluster ec2 --sched dsp --policy srpt,none --jobs 8,12 --seeds 42 "
     "--scale 0.02";
 
+// fig8's first x-point (500 jobs on both testbeds) at a small task scale.
+const std::string kFig8Small =
+    std::string("DSP_POINTS=1 DSP_SCALE=0.02 ") + DSP_FIG8_BIN;
+
+// DSP_THREADS values that once ran with a substituted worker count:
+// clamped or defaulted to 1 with a warning (0, four, -1), silently
+// accepted with a leading blank, or wrapped to 0 by a 32-bit cast.
+const char* const kBadThreads[] = {"0", "four", "-1", " 4", "4294967296"};
+
 TEST(SweepCliTest, UnknownFlagFailsWithUsage) {
   const CliResult r = sweep("--frobnicate");
   EXPECT_EQ(r.exit_code, 2);
@@ -96,6 +114,35 @@ TEST(SweepCliTest, MalformedNumericArgumentFailsNamingFlagAndToken) {
               std::string::npos)
         << arg << "\n" << r.output;
   }
+}
+
+TEST(SweepCliTest, InvalidThreadsEnvFailsNamingIt) {
+  // With no --threads, dsp_sweep reads DSP_THREADS itself, as strictly as
+  // its flags.
+  for (const char* value : kBadThreads) {
+    const CliResult r = run_cli(std::string("DSP_THREADS='") + value + "' " +
+                                    DSP_SWEEP_BIN,
+                                kSmallGrid);
+    EXPECT_EQ(r.exit_code, 2) << value << "\n" << r.output;
+    EXPECT_NE(r.output.find("DSP_THREADS"), std::string::npos) << value;
+    EXPECT_NE(r.output.find(std::string("\"") + value + "\""),
+              std::string::npos)
+        << value << "\n" << r.output;
+    EXPECT_EQ(r.output.find("makespan_s"), std::string::npos)
+        << value << ": a run started\n" << r.output;
+  }
+  const CliResult ok =
+      run_cli(std::string("DSP_THREADS=2 ") + DSP_SWEEP_BIN, kSmallGrid);
+  EXPECT_EQ(ok.exit_code, 0) << ok.output;
+}
+
+TEST(SweepCliTest, UnwritableReportFailsTheRun) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const CliResult r =
+      sweep(std::string(kSmallGrid) + " --threads 1 --json /dev/full");
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("/dev/full"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("written to"), std::string::npos) << r.output;
 }
 
 TEST(SweepCliTest, TableListsEveryScenario) {
@@ -166,18 +213,21 @@ TEST(SweepCliTest, ReportIsByteIdenticalAcrossAxisOrder) {
 
 TEST(BenchEnvCliTest, InvalidSettingExitsBeforeAnyRunNamingIt) {
   // Each case once ran silently: with a substituted value (abc), tiny
-  // jobs (-1), empty tables (DSP_POINTS=0) or a wrapped point count.
-  const struct {
+  // jobs (-1), empty tables (DSP_POINTS=0), a wrapped point count, or a
+  // substituted or wrapped worker count (kBadThreads).
+  struct Case {
     const char* name;
     const char* value;
-  } cases[] = {
+  };
+  std::vector<Case> cases{
       {"DSP_SCALE", "abc"}, {"DSP_SCALE", "-1"},  {"DSP_SCALE", "0"},
       {"DSP_SCALE", "inf"}, {"DSP_SCALE", "nan"}, {"DSP_POINTS", "0"},
       {"DSP_POINTS", "-1"}, {"DSP_POINTS", "6"},  {"DSP_POINTS", "2x"},
       {"DSP_SEED", "abc"},  {"DSP_SEED", "-1"},   {"DSP_SEED", "1.5"},
   };
+  for (const char* value : kBadThreads) cases.push_back({"DSP_THREADS", value});
   for (const auto& c : cases) {
-    const std::string assignment = std::string(c.name) + "=" + c.value;
+    const std::string assignment = std::string(c.name) + "='" + c.value + "'";
     // The small scale keeps a run short should validation ever let one
     // start; a DSP_SCALE case overrides it.
     const CliResult r =
@@ -189,6 +239,98 @@ TEST(BenchEnvCliTest, InvalidSettingExitsBeforeAnyRunNamingIt) {
         << assignment << "\n" << r.output;
     EXPECT_EQ(r.output.find("Figure 8"), std::string::npos)
         << assignment << ": a run started\n" << r.output;
+  }
+}
+
+TEST(BenchEnvCliTest, UnwritableReportFailsTheRun) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const CliResult r = run_cli(kFig8Small, "--json /dev/full");
+  EXPECT_NE(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("/dev/full"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("written to"), std::string::npos) << r.output;
+}
+
+// ---------------------------------------------------------------------
+// Figures as grids
+// ---------------------------------------------------------------------
+
+TEST(FigureGridTest, StdoutIsByteIdenticalAcrossThreadCounts) {
+  const CliResult t1 = run_cli("DSP_THREADS=1 " + kFig8Small, "");
+  const CliResult t4 = run_cli("DSP_THREADS=4 " + kFig8Small, "");
+  ASSERT_EQ(t1.exit_code, 0) << t1.output;
+  ASSERT_EQ(t4.exit_code, 0) << t4.output;
+  ASSERT_NE(t1.output.find("Fig 8(b)"), std::string::npos) << t1.output;
+  EXPECT_EQ(t1.output, t4.output);
+}
+
+/// Deep equality of two parsed JSON values, ignoring object members named
+/// `skip` at any depth.
+bool same_json(const obs::json::Value& a, const obs::json::Value& b,
+               std::string_view skip) {
+  using Kind = obs::json::Value::Kind;
+  if (a.kind != b.kind) return false;
+  switch (a.kind) {
+    case Kind::kNull:
+      return true;
+    case Kind::kBool:
+      return a.boolean == b.boolean;
+    case Kind::kNumber:
+      return a.number == b.number;
+    case Kind::kString:
+      return a.string == b.string;
+    case Kind::kArray:
+      if (a.array.size() != b.array.size()) return false;
+      for (std::size_t i = 0; i < a.array.size(); ++i)
+        if (!same_json(a.array[i], b.array[i], skip)) return false;
+      return true;
+    case Kind::kObject: {
+      std::size_t compared = 0;
+      for (const auto& [key, value] : a.object) {
+        if (key == skip) continue;
+        const obs::json::Value* other = b.find(key);
+        if (other == nullptr || !same_json(value, *other, skip)) return false;
+        ++compared;
+      }
+      std::size_t b_members = 0;
+      for (const auto& member : b.object) b_members += member.first != skip;
+      return compared == b_members;
+    }
+  }
+  return false;
+}
+
+TEST(FigureGridTest, Fig8CellsEqualTheSweepCells) {
+  // Every fig5-fig8 cell is a dsp_sweep cell, which is how a figure cell's
+  // event stream gets recorded (--event-log-dir).
+  const std::string fig8_path = tmp_path("fig8_cells.json");
+  const std::string sweep_path = tmp_path("fig8_sweep.json");
+  ASSERT_EQ(run_cli(kFig8Small, "--json " + fig8_path).exit_code, 0);
+  ASSERT_EQ(sweep("--cluster real,ec2 --sched dsp --policy dsp --jobs 500 "
+                  "--scale 0.02 --json " +
+                  sweep_path)
+                .exit_code,
+            0);
+  obs::json::Value fig8, swept;
+  ASSERT_TRUE(obs::json::parse(slurp(fig8_path), fig8));
+  ASSERT_TRUE(obs::json::parse(slurp(sweep_path), swept));
+
+  const obs::json::Value* series = fig8.find("series");
+  ASSERT_TRUE(series != nullptr && series->array.size() == 1);
+  const obs::json::Value* cells = series->array[0].at_path("data.cells");
+  const obs::json::Value* scenarios = swept.find("scenarios");
+  ASSERT_TRUE(cells != nullptr && scenarios != nullptr);
+  ASSERT_EQ(cells->array.size(), 2u);
+  ASSERT_EQ(scenarios->array.size(), 2u);
+  for (const auto& [method, cluster] :
+       {std::pair{"real-cluster", "real"}, std::pair{"EC2", "ec2"}}) {
+    const obs::json::Value* cell = nullptr;
+    for (const obs::json::Value& c : cells->array)
+      if (c.find("method")->string == method) cell = c.find("metrics");
+    const obs::json::Value* scenario = nullptr;
+    for (const obs::json::Value& s : scenarios->array)
+      if (s.find("cluster")->string == cluster) scenario = s.find("metrics");
+    ASSERT_TRUE(cell != nullptr && scenario != nullptr) << method;
+    EXPECT_TRUE(same_json(*cell, *scenario, "sim_wall_s")) << method;
   }
 }
 

@@ -327,31 +327,6 @@ TEST(EnvTest, ParsesSetValues) {
   ::unsetenv("DSP_TEST_ENV_Y");
 }
 
-TEST(EnvTest, IntMinClampsAndFallsBack) {
-  // Clamping and malformed values warn; keep the test output quiet.
-  const LogLevel saved = log_detail::threshold();
-  set_log_level(LogLevel::kOff);
-
-  // Unset: silent fallback (even below the floor — the caller chose it).
-  ::unsetenv("DSP_TEST_ENV_MIN");
-  EXPECT_EQ(env_int_min("DSP_TEST_ENV_MIN", 4, 1), 4);
-
-  // In range: parsed value wins.
-  ::setenv("DSP_TEST_ENV_MIN", "4", 1);
-  EXPECT_EQ(env_int_min("DSP_TEST_ENV_MIN", 1, 1), 4);
-
-  // Zero and negative clamp to the floor (DSP_THREADS=0 must not mean
-  // "no workers"); malformed text falls back.
-  ::setenv("DSP_TEST_ENV_MIN", "0", 1);
-  EXPECT_EQ(env_int_min("DSP_TEST_ENV_MIN", 8, 1), 1);
-  ::setenv("DSP_TEST_ENV_MIN", "-3", 1);
-  EXPECT_EQ(env_int_min("DSP_TEST_ENV_MIN", 8, 1), 1);
-  ::setenv("DSP_TEST_ENV_MIN", "abc", 1);
-  EXPECT_EQ(env_int_min("DSP_TEST_ENV_MIN", 8, 1), 8);
-  ::unsetenv("DSP_TEST_ENV_MIN");
-  set_log_level(saved);
-}
-
 // ---------------------------------------------------------------------
 // Logging
 // ---------------------------------------------------------------------

@@ -169,7 +169,11 @@ int main(int argc, char** argv) {
       out << ",\"regressed\":" << (r.regressed ? "true" : "false") << "}";
     }
     out << "]}\n";
-    if (!out) return 2;
+    out.close();  // flushes: a full disk shows up only here
+    if (!out) {
+      std::fprintf(stderr, "bench_diff: cannot write %s\n", json_path.c_str());
+      return 2;
+    }
   }
   return regressions == 0 ? 0 : 1;
 }

@@ -34,6 +34,10 @@
 #   sweep-smoke  dsp_sweep over a small scenario grid at --threads 1
 #            and 4: the two --json reports must be byte-identical (the
 #            grid runner's determinism contract) and pass json_check;
+#            then each of the nine simulation benches, which run their
+#            figure as one scenario grid, at DSP_POINTS=1 DSP_SCALE=0.02
+#            with DSP_THREADS=1 and 4: the two stdouts must be
+#            byte-identical;
 #            then an EC2 dsp,dsp-nopp grid with --event-log-dir at
 #            --threads 1 and 4, whose per-scenario JSONL event streams
 #            must be byte-identical pair by pair; then the
@@ -231,6 +235,19 @@ if ! skipped sweep-smoke; then
 
   "$JSON_CHECK" "$sweep_tmp/t1.json" \
     sweep.scale sweep.scenarios scenarios
+
+  # A bench's tables must not depend on how many grid workers run its
+  # cells.
+  echo "simulation benches at DSP_THREADS=1 and 4 (stdout must be identical)"
+  for b in fig5_makespan fig6_preemption_cluster fig7_preemption_ec2 \
+    fig8_scalability ablation_pp ablation_gamma ablation_delta \
+    ablation_failures ablation_locality; do
+    for n in 1 4; do
+      DSP_POINTS=1 DSP_SCALE=0.02 DSP_THREADS=$n build/bench/$b \
+        >"$sweep_tmp/$b-t$n.txt"
+    done
+    cmp "$sweep_tmp/$b-t1.txt" "$sweep_tmp/$b-t4.txt"
+  done
 
   # The per-scenario event streams must not depend on how many grid
   # workers run the scenarios side by side.

@@ -298,7 +298,12 @@ bool write_json_report(const RunReport& r, const std::string& log_path,
     out << "}";
   }
   out << "]}\n";
-  return static_cast<bool>(out);
+  out.close();  // flushes: a full disk shows up only here
+  if (!out) {
+    std::fprintf(stderr, "dsp_report: cannot write %s\n", out_path.c_str());
+    return false;
+  }
+  return true;
 }
 
 /// Reads all lines of `path` (without trailing newlines). False on I/O
@@ -365,7 +370,11 @@ int run_diff(const std::string& a_path, const std::string& b_path,
         << ",\"divergence\":" << divergence << ",\"line_a\":\""
         << obs::json_escape(line_a) << "\",\"line_b\":\""
         << obs::json_escape(line_b) << "\"}\n";
-    if (!out) return 2;
+    out.close();  // flushes: a full disk shows up only here
+    if (!out) {
+      std::fprintf(stderr, "dsp_report: cannot write %s\n", json_path.c_str());
+      return 2;
+    }
   }
   return divergence < 0 ? 0 : 1;
 }

@@ -8,11 +8,23 @@
 //   dsp_sweep --cluster real,ec2 --sched dsp --policy dsp,srpt
 //             --jobs 150,300 --seeds 42,43 --threads 4 --json sweep.json
 //
+// --threads 0 (the default) takes the worker count from DSP_THREADS,
+// parsed as strictly as the flags: an integer from 1 to 4294967295, unset
+// meaning 1.
+//
 // Determinism contract: each scenario is a pure function of its spec.
-// The grid is sorted by scenario name before running and sim_wall_s is
-// zeroed in the JSON (wall clock is the only non-deterministic field), so
-// the report is byte-identical at any --threads setting and any axis
-// order on the command line. tools/ci.sh sweep-smoke enforces this.
+// The grid is sorted by scenario name, which orders the report (the
+// runner deals the largest cells first whatever the order), and
+// sim_wall_s is zeroed in the JSON (wall clock is the only
+// non-deterministic field), so the report is byte-identical at any
+// --threads setting and any axis order on the command line. tools/ci.sh
+// sweep-smoke enforces this.
+//
+// Every fig5-fig8 bench cell is a dsp_sweep cell (scale 0.1 = the
+// benches' default DSP_SCALE), so --event-log-dir records any of them,
+// e.g. Fig. 7's SRPT cell at 750 jobs:
+//   dsp_sweep --cluster ec2 --sched dsp --policy srpt --jobs 750
+//             --scale 0.1 --event-log-dir <dir>
 #include <algorithm>
 #include <climits>
 #include <cstdio>
@@ -25,6 +37,7 @@
 #include "obs/metrics.h"
 #include "scenarios/standard.h"
 #include "sim/scenario.h"
+#include "util/env.h"
 #include "util/parse.h"
 #include "util/time.h"
 
@@ -39,7 +52,7 @@ struct Cli {
   std::vector<unsigned long long> jobs{150};
   std::vector<unsigned long long> seeds{42};
   double scale = 0.05;
-  unsigned threads = 0;  // 0 = DSP_THREADS (default 1)
+  unsigned threads = 0;  // 0 = DSP_THREADS, read by parse_cli
   std::string json_path;
   std::string event_log_dir;
   bool ok = true;
@@ -176,6 +189,18 @@ Cli parse_cli(int argc, char** argv) {
     std::fprintf(stderr, "%s: every axis needs at least one value\n", argv[0]);
     cli.ok = false;
   }
+  if (cli.ok && cli.threads == 0) {
+    const std::string env = env_string("DSP_THREADS", "");
+    unsigned long long n = 1;
+    if (!env.empty() && (!parse_count(env, n) || n == 0 || n > UINT_MAX)) {
+      std::fprintf(stderr,
+                   "%s: DSP_THREADS=\"%s\" is invalid: expected an integer "
+                   "from 1 to 4294967295\n",
+                   argv[0], env.c_str());
+      cli.ok = false;
+    }
+    cli.threads = static_cast<unsigned>(n);
+  }
   return cli;
 }
 
@@ -242,7 +267,13 @@ bool write_report(const std::string& path, const Cli& cli,
     out << '}';
   }
   out << "]}\n";
-  return out.good();
+  // Closing flushes the buffer: a full disk shows up only here.
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "dsp_sweep: cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace

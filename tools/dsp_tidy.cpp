@@ -136,6 +136,12 @@ int main(int argc, char** argv) {
       return 2;
     }
     report.write_json(out, "source", input);
+    out.close();  // flushes: a full disk shows up only here
+    if (!out) {
+      std::fprintf(stderr, "%s: cannot write %s\n", argv[0],
+                   json_path.c_str());
+      return 2;
+    }
     report.print_text(std::cout);  // keep the human-readable summary
   }
   return report.has_errors() ? 1 : 0;
