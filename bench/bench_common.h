@@ -125,8 +125,10 @@ class BenchJsonReport {
   /// cannot be opened or written.
   bool write(const std::string& path) const;
 
-  /// If cli names a --json path, writes there and prints a confirmation.
-  /// False when that write failed; bench mains then exit with status 1.
+  /// If cli names a --json path, writes there and prints a confirmation;
+  /// then flushes standard output (flush_stdout, util/log.h). False when
+  /// the report or standard output could not be written; bench mains
+  /// then exit with status 1. Bench mains call it last.
   bool write_if_requested(const BenchCli& cli) const;
 
  private:

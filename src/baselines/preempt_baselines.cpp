@@ -1,16 +1,26 @@
 #include "baselines/preempt_baselines.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace dsp {
 
 void QueueScanPreemption::on_epoch(Engine& engine) {
+  const bool shorter = requires_shorter_remaining();
   for (int node = 0; node < static_cast<int>(engine.node_count()); ++node) {
     if (engine.waiting(node).empty()) continue;
 
+    // Victims are the running occupants only: a hoarding occupant is never
+    // preemptable, and leaving it in the list would let the remaining-time
+    // filter below test against a victim the scan would have skipped.
     victims_.clear();
-    for (Gid r : engine.running(node))
-      if (eligible_victim(engine, r)) victims_.push_back(key(engine, r));
+    int eligible = 0;
+    for (Gid r : engine.running(node)) {
+      if (!eligible_victim(engine, r)) continue;
+      ++eligible;
+      if (engine.state(r) == TaskState::kRunning)
+        victims_.push_back(key(engine, r));
+    }
     if (victims_.empty()) continue;
     std::sort(victims_.begin(), victims_.end(),
               [this](const Key& a, const Key& b) { return victim_order(a, b); });
@@ -19,23 +29,36 @@ void QueueScanPreemption::on_epoch(Engine& engine) {
     // Every running task is evicted at most once per epoch (victims are
     // consumed), which bounds the per-node work. Failed preempt-in attempts
     // (e.g. unready tasks under these dependency-blind policies) also cost
-    // real scheduler time, so they share a per-node budget.
-    int attempt_budget = 8 * static_cast<int>(victims_.size());
+    // real scheduler time, so they share a per-node budget of 8 attempts
+    // per eligible occupant, hoarding ones included.
+    int attempt_budget = 8 * eligible;
+    const double rate = engine.node_rate(node);
     engine.waiting_snapshot(node, queue_);
     for (Gid w : queue_) {
       if (victims_.empty() || attempt_budget <= 0) break;
-      const TaskState s = engine.state(w);
-      if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;
+      // Only the incoming task of a preemption leaves the queue during a
+      // node's scan, and the scan never revisits it.
+      assert(engine.state(w) == TaskState::kWaiting ||
+             engine.state(w) == TaskState::kSuspended);
+      // Cheapest test first. The front victim is tried first, and
+      // should_preempt needs w strictly shorter than it: a w that is not
+      // can preempt nothing. The remaining time is remaining_time(w)'s
+      // value, from the compact queued-remaining array.
+      SimTime remaining = 0;
+      if (shorter) {
+        remaining = rate <= 0.0
+                        ? kMaxTime
+                        : from_seconds(engine.queued_remaining_mi(w) / rate);
+        if (remaining >= victims_.front().remaining) continue;
+      }
       if (engine.launch_blocked(w)) continue;  // failed input check earlier
       if (!eligible_preemptor(engine, w)) continue;
-      const Key waiting = key(engine, w);
+      const Key waiting =
+          shorter ? make_key(engine, w, remaining) : key(engine, w);
 
       for (auto it = victims_.begin(); it != victims_.end();) {
         const Gid v = it->gid;
-        if (engine.state(v) != TaskState::kRunning) {
-          it = victims_.erase(it);
-          continue;
-        }
+        assert(engine.state(v) == TaskState::kRunning);
         // Victims are sorted best-first; if the best remaining victim is
         // not preemptable by w, none is (DESIGN.md §7: for SRPT this skips
         // later victims a remaining-time test alone would pass).
@@ -64,9 +87,10 @@ void QueueScanPreemption::on_epoch(Engine& engine) {
 // Amoeba
 // ---------------------------------------------------------------------
 
-QueueScanPreemption::Key AmoebaPolicy::key(const Engine& engine,
-                                           Gid g) const {
-  return {.gid = g, .remaining = engine.remaining_time(g)};
+QueueScanPreemption::Key AmoebaPolicy::make_key(const Engine& engine, Gid g,
+                                                SimTime remaining) const {
+  (void)engine;
+  return {.gid = g, .remaining = remaining};
 }
 
 bool AmoebaPolicy::victim_order(const Key& a, const Key& b) const {
@@ -96,10 +120,10 @@ double resource_magnitude(const Engine& engine, Gid g) {
 
 }  // namespace
 
-QueueScanPreemption::Key NatjamPolicy::key(const Engine& engine,
-                                           Gid g) const {
+QueueScanPreemption::Key NatjamPolicy::make_key(const Engine& engine, Gid g,
+                                                SimTime remaining) const {
   return {.gid = g,
-          .remaining = engine.remaining_time(g),
+          .remaining = remaining,
           .score = resource_magnitude(engine, g),
           .deadline = engine.job(engine.job_of(g)).deadline()};
 }
@@ -144,8 +168,8 @@ double SrptPolicy::priority(const Engine& engine, Gid g,
   return alpha_ * t_w + beta_ / t_rem;
 }
 
-QueueScanPreemption::Key SrptPolicy::key(const Engine& engine, Gid g) const {
-  const SimTime remaining = engine.remaining_time(g);
+QueueScanPreemption::Key SrptPolicy::make_key(const Engine& engine, Gid g,
+                                              SimTime remaining) const {
   return {.gid = g,
           .remaining = remaining,
           .score = priority(engine, g, remaining)};

@@ -19,6 +19,18 @@ namespace dsp {
 /// (the whole queue — these baselines have no delta window and ignore
 /// dependency, so unready tasks are candidates too) may preempt a running
 /// victim chosen by the subclass.
+///
+/// Per node, on_epoch collects the eligible *running* occupants as
+/// victims and sorts them best-first. Hoarding occupants are never
+/// victims, but they still count toward the attempt budget of 8 per
+/// eligible occupant. It then walks a snapshot of the waiting queue and
+/// rejects each entry with the cheapest test that can (DESIGN.md §10.5):
+///   1. when requires_shorter_remaining(), the entry's remaining time,
+///      from Engine::queued_remaining_mi, against the front victim's;
+///   2. Engine::launch_blocked, which reads one state byte;
+///   3. eligible_preemptor;
+/// and only then builds the entry's key and tries the victims in order.
+/// Every test is pure, so the order changes no decision.
 class QueueScanPreemption : public PreemptionPolicy {
  public:
   void on_epoch(Engine& engine) override;
@@ -35,8 +47,20 @@ class QueueScanPreemption : public PreemptionPolicy {
     SimTime deadline = 0;   ///< Natjam: deadline of the task's job
   };
 
+  /// The key of `g` in the current engine state, given its remaining time
+  /// (Engine::remaining_time(g)).
+  virtual Key make_key(const Engine& engine, Gid g,
+                       SimTime remaining) const = 0;
+
   /// The key of `g` in the current engine state.
-  virtual Key key(const Engine& engine, Gid g) const = 0;
+  Key key(const Engine& engine, Gid g) const {
+    return make_key(engine, g, engine.remaining_time(g));
+  }
+
+  /// True when should_preempt(w, v) implies w.remaining < v.remaining.
+  /// The scan then skips a waiting task whose remaining time is not below
+  /// the front victim's before it reads any of the task's records.
+  virtual bool requires_shorter_remaining() const { return false; }
 
   /// Ascending victim order: the first victim in this order is tried first.
   /// Return value: strict-weak-order "a is a better victim than b".
@@ -79,7 +103,8 @@ class AmoebaPolicy : public QueueScanPreemption {
   }
 
  protected:
-  Key key(const Engine& engine, Gid g) const override;
+  Key make_key(const Engine& engine, Gid g, SimTime remaining) const override;
+  bool requires_shorter_remaining() const override { return true; }
   bool victim_order(const Key& a, const Key& b) const override;
   bool should_preempt(const Key& waiting, const Key& victim) const override;
 };
@@ -96,7 +121,10 @@ class NatjamPolicy : public QueueScanPreemption {
   }
 
  protected:
-  Key key(const Engine& engine, Gid g) const override;
+  /// Natjam filters on the job tier (eligible_preemptor) and needs no
+  /// remaining time per waiting task, so its scan keeps the default
+  /// order: computing one per entry would only add a division.
+  Key make_key(const Engine& engine, Gid g, SimTime remaining) const override;
   bool victim_order(const Key& a, const Key& b) const override;
   bool should_preempt(const Key& waiting, const Key& victim) const override;
   bool eligible_preemptor(const Engine& engine, Gid waiting) const override;
@@ -122,7 +150,8 @@ class SrptPolicy : public QueueScanPreemption {
   double priority(const Engine& engine, Gid g) const;
 
  protected:
-  Key key(const Engine& engine, Gid g) const override;
+  Key make_key(const Engine& engine, Gid g, SimTime remaining) const override;
+  bool requires_shorter_remaining() const override { return true; }
   bool victim_order(const Key& a, const Key& b) const override;
   bool should_preempt(const Key& waiting, const Key& victim) const override;
 

@@ -77,6 +77,9 @@ struct Resources {
 /// when the job is finalized.
 struct Task {
   TaskIndex index = kInvalidTask;  ///< Position within the job.
+  // Derived at job finalization (like `deadline` below); kept next to
+  // `index` so the two 4-byte fields share one 8-byte slot.
+  int level = 0;                   ///< 1-based DAG level (roots = 1).
   double size_mi = 0.0;            ///< Size l_ij in Millions of Instructions.
   Resources demand;                ///< Peak resource demand while running.
 
@@ -88,7 +91,6 @@ struct Task {
   double input_mb = 0.0;
 
   // Derived at job finalization:
-  int level = 0;             ///< 1-based DAG level (roots = 1).
   SimTime deadline = kNoTime;  ///< Per-task deadline t^d_ij (absolute).
 
   /// True when the task's input data is resident on `node` (tasks without

@@ -60,8 +60,10 @@ void ClusterState::remove_waiting(int node, Gid g, const TaskRuntime& tasks) {
   auto it = queue_lower_bound(n.waiting, key, tasks);
   assert(it != n.waiting.end() && *it == g);
   n.waiting.erase(it);
+  if (!tasks.ready(g)) return;  // a queued task is in `ready` iff ready
   it = queue_lower_bound(n.ready, key, tasks);
-  if (it != n.ready.end() && *it == g) n.ready.erase(it);
+  assert(it != n.ready.end() && *it == g);
+  n.ready.erase(it);
 }
 
 void ClusterState::mark_ready(int node, Gid g, const TaskRuntime& tasks) {

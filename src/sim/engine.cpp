@@ -285,6 +285,7 @@ bool Engine::add_job_dependency(JobId predecessor, JobId successor) {
   }
   tasks_.job_rt(predecessor).successor_jobs.push_back(successor);
   ++tasks_.job_rt(successor).pred_jobs_remaining;
+  tasks_.clear_job_ready(successor);
   return true;
 }
 
@@ -562,6 +563,11 @@ void Engine::enqueue_waiting(int node, Gid g) {
               .task = g,
               .node = n16(node)});
   r.waiting_since = now_;
+  // Every path that queues a task whose progress changed comes through
+  // here; hoard-timeout requeues and migrations move a task that has made
+  // no progress since, so the stored value stays exact while it waits.
+  tasks_.set_queued_remaining_mi(
+      g, std::max(0.0, task_info(g).size_mi - r.executed_mi));
   nodes_.insert_waiting(node, g, tasks_);
 }
 
@@ -871,9 +877,11 @@ void Engine::on_finish(Gid g, std::uint32_t token) {
     TaskRt& c = tasks_.rt(cg);
     assert(c.unfinished_parents > 0);
     if (--c.unfinished_parents != 0) continue;
+    const bool ready = tasks_.job_rt(j).pred_jobs_remaining == 0;
+    if (ready) tasks_.set_ready(cg);
     if (c.state == TaskState::kHoarding)
       activate_hoarding(cg);
-    else if (tasks_.ready(cg))
+    else if (ready)
       mark_ready_if_queued(cg);
   }
 
@@ -933,8 +941,12 @@ void Engine::complete_job(JobId j) {
     assert(tasks_.job_rt(s).pred_jobs_remaining > 0);
     if (--tasks_.job_rt(s).pred_jobs_remaining != 0) continue;
     unblocked = true;
-    for (TaskIndex t = 0; t < jobs_[s].task_count(); ++t)
-      if (tasks_.ready(gid(s, t))) mark_ready_if_queued(gid(s, t));
+    for (TaskIndex t = 0; t < jobs_[s].task_count(); ++t) {
+      const Gid sg = gid(s, t);
+      if (tasks_.rt(sg).unfinished_parents != 0) continue;
+      tasks_.set_ready(sg);
+      mark_ready_if_queued(sg);
+    }
   }
   if (unblocked) fill_all_slots();
 }

@@ -171,12 +171,20 @@ class Engine {
   /// check and the task has not become ready since. Dependency-blind
   /// policies skip blocked tasks instead of re-attempting them every
   /// event (a real scheduler remembers the failed launch until the
-  /// missing inputs appear).
-  bool launch_blocked(Gid g) const {
-    return tasks_.launch_blocked_flag(g) && !is_ready(g);
-  }
+  /// missing inputs appear). Reads only the task's state byte, so a queue
+  /// scan can reject a blocked entry without loading its records.
+  bool launch_blocked(Gid g) const { return tasks_.launch_blocked(g); }
   /// Work left in MI (size minus executed).
   double remaining_mi(Gid g) const;
+  /// remaining_mi(g) of a queued task, bit for bit, from one compact
+  /// per-task array: a queued task makes no progress, so the value
+  /// stored when it was queued stays exact. Defined only while `g` is
+  /// waiting or suspended.
+  double queued_remaining_mi(Gid g) const {
+    assert(tasks_.rt(g).state == TaskState::kWaiting ||
+           tasks_.rt(g).state == TaskState::kSuspended);
+    return tasks_.queued_remaining_mi(g);
+  }
   /// Remaining execution time at the task's assigned node's rate
   /// (falls back to the cluster mean rate while unassigned).
   SimTime remaining_time(Gid g) const;

@@ -7,6 +7,17 @@
 // holds no cluster or calendar state: time and node rates are passed in
 // where a computation needs them, so the layer stays independently
 // testable.
+//
+// Besides the records, two compact per-task facts serve the
+// dependency-blind queue scans (DESIGN.md §10.5), which reject most
+// queued tasks before they need anything else:
+//   - a state byte with a *ready* bit (every precedent task finished and
+//     every predecessor job completed) and a *launch-blocked* bit (a
+//     launch attempt failed the input check), so ready() and
+//     launch_blocked() read one byte instead of TaskRt and JobRt;
+//   - the remaining MI a queued task carries. A queued task makes no
+//     progress, so the value written when it is queued stays exact until
+//     it leaves the queue.
 #pragma once
 
 #include <cassert>
@@ -84,15 +95,32 @@ class TaskRuntime {
     return rt_[g];
   }
 
-  /// True when a previous launch attempt failed the input check and the
-  /// block has not been cleared since (see Engine::launch_blocked).
+  /// True when a previous launch attempt failed the input check. The bit
+  /// is never cleared; Engine::launch_blocked masks it with readiness.
   bool launch_blocked_flag(Gid g) const {
-    assert(g < launch_blocked_.size());
-    return launch_blocked_[g] != 0;
+    assert(g < state_bits_.size());
+    return (state_bits_[g] & kBlockedBit) != 0;
   }
   void set_launch_blocked(Gid g) {
-    assert(g < launch_blocked_.size());
-    launch_blocked_[g] = 1;
+    assert(g < state_bits_.size());
+    state_bits_[g] |= kBlockedBit;
+  }
+  /// launch_blocked_flag(g) && !ready(g), from the state byte alone.
+  bool launch_blocked(Gid g) const {
+    assert(g < state_bits_.size());
+    return (state_bits_[g] & (kBlockedBit | kReadyBit)) == kBlockedBit;
+  }
+
+  /// Work left in MI when `g` was last queued: max(0, size_mi -
+  /// executed_mi), written by Engine::enqueue_waiting. Exact while `g`
+  /// is waiting or suspended; stale once it runs again.
+  double queued_remaining_mi(Gid g) const {
+    assert(g < queued_remaining_mi_.size());
+    return queued_remaining_mi_[g];
+  }
+  void set_queued_remaining_mi(Gid g, double mi) {
+    assert(g < queued_remaining_mi_.size());
+    queued_remaining_mi_[g] = mi;
   }
 
   // ---- Per-job records -----------------------------------------------
@@ -106,14 +134,28 @@ class TaskRuntime {
   }
 
   /// True when every precedent task of `g` has finished and every
-  /// predecessor job of its job has completed. Monotone: once true, it
-  /// stays true for the rest of the run.
+  /// predecessor job of its job has completed. Reads the ready bit, which
+  /// the Engine sets where either count reaches zero. Monotone once the
+  /// run starts: once true, it stays true.
   bool ready(Gid g) const {
-    return rt(g).unfinished_parents == 0 &&
-           job_rt(job_of(g)).pred_jobs_remaining == 0;
+    assert(g < state_bits_.size());
+    assert(((state_bits_[g] & kReadyBit) != 0) ==
+           (rt(g).unfinished_parents == 0 &&
+            job_rt(job_of(g)).pred_jobs_remaining == 0));
+    return (state_bits_[g] & kReadyBit) != 0;
   }
+  void set_ready(Gid g) {
+    assert(g < state_bits_.size());
+    state_bits_[g] |= kReadyBit;
+  }
+  /// Clears the ready bits of job `j`'s tasks: a predecessor job was
+  /// declared for it (before the run).
+  void clear_job_ready(JobId j);
 
  private:
+  static constexpr std::uint8_t kReadyBit = 1;
+  static constexpr std::uint8_t kBlockedBit = 2;
+
   const JobSet* jobs_ = nullptr;
 
   std::vector<Gid> job_offset_;        // per job: first gid
@@ -122,7 +164,8 @@ class TaskRuntime {
 
   std::vector<TaskRt> rt_;
   std::vector<JobRt> job_rt_;
-  std::vector<std::uint8_t> launch_blocked_;  // failed input checks
+  std::vector<std::uint8_t> state_bits_;     // per gid: kReadyBit | kBlockedBit
+  std::vector<double> queued_remaining_mi_;  // per gid, while queued
 };
 
 }  // namespace dsp

@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdlib>
 #include <cstring>
+#include <iostream>
 
 namespace dsp {
 
@@ -79,3 +80,17 @@ void emit(LogLevel level, const char* fmt, ...) {
 }
 
 }  // namespace dsp::log_detail
+
+namespace dsp {
+
+bool flush_stdout(const char* program) {
+  // Both streams are flushed even when the first fails; either failure,
+  // now or in an earlier buffered write, fails the check.
+  const bool cout_ok = static_cast<bool>(std::cout.flush());
+  const bool stdio_ok = std::fflush(stdout) == 0 && std::ferror(stdout) == 0;
+  if (cout_ok && stdio_ok) return true;
+  std::fprintf(stderr, "%s: cannot write standard output\n", program);
+  return false;
+}
+
+}  // namespace dsp

@@ -47,4 +47,12 @@ inline void set_log_level(LogLevel level) { log_detail::set_threshold(level); }
 #define DSP_WARN(...) DSP_LOG_AT(::dsp::LogLevel::kWarn, __VA_ARGS__)
 #define DSP_ERROR(...) DSP_LOG_AT(::dsp::LogLevel::kError, __VA_ARGS__)
 
+/// Flushes std::cout and stdout, and returns true when every write to
+/// them reached the file, pipe or terminal. Otherwise prints one line,
+/// "<program>: cannot write standard output", on stderr and returns
+/// false: a table written into a full disk must fail the run instead of
+/// vanishing with exit status 0. Command-line mains call it last, before
+/// returning success.
+bool flush_stdout(const char* program);
+
 }  // namespace dsp

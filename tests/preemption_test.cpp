@@ -2,11 +2,21 @@
 // the Amoeba/Natjam/SRPT baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "baselines/preempt_baselines.h"
 #include "bench_common.h"
 #include "core/dsp_system.h"
 #include "core/preemption.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
+#include "scenarios/standard.h"
 #include "test_util.h"
 #include "trace/workload.h"
 
@@ -335,6 +345,209 @@ TEST(BaselinePolicyTest, BlindPoliciesGenerateDisorders) {
                 &srpt, fast_params());
   const RunMetrics m = engine.run();
   EXPECT_GT(m.disorders, 0u);
+}
+
+/// QueueScanPreemption::on_epoch as it was before the scan tested the
+/// compact per-task facts first: its statements verbatim, with members
+/// qualified by `this->` as a template over the policy needs. Every
+/// occupant is a victim until the scan finds it not running, and every
+/// waiting task is tested for state, launch block and eligibility before
+/// its key is built.
+template <typename Policy>
+class ReferenceScan : public Policy {
+ public:
+  void on_epoch(Engine& engine) override {
+    for (int node = 0; node < static_cast<int>(engine.node_count()); ++node) {
+      if (engine.waiting(node).empty()) continue;
+
+      victims_.clear();
+      for (Gid r : engine.running(node))
+        if (this->eligible_victim(engine, r))
+          victims_.push_back(this->key(engine, r));
+      if (victims_.empty()) continue;
+      std::sort(victims_.begin(), victims_.end(),
+                [this](const Key& a, const Key& b) {
+                  return this->victim_order(a, b);
+                });
+
+      int attempt_budget = 8 * static_cast<int>(victims_.size());
+      engine.waiting_snapshot(node, queue_);
+      for (Gid w : queue_) {
+        if (victims_.empty() || attempt_budget <= 0) break;
+        const TaskState s = engine.state(w);
+        if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;
+        if (engine.launch_blocked(w)) continue;
+        if (!this->eligible_preemptor(engine, w)) continue;
+        const Key waiting = this->key(engine, w);
+
+        for (auto it = victims_.begin(); it != victims_.end();) {
+          const Gid v = it->gid;
+          if (engine.state(v) != TaskState::kRunning) {
+            it = victims_.erase(it);
+            continue;
+          }
+          if (!this->should_preempt(waiting, *it)) break;
+          --attempt_budget;
+          const PreemptResult res = engine.try_preempt(node, v, w);
+          if (res == PreemptResult::kOk) {
+            victims_.erase(it);
+            break;
+          }
+          if (res == PreemptResult::kNoResources) {
+            ++it;
+            continue;
+          }
+          break;
+        }
+      }
+    }
+  }
+
+ private:
+  using Key = typename Policy::Key;
+  std::vector<Key> victims_;
+  std::vector<Gid> queue_;
+};
+
+/// The standard factory, except that the three baseline policies run the
+/// reference scan.
+class ReferenceScanFactory : public StandardScenarioFactory {
+ public:
+  std::unique_ptr<PreemptionPolicy> make_policy(
+      const ScenarioSpec& spec) const override {
+    switch (spec.policy) {
+      case PolicyKind::kAmoeba:
+        return std::make_unique<ReferenceScan<AmoebaPolicy>>();
+      case PolicyKind::kNatjam:
+        return std::make_unique<ReferenceScan<NatjamPolicy>>();
+      case PolicyKind::kSrpt:
+        return std::make_unique<ReferenceScan<SrptPolicy>>();
+      default:
+        return StandardScenarioFactory::make_policy(spec);
+    }
+  }
+};
+
+/// Forwards to a factory's policy and records the deepest waiting queue
+/// any epoch saw.
+class DepthFactory : public ScenarioFactory {
+ public:
+  DepthFactory(const ScenarioFactory& inner, std::size_t& depth)
+      : inner_(inner), depth_(depth) {}
+  std::unique_ptr<Scheduler> make_scheduler(
+      const ScenarioSpec& spec) const override {
+    return inner_.make_scheduler(spec);
+  }
+  std::unique_ptr<PreemptionPolicy> make_policy(
+      const ScenarioSpec& spec) const override {
+    return std::make_unique<Depth>(inner_.make_policy(spec), depth_);
+  }
+
+ private:
+  class Depth : public PreemptionPolicy {
+   public:
+    Depth(std::unique_ptr<PreemptionPolicy> inner, std::size_t& depth)
+        : inner_(std::move(inner)), depth_(depth) {}
+    const char* name() const override { return inner_->name(); }
+    CheckpointMode checkpoint_mode() const override {
+      return inner_->checkpoint_mode();
+    }
+    void on_epoch(Engine& engine) override {
+      for (int k = 0; k < static_cast<int>(engine.node_count()); ++k)
+        depth_ = std::max(depth_, engine.waiting(k).size());
+      inner_->on_epoch(engine);
+    }
+
+   private:
+    std::unique_ptr<PreemptionPolicy> inner_;
+    std::size_t& depth_;
+  };
+
+  const ScenarioFactory& inner_;
+  std::size_t& depth_;
+};
+
+/// Every field of `m` but the wall clock, doubles in hex: equal strings
+/// mean bit-identical runs.
+std::string all_fields(const RunMetrics& m) {
+  std::ostringstream os;
+  os << std::hexfloat << m.makespan << ' ' << m.tasks_finished << ' '
+     << m.jobs_finished << ' ' << m.jobs_met_deadline << ' ' << m.disorders
+     << ' ' << m.preemptions << ' ' << m.suppressed_preemptions << ' '
+     << m.preempt_evaluations << ' ' << m.preempt_blocked_dependency << ' '
+     << m.preempt_no_victim << ' ' << m.node_failures << ' '
+     << m.tasks_killed_by_failure << ' ' << m.work_lost_mi << ' '
+     << m.locality_local << ' ' << m.locality_remote << ' '
+     << m.deadline_misses << ' ' << m.slot_utilization << ' '
+     << m.overhead_s << '\n';
+  for (const double w : m.job_waiting_s) os << w << ' ';
+  os << '\n';
+  for (const JobRecord& r : m.job_records)
+    os << r.id << ' ' << static_cast<int>(r.size_class) << ' '
+       << static_cast<int>(r.tier) << ' ' << r.arrival << ' ' << r.finish
+       << ' ' << r.mean_task_wait_s << ' ' << r.met_deadline << '\n';
+  return os.str();
+}
+
+/// Every field of two events, doubles compared bit for bit.
+bool same_event(const obs::Event& a, const obs::Event& b) {
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  return a.time == b.time && a.seq == b.seq && a.epoch == b.epoch &&
+         a.kind == b.kind && a.flags == b.flags && a.job == b.job &&
+         a.task == b.task && a.task2 == b.task2 && a.node == b.node &&
+         a.node2 == b.node2 && bits(a.a) == bits(b.a) &&
+         bits(a.b) == bits(b.b) && bits(a.gap) == bits(b.gap) &&
+         bits(a.rho) == bits(b.rho);
+}
+
+struct ScanRun {
+  RunMetrics metrics;
+  std::vector<obs::Event> events;
+  std::size_t max_depth = 0;
+};
+
+ScanRun run_scan(const ScenarioSpec& spec, const ScenarioFactory& factory) {
+  ScanRun out;
+  obs::EventLog log;
+  log.set_consumer([&out](const obs::Event& e) { out.events.push_back(e); });
+  const DepthFactory depth(factory, out.max_depth);
+  out.metrics = run_scenario(spec, depth, &log);
+  return out;
+}
+
+TEST(BaselinePolicyTest, ScanMatchesReferenceScan) {
+  // The shipped scan tests each waiting task's queued remaining time and
+  // state byte before it reads the task's records, and drops hoarding
+  // occupants from the victims up front. It must decide exactly as the
+  // reference scan does, at queue depths where the filters act, with
+  // hoarding occupants (TetrisW/oDep) and with failures requeueing work.
+  for (const SchedKind sched : {SchedKind::kDsp, SchedKind::kTetrisNoDep}) {
+    for (const PolicyKind policy :
+         {PolicyKind::kAmoeba, PolicyKind::kNatjam, PolicyKind::kSrpt}) {
+      ScenarioSpec spec;
+      spec.name = std::string(to_token(sched)) + "-" + to_token(policy);
+      SCOPED_TRACE(spec.name);
+      spec.cluster.profile = ClusterProfile::kEc2;
+      spec.workload.job_count = 50;
+      spec.workload.task_scale = 0.1;
+      spec.sched = sched;
+      spec.policy = policy;
+      spec.failures.kind = FailureRecipe::Kind::kOutages;
+      spec.failures.mtbf_hours = 1.0;
+      const ScanRun shipped = run_scan(spec, StandardScenarioFactory{});
+      const ScanRun reference = run_scan(spec, ReferenceScanFactory{});
+      EXPECT_GT(shipped.max_depth, 100u);
+      EXPECT_GT(shipped.metrics.node_failures, 0u);
+      EXPECT_GT(shipped.metrics.preemptions, 0u);
+      EXPECT_EQ(all_fields(shipped.metrics), all_fields(reference.metrics));
+      ASSERT_EQ(shipped.events.size(), reference.events.size());
+      const auto diverged =
+          std::mismatch(shipped.events.begin(), shipped.events.end(),
+                        reference.events.begin(), same_event);
+      EXPECT_TRUE(diverged.first == shipped.events.end())
+          << "first divergence at event seq " << diverged.first->seq;
+    }
+  }
 }
 
 TEST(BaselinePolicyTest, Names) {

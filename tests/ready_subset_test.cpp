@@ -1,13 +1,19 @@
 // Property tests for the kernel's per-node ready subset: at every epoch
 // and before every dispatch decision, Engine::ready(k) must equal
-// waiting(k) filtered by is_ready, in the same order, and ready_within
-// must count the ready entries of every waiting-queue prefix. The
-// scenarios drive each path that changes readiness or queue membership:
-// slot hoarding and hoard-timeout requeues, node failover and straggler
+// waiting(k) filtered by readiness, in the same order, and ready_within
+// must count the ready entries of every waiting-queue prefix. Readiness
+// is derived here from the task and job records (no unfinished parent,
+// no pending predecessor job), and every queued task's compact facts
+// must agree with the records: its ready bit, Engine::launch_blocked,
+// and Engine::queued_remaining_mi, which must equal remaining_mi bit for
+// bit. The scenarios drive each path that changes readiness, progress or
+// queue membership: slot hoarding and hoard-timeout requeues, node
+// failover (with and without surviving checkpoints) and straggler
 // migration, cross-job dependencies, and restart-mode preemption.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -47,7 +53,16 @@ EngineParams fast_params() {
   return p;
 }
 
-/// Compares the kernel's ready subsets with the slow derivation.
+/// Readiness from the records: every parent finished and every
+/// predecessor job completed.
+bool derived_ready(const Engine& engine, Gid g) {
+  const TaskRuntime& tasks = engine.task_runtime();
+  return tasks.rt(g).unfinished_parents == 0 &&
+         tasks.job_rt(tasks.job_of(g)).pred_jobs_remaining == 0;
+}
+
+/// Compares the kernel's ready subsets and per-task facts with the slow
+/// derivation.
 class ReadyProbe {
  public:
   void check(const Engine& engine) {
@@ -55,7 +70,9 @@ class ReadyProbe {
       ++checks_;
       std::vector<Gid> want;
       for (Gid g : engine.waiting(k)) {
-        if (engine.is_ready(g)) {
+        const bool ready = derived_ready(engine, g);
+        check_task(engine, g, ready);
+        if (ready) {
           want.push_back(g);
         } else if (engine.task_runtime().rt(g).unfinished_parents == 0) {
           ++job_blocked_;  // held back only by a predecessor job
@@ -78,12 +95,16 @@ class ReadyProbe {
             << engine.ready_within(k, w) << ", want " << ready;
           note(s.str());
         }
-        if (w < queue.size() && engine.is_ready(queue[w])) ++ready;
+        if (w < queue.size() && derived_ready(engine, queue[w])) ++ready;
       }
     }
   }
 
   std::uint64_t checks() const { return checks_; }
+  /// Queued tasks seen with some progress (remaining below their size).
+  std::uint64_t progressed() const { return progressed_; }
+  /// Queued tasks seen launch-blocked.
+  std::uint64_t blocked() const { return blocked_; }
   std::uint64_t mixed() const { return mixed_; }
   std::uint64_t job_blocked() const { return job_blocked_; }
   std::uint64_t mismatches() const { return mismatches_; }
@@ -103,8 +124,31 @@ class ReadyProbe {
   void note(const std::string& what) {
     if (mismatches_++ == 0) first_ = what;
   }
+  /// The queued task's state byte and queued remaining work against the
+  /// records.
+  void check_task(const Engine& engine, Gid g, bool ready) {
+    const TaskRuntime& tasks = engine.task_runtime();
+    const bool blocked = tasks.launch_blocked_flag(g) && !ready;
+    const double remaining = engine.remaining_mi(g);
+    const double queued = engine.queued_remaining_mi(g);
+    if (blocked) ++blocked_;
+    if (remaining < engine.task_info(g).size_mi) ++progressed_;
+    if (tasks.ready(g) == ready && engine.launch_blocked(g) == blocked &&
+        std::bit_cast<std::uint64_t>(queued) ==
+            std::bit_cast<std::uint64_t>(remaining))
+      return;
+    std::ostringstream s;
+    s << "t=" << engine.now() << " task " << g << ": ready bit "
+      << tasks.ready(g) << " (want " << ready << "), launch_blocked "
+      << engine.launch_blocked(g) << " (want " << blocked
+      << "), queued_remaining_mi " << queued << " (remaining_mi "
+      << remaining << ")";
+    note(s.str());
+  }
 
   std::uint64_t checks_ = 0;
+  std::uint64_t progressed_ = 0;
+  std::uint64_t blocked_ = 0;
   std::uint64_t mixed_ = 0;
   std::uint64_t job_blocked_ = 0;
   std::uint64_t mismatches_ = 0;
@@ -169,7 +213,8 @@ struct Probed {
 /// Runs `jobs` with both probes installed and tallies the event stream.
 template <typename Setup>
 Probed run_probed(const ClusterSpec& cluster, JobSet jobs, Scheduler& sched,
-                  PreemptionPolicy* policy, ReadyProbe& probe, Setup setup) {
+                  PreemptionPolicy* policy, ReadyProbe& probe, Setup setup,
+                  const EngineParams& params = fast_params()) {
   CheckingScheduler checking(sched, probe);
   ProbePolicy probing(policy, probe);
   Probed out;
@@ -183,7 +228,7 @@ Probed run_probed(const ClusterSpec& cluster, JobSet jobs, Scheduler& sched,
         (e.flags & obs::kEventFlagKeptProgress) == 0)
       ++out.restarts;
   });
-  Engine engine(cluster, std::move(jobs), checking, &probing, fast_params());
+  Engine engine(cluster, std::move(jobs), checking, &probing, params);
   engine.set_event_log(&log);
   setup(engine);
   out.metrics = engine.run();
@@ -236,6 +281,7 @@ TEST(ReadySubsetTest, TetrisNoDepHoardingAndTimeoutRequeue) {
   EXPECT_EQ(p.metrics.tasks_finished, tasks);
   EXPECT_GT(count(p, obs::EventKind::kHoardStart), 0u);
   EXPECT_GT(count(p, obs::EventKind::kHoardEvict), 0u);
+  EXPECT_GT(probe.blocked(), 0u) << "no queued task was ever launch-blocked";
   expect_consistent(probe);
 }
 
@@ -261,6 +307,33 @@ TEST(ReadySubsetTest, FailoverAndStragglerMigration) {
   EXPECT_GT(p.failovers, 0u);
   EXPECT_GT(count(p, obs::EventKind::kTaskMigrate), p.failovers)
       << "straggler mitigation never called migrate_task";
+  EXPECT_GT(probe.progressed(), 0u);
+  expect_consistent(probe);
+}
+
+TEST(ReadySubsetTest, FailoverWithoutSurvivingCheckpoints) {
+  // A killed task loses its progress before fail_node requeues it, so its
+  // queued remaining work must be rewritten to its full size.
+  const JobSet jobs = contended_workload(413);
+  const std::size_t tasks = total_tasks(jobs);
+  const ClusterSpec cluster = ClusterSpec::ec2(6);
+  DspScheduler sched;
+  DspPreemption policy;
+  EngineParams params = fast_params();
+  params.checkpoints_survive_failure = false;
+  ReadyProbe probe;
+  const Probed p = run_probed(
+      cluster, jobs, sched, &policy, probe,
+      [&cluster](Engine& engine) {
+        engine.set_failure_plan(
+            FailurePlan::random_outages(cluster, 4 * kHour, 0.3, 2.0, 415));
+      },
+      params);
+  EXPECT_EQ(p.metrics.tasks_finished, tasks);
+  EXPECT_GT(p.metrics.node_failures, 0u);
+  EXPECT_GT(p.metrics.work_lost_mi, 0.0);
+  EXPECT_GT(p.failovers, 0u);
+  EXPECT_GT(probe.progressed(), 0u);
   expect_consistent(probe);
 }
 
@@ -279,6 +352,7 @@ TEST(ReadySubsetTest, CrossJobDependencies) {
   EXPECT_EQ(p.metrics.tasks_finished, tasks);
   EXPECT_GT(probe.job_blocked(), 0u)
       << "no queued task was ever held back by a predecessor job";
+  EXPECT_GT(probe.progressed(), 0u);
   expect_consistent(probe);
 }
 

@@ -285,6 +285,88 @@ TEST(TetrisTest, BlindVariantAccumulatesDisorders) {
   EXPECT_GT(engine.run().disorders, 0u);
 }
 
+/// Wraps a TetrisScheduler and checks, at every dispatch, that its pick
+/// is the first maximum of alignment() over the non-excluded, fitting
+/// entries that are not launch-blocked (W/oDep scans the whole queue) or
+/// that are ready (W/SimDep). Readiness and blocks come from the task and
+/// job records, not the engine's compact state byte.
+class ArgmaxCheck : public Scheduler {
+ public:
+  explicit ArgmaxCheck(TetrisScheduler::Dependency dep)
+      : inner_(dep), simple_(dep == TetrisScheduler::Dependency::kSimple) {}
+  const char* name() const override { return inner_.name(); }
+  std::vector<TaskPlacement> schedule(const std::vector<JobId>& jobs,
+                                      Engine& engine) override {
+    return inner_.schedule(jobs, engine);
+  }
+  bool hoards_slots() const override { return inner_.hoards_slots(); }
+  Gid select_next(int node, Engine& engine,
+                  const std::vector<std::uint8_t>& excluded) override {
+    const Gid got = inner_.select_next(node, engine, excluded);
+    const TaskRuntime& tasks = engine.task_runtime();
+    const Resources& avail = engine.available(node);
+    const Resources& cap =
+        engine.cluster().node(static_cast<std::size_t>(node)).capacity;
+    Gid best = kInvalidGid;
+    double best_score = -1.0;
+    bool tied = false;
+    for (Gid g : engine.waiting(node)) {
+      const bool ready =
+          tasks.rt(g).unfinished_parents == 0 &&
+          tasks.job_rt(tasks.job_of(g)).pred_jobs_remaining == 0;
+      if (excluded[g]) continue;
+      if (simple_ ? !ready : tasks.launch_blocked_flag(g) && !ready) continue;
+      const Resources& demand = engine.task_info(g).demand;
+      if (!avail.fits(demand)) continue;
+      const double score = TetrisScheduler::alignment(avail, demand, cap);
+      if (score > best_score) {
+        best_score = score;
+        best = g;
+        tied = false;
+      } else if (score == best_score) {
+        tied = true;
+      }
+    }
+    ++calls;
+    if (tied) ++tied_calls;
+    if (got != best) ++mismatches;
+    return got;
+  }
+
+  std::uint64_t calls = 0;
+  std::uint64_t tied_calls = 0;  ///< Calls where the maximum was shared.
+  std::uint64_t mismatches = 0;
+
+ private:
+  TetrisScheduler inner_;
+  bool simple_;
+};
+
+TEST(TetrisTest, SelectNextIsTheAlignmentArgmax) {
+  // Narrow demand ranges clamp many tasks to the same (cpu, mem), so the
+  // maximum is often shared and the first-maximum tie-break is tested.
+  WorkloadConfig cfg;
+  cfg.job_count = 12;
+  cfg.task_scale = 0.02;
+  cfg.cpu_min = 0.5;
+  cfg.cpu_max = 1.0;
+  cfg.mem_min = 0.5;
+  cfg.mem_max = 1.0;
+  cfg.min_arrival_rate = 20.0;  // contention: queues stay deep
+  cfg.max_arrival_rate = 30.0;
+  const JobSet jobs = WorkloadGenerator(cfg, 67).generate();
+  for (auto dep : {TetrisScheduler::Dependency::kNone,
+                   TetrisScheduler::Dependency::kSimple}) {
+    ArgmaxCheck check(dep);
+    SCOPED_TRACE(check.name());
+    Engine engine(ClusterSpec::ec2(4), jobs, check, nullptr, fast_params());
+    EXPECT_EQ(engine.run().tasks_finished, total_tasks(jobs));
+    EXPECT_GT(check.calls, 0u);
+    EXPECT_GT(check.tied_calls, 0u);
+    EXPECT_EQ(check.mismatches, 0u);
+  }
+}
+
 TEST(TetrisTest, Names) {
   EXPECT_STREQ(TetrisScheduler(TetrisScheduler::Dependency::kNone).name(),
                "TetrisW/oDep");

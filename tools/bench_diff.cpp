@@ -23,6 +23,7 @@
 
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/log.h"
 #include "util/table.h"
 
 namespace dsp {
@@ -175,5 +176,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!dsp::flush_stdout("bench_diff")) return 2;
   return regressions == 0 ? 0 : 1;
 }

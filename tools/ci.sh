@@ -45,7 +45,11 @@
 #            match tests/fixtures/golden/sweep_streams.sha256, whose
 #            --json must be byte-identical to the same grid run without
 #            --event-log-dir (every cell unlogged), and whose 8
-#            DSP-policy streams must replay clean under dsp_analyze audit
+#            DSP-policy streams must replay clean under dsp_analyze audit;
+#            then the six EC2 Amoeba/Natjam/SRPT streams at 150 jobs, on
+#            DSP's and TetrisW/oDep's schedules, whose queues run 150+
+#            deep, which must match
+#            tests/fixtures/golden/deep_scan_streams.sha256
 #   perfbench  builds the standalone benchmark harness (perfbench/
 #            globs every src/ module, so a deleted or renamed module can
 #            break it while tier1 stays green) and runs its self-test
@@ -303,6 +307,22 @@ if ! skipped sweep-smoke; then
   done
   if [[ $replayed -ne 8 ]]; then
     echo "ci: expected 8 DSP-policy streams, replayed $replayed"; exit 1
+  fi
+
+  # The 40-job grid keeps the preemption baselines' queues about 43 deep;
+  # at 150 jobs they run 150+ deep, where the queue scans' cheap filters
+  # (DESIGN.md §10.5) reject most entries. Same oracle, deeper queues.
+  echo "dsp_sweep deep-queue event streams (Amoeba, Natjam, SRPT at 150 jobs)"
+  deep="$PWD/tests/fixtures/golden/deep_scan_streams.sha256"
+  mkdir -p "$sweep_tmp/deep"
+  "$SWEEP" --cluster ec2 --sched dsp,tetris-nodep --policy amoeba,natjam,srpt \
+    --jobs 150 --seeds 42 --scale 0.1 --threads 4 \
+    --event-log-dir "$sweep_tmp/deep" >/dev/null
+  (cd "$sweep_tmp/deep" && sha256sum --quiet --strict -c "$deep")
+  written=$(find "$sweep_tmp/deep" -name '*.jsonl' | wc -l)
+  if [[ $written -ne $(wc -l <"$deep") ]]; then
+    echo "ci: $written deep streams written, digest file lists $(wc -l <"$deep")"
+    exit 1
   fi
   rm -rf "$sweep_tmp"
 fi

@@ -26,6 +26,7 @@
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "util/log.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/time.h"
@@ -405,8 +406,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (pos.size() == 3 && pos[0] == "diff")
-    return dsp::run_diff(pos[1], pos[2], json_path);
+  if (pos.size() == 3 && pos[0] == "diff") {
+    const int status = dsp::run_diff(pos[1], pos[2], json_path);
+    return dsp::flush_stdout("dsp_report") ? status : 2;
+  }
   if (pos.size() != 1) return dsp::usage(argv[0]);
 
   const dsp::obs::EventParseResult parsed = dsp::obs::read_event_log(pos[0]);
@@ -419,5 +422,5 @@ int main(int argc, char** argv) {
   dsp::print_text(report);
   if (!json_path.empty() && !dsp::write_json_report(report, pos[0], json_path))
     return 2;
-  return 0;
+  return dsp::flush_stdout("dsp_report") ? 0 : 2;
 }
