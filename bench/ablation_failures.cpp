@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<RunMetrics> results =
-      run_standard_grid(grid, env.grid_options());
+      run_standard_grid(grid, env.grid_options()).metrics;
   std::size_t next = 0;  // the next unread cell of `results`
 
   // ---- Outage-rate sweep for DSP --------------------------------------

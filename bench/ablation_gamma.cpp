@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     grid.push_back(std::move(spec));
   }
   const std::vector<RunMetrics> results =
-      run_standard_grid(grid, env.grid_options());
+      run_standard_grid(grid, env.grid_options()).metrics;
 
   Table table("gamma sweep: " + std::to_string(jobs_n) + " jobs, EC2 profile");
   table.set_header({"gamma", "throughput(t/ms)", "makespan(s)", "avg-wait(s)",

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     }
   }
   const std::vector<RunMetrics> results =
-      run_standard_grid(grid, env.grid_options());
+      run_standard_grid(grid, env.grid_options()).metrics;
 
   Table table("locality-aware vs blind placement (200 jobs, EC2 profile)");
   table.set_header({"pinned-fraction", "variant", "hit-rate", "makespan(s)",

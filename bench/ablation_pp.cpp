@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     grid.push_back(std::move(spec));
   }
   const std::vector<RunMetrics> results =
-      run_standard_grid(grid, env.grid_options());
+      run_standard_grid(grid, env.grid_options()).metrics;
 
   Table table("PP ablation: " + std::to_string(jobs_n) + " jobs, EC2 profile");
   table.set_header({"variant", "preemptions", "suppressed", "throughput(t/ms)",

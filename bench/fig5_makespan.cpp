@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
         grid.push_back(scheduler_scenario(m, testbed.profile,
                                           static_cast<std::size_t>(jobs), env));
   const std::vector<RunMetrics> results =
-      run_standard_grid(grid, env.grid_options());
+      run_standard_grid(grid, env.grid_options()).metrics;
 
   std::vector<std::string> names;
   for (const SchedKind m : methods) names.emplace_back(to_string(m));

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                                         static_cast<std::size_t>(jobs), env));
   const MetricSeries series =
       make_series({"real-cluster", "EC2"}, env.scalability_counts(),
-                  run_standard_grid(grid, env.grid_options()));
+                  run_standard_grid(grid, env.grid_options()).metrics);
 
   std::fputs(series.makespan_table("Fig 8(a): DSP makespan (s) vs #jobs")
                  .render().c_str(), stdout);

@@ -69,8 +69,8 @@ RunMetrics run_standard_scenario(const ScenarioSpec& spec,
   return run_scenario(spec, StandardScenarioFactory{}, event_log);
 }
 
-std::vector<RunMetrics> run_standard_grid(const std::vector<ScenarioSpec>& grid,
-                                          const GridOptions& options) {
+GridResults run_standard_grid(const std::vector<ScenarioSpec>& grid,
+                              const GridOptions& options) {
   return run_scenario_grid(grid, StandardScenarioFactory{}, options);
 }
 

@@ -44,7 +44,7 @@ RunMetrics run_standard_scenario(const ScenarioSpec& spec,
                                  obs::EventLog* event_log = nullptr);
 
 /// run_scenario_grid with the standard factory.
-std::vector<RunMetrics> run_standard_grid(
-    const std::vector<ScenarioSpec>& grid, const GridOptions& options = {});
+GridResults run_standard_grid(const std::vector<ScenarioSpec>& grid,
+                              const GridOptions& options = {});
 
 }  // namespace dsp

@@ -249,7 +249,8 @@ TEST(RunScenarioTest, LoggedAndUnloggedRunsDecideAlike) {
   }
   GridOptions options;
   options.threads = 1;
-  const std::vector<RunMetrics> unlogged = run_standard_grid(grid, options);
+  const std::vector<RunMetrics> unlogged =
+      run_standard_grid(grid, options).metrics;
   ASSERT_EQ(unlogged.size(), grid.size());
 
   std::uint64_t fired = 0, suppressed = 0;
@@ -307,8 +308,8 @@ TEST(ScenarioGridTest, ResultsMatchSequentialAtAnyThreadCount) {
   one.threads = 1;
   GridOptions four;
   four.threads = 4;
-  const std::vector<RunMetrics> r1 = run_standard_grid(grid, one);
-  const std::vector<RunMetrics> r4 = run_standard_grid(grid, four);
+  const std::vector<RunMetrics> r1 = run_standard_grid(grid, one).metrics;
+  const std::vector<RunMetrics> r4 = run_standard_grid(grid, four).metrics;
 
   ASSERT_EQ(r1.size(), grid.size());
   ASSERT_EQ(r4.size(), grid.size());
@@ -329,7 +330,7 @@ TEST(ScenarioGridTest, EventStreamsIdenticalAcrossThreadCounts) {
     options.threads = threads;
     options.event_log_dir = root + "/t" + std::to_string(threads);
     std::filesystem::create_directories(options.event_log_dir);
-    run_standard_grid(grid, options);
+    EXPECT_TRUE(run_standard_grid(grid, options).failed_event_logs.empty());
     dirs.push_back(options.event_log_dir);
   }
   for (const ScenarioSpec& spec : grid) {
@@ -339,6 +340,23 @@ TEST(ScenarioGridTest, EventStreamsIdenticalAcrossThreadCounts) {
         << spec.name << ": streams differ between 1 and 4 workers";
   }
   std::filesystem::remove_all(root);
+}
+
+TEST(ScenarioGridTest, UnopenableEventLogsAreReturnedAndTheirCellsNotRun) {
+  const std::vector<ScenarioSpec> grid = policy_grid();
+  GridOptions options;
+  options.threads = 2;
+  options.event_log_dir = ::testing::TempDir() + "/no_such_dir/streams";
+  std::filesystem::remove_all(::testing::TempDir() + "/no_such_dir");
+  const GridResults run = run_standard_grid(grid, options);
+
+  ASSERT_EQ(run.metrics.size(), grid.size());
+  ASSERT_EQ(run.failed_event_logs.size(), grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(run.failed_event_logs[i],
+              options.event_log_dir + "/" + grid[i].name + ".jsonl");
+    EXPECT_EQ(run.metrics[i].jobs_finished, 0u) << grid[i].name;
+  }
 }
 
 /// Wraps the standard factory and notes, in call order, the name of every
@@ -380,7 +398,7 @@ TEST(ScenarioGridTest, DealsLargestCellsFirstAndReturnsListOrder) {
   GridOptions options;
   options.threads = 1;  // one worker starts the cells in deal order
   const std::vector<RunMetrics> results =
-      run_scenario_grid(grid, factory, options);
+      run_scenario_grid(grid, factory, options).metrics;
 
   EXPECT_EQ(factory.started,
             (std::vector<std::string>{"j16", "j12", "j8-dsp", "j8-srpt",
