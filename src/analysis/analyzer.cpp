@@ -1,7 +1,10 @@
 #include "analysis/analyzer.h"
 
-#include <cstdlib>
+#include <climits>
+#include <stdexcept>
 #include <vector>
+
+#include "util/parse.h"
 
 namespace dsp::analysis {
 
@@ -74,33 +77,34 @@ bool parse_cluster_spec(const std::string& text, ClusterSpec& out,
     if (colon == std::string::npos) break;
     pos = colon + 1;
   }
-  auto as_number = [](const std::string& s, double& v) {
-    char* end = nullptr;
-    v = std::strtod(s.c_str(), &end);
-    return end && *end == '\0' && end != s.c_str();
-  };
-  double n = 0;
-  if (parts.size() < 2 || !as_number(parts[1], n) || n < 1 || n > 1e6)
+  const std::string& profile = parts[0];
+  if (profile != "ec2" && profile != "real" && profile != "uniform")
+    return fail("unknown cluster profile \"" + profile + "\"");
+  if (parts.size() != (profile == "uniform" ? 5u : 2u))
     return fail("malformed cluster spec \"" + text + "\"");
-  const auto count = static_cast<std::size_t>(n);
-  if (parts[0] == "ec2" && parts.size() == 2) {
-    out = ClusterSpec::ec2(count);
-    return true;
+  unsigned long long nodes = 0, slots = 0;
+  double mips = 0, mem = 0;
+  if (!parse_count(parts[1], nodes) || nodes < 1 ||
+      nodes > ClusterSpec::kMaxNodes)
+    return fail("cluster spec \"" + text + "\": the node count must be an "
+                "integer from 1 to " + std::to_string(ClusterSpec::kMaxNodes));
+  if (profile == "uniform" &&
+      (!parse_positive(parts[2], mips) || !parse_positive(parts[3], mem) ||
+       !parse_count(parts[4], slots) || slots < 1 || slots > INT_MAX))
+    return fail("cluster spec \"" + text + "\": mips and mem_gb must be "
+                "finite positive numbers, slots an integer from 1 to " +
+                std::to_string(INT_MAX));
+  try {
+    if (profile == "ec2")
+      out = ClusterSpec::ec2(nodes);
+    else if (profile == "real")
+      out = ClusterSpec::real_cluster(nodes);
+    else
+      out = ClusterSpec::uniform(nodes, mips, mem, static_cast<int>(slots));
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
   }
-  if (parts[0] == "real" && parts.size() == 2) {
-    out = ClusterSpec::real_cluster(count);
-    return true;
-  }
-  if (parts[0] == "uniform" && parts.size() == 5) {
-    double mips = 0, mem = 0, slots = 0;
-    if (!as_number(parts[2], mips) || mips <= 0 ||
-        !as_number(parts[3], mem) || mem <= 0 ||
-        !as_number(parts[4], slots) || slots < 1)
-      return fail("malformed uniform cluster spec \"" + text + "\"");
-    out = ClusterSpec::uniform(count, mips, mem, static_cast<int>(slots));
-    return true;
-  }
-  return fail("unknown cluster profile \"" + parts[0] + "\"");
+  return true;
 }
 
 }  // namespace dsp::analysis

@@ -74,13 +74,6 @@ std::size_t Report::count(Severity s) const {
   return n;
 }
 
-void Report::merge(const Report& other) {
-  for (const Diagnostic& d : other.diagnostics_) {
-    if (!accepts(d.rule)) continue;
-    diagnostics_.push_back(d);
-  }
-}
-
 void Report::print_text(std::ostream& out) const {
   for (const Diagnostic& d : diagnostics_) {
     const RuleInfo* info = find_rule(d.rule);

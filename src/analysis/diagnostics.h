@@ -51,9 +51,6 @@ class Report {
   bool has_errors() const { return count(Severity::kError) > 0; }
   bool empty() const { return diagnostics_.empty(); }
 
-  /// Merges another report's diagnostics (subject to this report's filter).
-  void merge(const Report& other);
-
   /// Compiler-style text, one line per diagnostic:
   ///   W003 deadline-infeasible-by-critical-path error job 2: ...
   /// followed by a one-line summary.

@@ -2,23 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <map>
 #include <queue>
-#include <tuple>
 
 #include "util/log.h"
 
 namespace dsp {
-
-const char* to_string(ScheduleMode m) {
-  switch (m) {
-    case ScheduleMode::kHeuristic: return "heuristic";
-    case ScheduleMode::kRelaxRound: return "relax-round";
-    case ScheduleMode::kExact: return "exact";
-  }
-  return "?";
-}
 
 std::vector<double> DspScheduler::dependency_weights(const Job& job,
                                                      double gamma) {
@@ -36,34 +25,7 @@ std::vector<double> DspScheduler::dependency_weights(const Job& job,
 
 std::vector<TaskPlacement> DspScheduler::schedule(
     const std::vector<JobId>& jobs, Engine& engine) {
-  ScheduleMode mode = options_.mode;
-  if (mode == ScheduleMode::kExact) {
-    // Size the would-be ILP instance.
-    std::size_t tasks = 0;
-    for (JobId j : jobs) tasks += engine.job(j).task_count();
-    std::size_t machines = 0;
-    for (std::size_t k = 0; k < engine.node_count(); ++k)
-      machines += static_cast<std::size_t>(engine.cluster().node(k).slots);
-    if (tasks > options_.exact_max_tasks ||
-        machines > options_.exact_max_machines) {
-      DSP_INFO("ILP instance too large for exact mode (%zu tasks, %zu machines);"
-               " using heuristic", tasks, machines);
-      mode = ScheduleMode::kHeuristic;
-    }
-  }
-  last_mode_ = mode;
-  std::vector<TaskPlacement> placements;
-  switch (mode) {
-    case ScheduleMode::kExact:
-      placements = schedule_ilp(jobs, engine, /*exact=*/true);
-      break;
-    case ScheduleMode::kRelaxRound:
-      placements = schedule_ilp(jobs, engine, /*exact=*/false);
-      break;
-    default:
-      placements = schedule_heuristic(jobs, engine);
-      break;
-  }
+  std::vector<TaskPlacement> placements = schedule_heuristic(jobs, engine);
   if (engine.event_log() != nullptr) {
     // Flight recorder: one kJobPlanned per scheduled job, with the number
     // of its tasks this round actually placed in the `a` payload.
@@ -214,74 +176,6 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
       if (--ca.unplaced_parents == 0)
         ready.push({ca.weight, job.task(c).deadline, engine.gid(j, c)});
     }
-  }
-  return placements;
-}
-
-std::vector<TaskPlacement> DspScheduler::schedule_ilp(
-    const std::vector<JobId>& jobs, Engine& engine, bool exact) {
-  const SimTime now = engine.now();
-
-  // Build the IlpProblem: tasks flattened across jobs, machines = slot
-  // expansion of nodes.
-  IlpProblem problem;
-  problem.recovery_s = options_.recovery_s;
-  std::vector<Gid> task_of_index;
-  std::vector<std::size_t> index_of_gid_base;  // per pending job
-  {
-    std::size_t idx = 0;
-    for (JobId j : jobs) {
-      index_of_gid_base.push_back(idx);
-      const Job& job = engine.job(j);
-      for (TaskIndex t = 0; t < job.task_count(); ++t) {
-        IlpTask it;
-        it.size_mi = job.task(t).size_mi;
-        const SimTime dl = job.task(t).deadline;
-        it.deadline_s = dl == kMaxTime
-                            ? std::numeric_limits<double>::infinity()
-                            : std::max(0.0, to_seconds(dl - now));
-        for (TaskIndex p : job.graph().parents(t))
-          it.parents.push_back(
-              static_cast<int>(index_of_gid_base.back() + p));
-        if (options_.preemption_padding) {
-          // An empty (or fully degraded) cluster has mean_rate() == 0;
-          // no machine exists to preempt on, so pad nothing.
-          const double mean_rate = engine.cluster().mean_rate();
-          const double exec_ref =
-              mean_rate > 0.0 ? job.task(t).size_mi / mean_rate : 0.0;
-          it.n_preempt = estimate_preemptions(exec_ref, it.deadline_s);
-        }
-        problem.tasks.push_back(std::move(it));
-        task_of_index.push_back(engine.gid(j, t));
-        ++idx;
-      }
-    }
-  }
-  std::vector<int> machine_node;
-  for (std::size_t k = 0; k < engine.node_count(); ++k) {
-    for (int s = 0; s < engine.cluster().node(k).slots; ++s) {
-      problem.machine_rates.push_back(engine.node_rate(static_cast<int>(k)));
-      machine_node.push_back(static_cast<int>(k));
-    }
-  }
-
-  const IlpScheduleResult result = exact ? solve_ilp_schedule(problem)
-                                         : solve_relax_round(problem);
-  if (!result.ok()) {
-    DSP_WARN("ILP solve failed (%s); falling back to heuristic",
-             lp::to_string(result.status));
-    last_mode_ = ScheduleMode::kHeuristic;
-    return schedule_heuristic(jobs, engine);
-  }
-
-  std::vector<TaskPlacement> placements;
-  placements.reserve(problem.tasks.size());
-  for (std::size_t i = 0; i < problem.tasks.size(); ++i) {
-    TaskPlacement p;
-    p.task = task_of_index[i];
-    p.node = machine_node[static_cast<std::size_t>(result.machine_of[i])];
-    p.planned_start = now + from_seconds(result.start_s[i]);
-    placements.push_back(p);
   }
   return placements;
 }

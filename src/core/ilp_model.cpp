@@ -33,13 +33,6 @@ double big_m(const IlpProblem& p) {
 
 }  // namespace
 
-bool can_solve_exactly(const IlpProblem& problem, std::size_t max_tasks,
-                       std::size_t max_machines) {
-  return !problem.tasks.empty() && !problem.machine_rates.empty() &&
-         problem.tasks.size() <= max_tasks &&
-         problem.machine_rates.size() <= max_machines;
-}
-
 lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
   const std::size_t T = problem.tasks.size();
   const std::size_t M = problem.machine_rates.size();
@@ -150,19 +143,15 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
   return model;
 }
 
-IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem,
-                                     const IlpSolveOptions& options) {
+IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem) {
   assert(!problem.tasks.empty() && !problem.machine_rates.empty());
   const std::size_t T = problem.tasks.size();
   const std::size_t M = problem.machine_rates.size();
 
-  lp::MilpSolver::Options milp_opts;
-  milp_opts.max_nodes = options.max_bb_nodes;
-  const lp::MilpSolver solver(milp_opts);
-  lp::Model model = build_ilp_model(problem, options.enforce_deadlines);
+  const lp::MilpSolver solver;
+  lp::Model model = build_ilp_model(problem, /*enforce_deadlines=*/true);
   lp::Solution sol = solver.solve(model);
-  if (sol.status == lp::SolveStatus::kInfeasible && options.enforce_deadlines &&
-      options.relax_deadlines_on_infeasible) {
+  if (sol.status == lp::SolveStatus::kInfeasible) {
     DSP_INFO("ILP infeasible with deadlines; retrying without constraint (6)");
     model = build_ilp_model(problem, /*enforce_deadlines=*/false);
     sol = solver.solve(model);
@@ -321,14 +310,6 @@ IlpScheduleResult solve_relax_round(const IlpProblem& problem) {
   result.makespan_s =
       list_schedule_fixed(problem, result.machine_of, order, result.start_s);
   return result;
-}
-
-int estimate_preemptions(double exec_s, double deadline_s) {
-  if (!std::isfinite(deadline_s) || exec_s <= 0.0) return 0;
-  const double slack_ratio = deadline_s / exec_s;
-  if (slack_ratio < 1.5) return 2;
-  if (slack_ratio < 3.0) return 1;
-  return 0;
 }
 
 }  // namespace dsp

@@ -16,7 +16,8 @@
 // unit-tested against brute force and cross-validated with the heuristic
 // scheduler. Exact solves are only tractable for small instances (the
 // paper's CPLEX had the same practical ceiling, hence its relax-and-round
-// suggestion); callers cap sizes via can_solve_exactly().
+// suggestion): ablation_ilp and perfbench's ilp_small solve instances of
+// a few tasks on a few machines.
 #pragma once
 
 #include <cstdint>
@@ -59,27 +60,17 @@ struct IlpScheduleResult {
   }
 };
 
-/// Options for solve_ilp_schedule.
-struct IlpSolveOptions {
-  bool enforce_deadlines = true;
-  /// Retry without constraint (6) when the deadline-constrained model is
-  /// infeasible (the paper's online preemption then repairs lateness).
-  bool relax_deadlines_on_infeasible = true;
-  int max_bb_nodes = 20000;
-};
-
-/// Rough tractability guard for the exact solver.
-bool can_solve_exactly(const IlpProblem& problem, std::size_t max_tasks = 8,
-                       std::size_t max_machines = 4);
-
 /// Builds the §III model. Exposed for tests; most callers use
 /// solve_ilp_schedule. Variable layout: [L, t_s[0..T), x[t][m] row-major,
 /// y vars appended].
 lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines);
 
-/// Solves the instance exactly with branch & bound.
-IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem,
-                                     const IlpSolveOptions& options = {});
+/// Solves the instance with branch & bound, enforcing deadlines (6). When
+/// the deadline-constrained model is infeasible it retries without them
+/// (the paper's online preemption then repairs lateness). The search stops
+/// at MilpSolver's default node cap; a capped solve returns its best
+/// incumbent with status kNodeLimit.
+IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem);
 
 /// The paper's relax-and-round mode: solve the LP relaxation, fix each
 /// task to its largest-fraction machine, then derive start times by list
@@ -95,11 +86,5 @@ double list_schedule_fixed(const IlpProblem& problem,
                            const std::vector<int>& machine_of,
                            const std::vector<int>& order,
                            std::vector<double>& start_s);
-
-/// Estimates N^p for a task from its deadline slack: a task whose relative
-/// deadline leaves less than 2x its execution time of slack is likely to
-/// be preempted once; very tight tasks twice. (Stands in for the
-/// checkpoint-scheduling estimator of the paper's reference [29].)
-int estimate_preemptions(double exec_s, double deadline_s);
 
 }  // namespace dsp

@@ -104,56 +104,6 @@ int TaskGraph::level(TaskIndex t) const {
   return level_[t];
 }
 
-std::size_t TaskGraph::descendant_count(TaskIndex t) const {
-  assert(finalized_ && t < n_);
-  if (descendant_count_.empty()) {
-    // One BFS per task. Diamonds make descendant sets non-additive, so a
-    // reverse-topological sum would over-count; explicit traversal is exact.
-    descendant_count_.resize(n_);
-    std::vector<std::uint32_t> stamp(n_, 0);
-    std::vector<TaskIndex> stack;
-    for (std::size_t s = 0; s < n_; ++s) {
-      const auto mark = static_cast<std::uint32_t>(s + 1);
-      std::size_t count = 0;
-      stack.assign(1, static_cast<TaskIndex>(s));
-      stamp[s] = mark;
-      while (!stack.empty()) {
-        const TaskIndex u = stack.back();
-        stack.pop_back();
-        for (TaskIndex c : children(u)) {
-          if (stamp[c] != mark) {
-            stamp[c] = mark;
-            ++count;
-            stack.push_back(c);
-          }
-        }
-      }
-      descendant_count_[s] = count;
-    }
-  }
-  return descendant_count_[t];
-}
-
-std::vector<std::size_t> TaskGraph::descendants_per_level(TaskIndex t) const {
-  assert(finalized_ && t < n_);
-  std::vector<std::size_t> per_level;
-  std::vector<std::uint8_t> seen(n_, 0);
-  std::vector<TaskIndex> frontier{t};
-  seen[t] = 1;
-  while (!frontier.empty()) {
-    std::vector<TaskIndex> next;
-    for (TaskIndex u : frontier)
-      for (TaskIndex c : children(u))
-        if (!seen[c]) {
-          seen[c] = 1;
-          next.push_back(c);
-        }
-    if (!next.empty()) per_level.push_back(next.size());
-    frontier = std::move(next);
-  }
-  return per_level;
-}
-
 bool TaskGraph::depends_on(TaskIndex descendant, TaskIndex ancestor) const {
   assert(finalized_ && descendant < n_ && ancestor < n_);
   if (descendant == ancestor) return false;
@@ -183,40 +133,6 @@ bool TaskGraph::depends_on(TaskIndex descendant, TaskIndex ancestor) const {
     }
   }
   return false;
-}
-
-std::vector<std::vector<TaskIndex>> TaskGraph::chains(std::size_t limit) const {
-  assert(finalized_);
-  std::vector<std::vector<TaskIndex>> result;
-  std::vector<TaskIndex> path;
-  // Iterative DFS from each root, emitting root->leaf paths.
-  struct Frame {
-    TaskIndex node;
-    std::size_t next_child;
-  };
-  for (TaskIndex r : roots_) {
-    std::vector<Frame> stack{{r, 0}};
-    path.assign(1, r);
-    while (!stack.empty()) {
-      if (result.size() >= limit) return result;
-      auto& frame = stack.back();
-      const auto kids = children(frame.node);
-      if (kids.empty() && frame.next_child == 0) {
-        result.push_back(path);
-        frame.next_child = 1;  // mark emitted, fall through to pop
-        continue;
-      }
-      if (frame.next_child < kids.size()) {
-        const TaskIndex c = kids[frame.next_child++];
-        stack.push_back({c, 0});
-        path.push_back(c);
-      } else {
-        stack.pop_back();
-        path.pop_back();
-      }
-    }
-  }
-  return result;
 }
 
 std::string Resources::to_string() const {

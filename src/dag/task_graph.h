@@ -64,29 +64,12 @@ class TaskGraph {
   /// Tasks with no children.
   std::span<const TaskIndex> leaves() const { return leaves_; }
 
-  /// Number of transitive descendants of `t` (its full dependent set).
-  /// O(V+E) per call; cached after the first full sweep.
-  std::size_t descendant_count(TaskIndex t) const;
-
-  /// Number of descendants of `t` at each relative depth below it:
-  /// result[0] = direct children, result[1] = grandchildren, ...
-  /// (the "dependent tasks in each level" of §IV-A, Fig. 3).
-  std::vector<std::size_t> descendants_per_level(TaskIndex t) const;
-
   /// True if `ancestor` is a (transitive) ancestor of `descendant`,
   /// i.e. `descendant` depends on `ancestor`. Condition C2 of Algorithm 1
   /// queries this between a waiting and a running task of the same job.
   bool depends_on(TaskIndex descendant, TaskIndex ancestor) const;
 
-  /// Enumerates all maximal root-to-leaf chains (paper's C^q_i sets).
-  /// Exponential in the worst case; callers guard with `limit` — once more
-  /// than `limit` chains exist, enumeration stops and the first `limit`
-  /// are returned.
-  std::vector<std::vector<TaskIndex>> chains(std::size_t limit = 4096) const;
-
  private:
-  void build_reachability_cache() const;
-
   std::size_t n_ = 0;
   bool finalized_ = false;
   std::vector<std::pair<TaskIndex, TaskIndex>> edges_;  // staged until finalize
@@ -98,9 +81,6 @@ class TaskGraph {
   std::vector<int> level_;
   std::vector<TaskIndex> roots_, leaves_;
   int depth_ = 0;
-
-  // Lazy caches.
-  mutable std::vector<std::size_t> descendant_count_;  // empty until computed
 };
 
 }  // namespace dsp

@@ -55,14 +55,4 @@ std::vector<std::string> validate_job(const Job& job, const DagLimits& limits) {
   return problems;
 }
 
-std::vector<std::string> validate_jobs(const JobSet& jobs, const DagLimits& limits) {
-  std::vector<std::string> all;
-  for (const auto& job : jobs) {
-    for (auto& p : validate_job(job, limits)) {
-      all.push_back(problem("job %u: %s", job.id(), p.c_str()));
-    }
-  }
-  return all;
-}
-
 }  // namespace dsp

@@ -25,8 +25,4 @@ struct DagLimits {
 /// deadlines, and the optional DAG shape limits.
 std::vector<std::string> validate_job(const Job& job, const DagLimits& limits = {});
 
-/// Validates every job in a set; problems are prefixed with the job id.
-std::vector<std::string> validate_jobs(const JobSet& jobs,
-                                       const DagLimits& limits = {});
-
 }  // namespace dsp

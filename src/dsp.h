@@ -24,13 +24,13 @@
 // Job / task / dependency-DAG model.
 #include "dag/job.h"        // Job, JobSet, JobSize, JobTier
 #include "dag/task.h"       // Task, Resources, data-locality fields
-#include "dag/task_graph.h" // TaskGraph: levels, chains, reachability
+#include "dag/task_graph.h" // TaskGraph: levels, topo order, reachability
 #include "dag/validate.h"   // structural validation + DAG shape limits
 
 // LP / ILP solver substrate (the CPLEX stand-in).
-#include "lp/milp.h"     // branch & bound, relax-and-round helper
+#include "lp/milp.h"     // branch & bound over LP relaxations
 #include "lp/model.h"    // Model / LinearExpr / Solution
-#include "lp/simplex.h"  // two-phase primal simplex
+#include "lp/simplex.h"  // bounded-variable simplex, warm start
 
 // Workload synthesis and trace I/O.
 #include "trace/stats.h"     // workload shape statistics
@@ -47,9 +47,9 @@
 #include "sim/run_metrics.h"
 
 // The DSP system (paper's contribution).
-#include "core/dsp_scheduler.h"  // §III offline scheduling (3 modes)
+#include "core/dsp_scheduler.h"  // §III dependency-weighted scheduling
 #include "core/dsp_system.h"     // DspSystem façade + simulate()
-#include "core/ilp_model.h"      // §III ILP construction + solving
+#include "core/ilp_model.h"      // §III ILP + relax-and-round
 #include "core/params.h"         // DspParams (Table II)
 #include "core/preemption.h"     // §IV Algorithm 1 + PP
 #include "core/priority.h"       // Formulas 12-13

@@ -1,9 +1,16 @@
 #include "sim/cluster.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace dsp {
+namespace {
+
+/// False for zero, negatives, NaN and infinities.
+bool positive(double x) { return std::isfinite(x) && x > 0.0; }
+
+}  // namespace
 
 ClusterSpec::ClusterSpec(std::vector<NodeSpec> nodes, double theta1,
                          double theta2, double mem_mips_equiv)
@@ -16,13 +23,15 @@ ClusterSpec::ClusterSpec(std::vector<NodeSpec> nodes, double theta1,
 }
 
 std::string ClusterSpec::validate() const {
-  if (theta1_ < 0.0 || theta2_ < 0.0)
-    return "ClusterSpec: θ weights must be non-negative (theta1=" +
+  if (!(theta1_ >= 0.0) || !(theta2_ >= 0.0) || !std::isfinite(theta1_) ||
+      !std::isfinite(theta2_))
+    return "ClusterSpec: θ weights must be finite and non-negative (theta1=" +
            std::to_string(theta1_) + ", theta2=" + std::to_string(theta2_) +
            "); Eq. (1) rates would turn negative";
-  if (mem_mips_equiv_ <= 0.0)
+  if (!positive(mem_mips_equiv_))
     return "ClusterSpec: mem_mips_equiv=" + std::to_string(mem_mips_equiv_) +
-           " must be positive (MIPS-equivalent of 1 GB/s memory bandwidth)";
+           " must be finite and positive (MIPS-equivalent of 1 GB/s memory "
+           "bandwidth)";
   if (nodes_.size() > kMaxNodes)
     return "ClusterSpec: " + std::to_string(nodes_.size()) +
            " nodes exceed the limit of " + std::to_string(kMaxNodes) +
@@ -34,26 +43,28 @@ std::string ClusterSpec::validate() const {
       return "ClusterSpec: node " + std::to_string(k) + " has slots=" +
              std::to_string(n.slots) +
              "; every node needs at least one run slot";
-    if (n.cpu_mips <= 0.0)
+    if (!positive(n.cpu_mips))
       return "ClusterSpec: node " + std::to_string(k) + " has cpu_mips=" +
-             std::to_string(n.cpu_mips) + "; the CPU rating must be positive";
-    if (n.mem_gb <= 0.0)
+             std::to_string(n.cpu_mips) +
+             "; the CPU rating must be finite and positive";
+    if (!positive(n.mem_gb))
       return "ClusterSpec: node " + std::to_string(k) + " has mem_gb=" +
-             std::to_string(n.mem_gb) + "; the memory size must be positive";
-    if (n.capacity.cpu <= 0.0 || n.capacity.mem <= 0.0 ||
-        n.capacity.disk <= 0.0 || n.capacity.bw <= 0.0)
+             std::to_string(n.mem_gb) +
+             "; the memory size must be finite and positive";
+    if (!positive(n.capacity.cpu) || !positive(n.capacity.mem) ||
+        !positive(n.capacity.disk) || !positive(n.capacity.bw))
       return "ClusterSpec: node " + std::to_string(k) +
-             " has a non-positive capacity component (cpu=" +
+             " has a non-positive or non-finite capacity component (cpu=" +
              std::to_string(n.capacity.cpu) +
              ", mem=" + std::to_string(n.capacity.mem) +
              ", disk=" + std::to_string(n.capacity.disk) +
              ", bw=" + std::to_string(n.capacity.bw) +
              "); no task demand could ever fit";
-    if (rate(k) <= 0.0)
+    if (!positive(rate(k)))
       return "ClusterSpec: node " + std::to_string(k) +
              " has processing rate g(k)=" + std::to_string(rate(k)) +
-             " <= 0 (check theta1/theta2 against cpu_mips/mem_gb); tasks "
-             "placed there would never finish";
+             "; Eq. (1) must give a finite positive rate (check "
+             "theta1/theta2 against cpu_mips/mem_gb)";
   }
   return {};
 }

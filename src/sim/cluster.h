@@ -33,10 +33,11 @@ class ClusterSpec {
  public:
   ClusterSpec() = default;
   /// Validates on construction: a malformed spec (zero/negative slot
-  /// counts, non-positive capacities, rates or θ weights that yield
-  /// g(k) <= 0) throws std::invalid_argument naming the offending node
-  /// and field. An invalid cluster would otherwise surface as NaN rates
-  /// or never-dispatched tasks deep inside a run.
+  /// counts; capacities, ratings or rates g(k) that are not finite and
+  /// positive; negative or non-finite θ weights) throws
+  /// std::invalid_argument naming the offending node and field. An
+  /// invalid cluster would otherwise surface as NaN rates or
+  /// never-dispatched tasks deep inside a run.
   ClusterSpec(std::vector<NodeSpec> nodes, double theta1 = 0.5,
               double theta2 = 0.5, double mem_mips_equiv = 100.0);
 
@@ -81,7 +82,7 @@ class ClusterSpec {
   /// (2660 MIPS, 4 GB RAM, 720 GB disk, 1 GB/s). Default n = 30.
   static ClusterSpec ec2(std::size_t n = 30);
 
-  /// A tiny uniform cluster for unit tests and the exact-ILP mode.
+  /// `n` identical nodes (unit tests, scenario recipes, `uniform:` specs).
   static ClusterSpec uniform(std::size_t n, double cpu_mips, double mem_gb,
                              int slots);
 

@@ -255,40 +255,6 @@ void Engine::on_arrival(JobId job) {
               .a = static_cast<double>(jobs_[job].task_count())});
 }
 
-bool Engine::add_job_dependency(JobId predecessor, JobId successor) {
-  assert(lifecycle_ == Lifecycle::kIdle &&
-         "declare job dependencies before run()");
-  if (predecessor >= jobs_.size() || successor >= jobs_.size() ||
-      predecessor == successor) {
-    DSP_ERROR("invalid job dependency %u -> %u", predecessor, successor);
-    return false;
-  }
-  // Cycle check: DFS from `successor` along existing successor edges must
-  // not reach `predecessor`'s... (i.e. predecessor must not be reachable
-  // FROM successor).
-  std::vector<JobId> stack{successor};
-  std::vector<std::uint8_t> seen(jobs_.size(), 0);
-  seen[successor] = 1;
-  while (!stack.empty()) {
-    const JobId j = stack.back();
-    stack.pop_back();
-    if (j == predecessor) {
-      DSP_WARN("job dependency %u -> %u would create a cycle; ignored",
-               predecessor, successor);
-      return false;
-    }
-    for (JobId s : tasks_.job_rt(j).successor_jobs)
-      if (!seen[s]) {
-        seen[s] = 1;
-        stack.push_back(s);
-      }
-  }
-  tasks_.job_rt(predecessor).successor_jobs.push_back(successor);
-  ++tasks_.job_rt(successor).pred_jobs_remaining;
-  tasks_.clear_job_ready(successor);
-  return true;
-}
-
 void Engine::set_failure_plan(const FailurePlan& plan) {
   assert(lifecycle_ == Lifecycle::kIdle &&
          "install the failure plan before run()");
@@ -877,11 +843,10 @@ void Engine::on_finish(Gid g, std::uint32_t token) {
     TaskRt& c = tasks_.rt(cg);
     assert(c.unfinished_parents > 0);
     if (--c.unfinished_parents != 0) continue;
-    const bool ready = tasks_.job_rt(j).pred_jobs_remaining == 0;
-    if (ready) tasks_.set_ready(cg);
+    tasks_.set_ready(cg);
     if (c.state == TaskState::kHoarding)
       activate_hoarding(cg);
-    else if (ready)
+    else
       mark_ready_if_queued(cg);
   }
 
@@ -933,22 +898,6 @@ void Engine::complete_job(JobId j) {
               .flags = met ? obs::kEventFlagDeadlineMet : std::uint8_t{0},
               .job = j,
               .a = mean_wait});
-
-  // Unblock successor jobs (cross-job dependencies): their queued tasks
-  // without unfinished parents join the ready subsets.
-  bool unblocked = false;
-  for (JobId s : jr.successor_jobs) {
-    assert(tasks_.job_rt(s).pred_jobs_remaining > 0);
-    if (--tasks_.job_rt(s).pred_jobs_remaining != 0) continue;
-    unblocked = true;
-    for (TaskIndex t = 0; t < jobs_[s].task_count(); ++t) {
-      const Gid sg = gid(s, t);
-      if (tasks_.rt(sg).unfinished_parents != 0) continue;
-      tasks_.set_ready(sg);
-      mark_ready_if_queued(sg);
-    }
-  }
-  if (unblocked) fill_all_slots();
 }
 
 void Engine::mark_ready_if_queued(Gid g) {

@@ -120,18 +120,6 @@ class Engine {
   /// Installs a failure/straggler injection plan. Call before run().
   void set_failure_plan(const FailurePlan& plan);
 
-  /// Declares a cross-job dependency (§VI future work): no task of
-  /// `successor` may start before every task of `predecessor` has
-  /// finished (e.g. a report job consuming an ETL job's output). Call
-  /// before run(); returns false (and ignores the edge) if it would
-  /// create a cycle among jobs.
-  bool add_job_dependency(JobId predecessor, JobId successor);
-
-  /// Number of predecessor jobs of `j` that have not completed yet.
-  std::uint32_t unfinished_predecessor_jobs(JobId j) const {
-    return tasks_.job_rt(j).pred_jobs_remaining;
-  }
-
   /// True while node `k` is up (failed nodes accept no work).
   bool node_up(int node) const { return nodes_.node(node).up; }
   /// Current speed factor of `node` (1.0 nominal; < 1 while straggling).
@@ -164,8 +152,7 @@ class Engine {
   const Task& task_info(Gid g) const { return tasks_.task_info(g); }
 
   TaskState state(Gid g) const { return tasks_.rt(g).state; }
-  /// True when every precedent task has finished and every predecessor
-  /// *job* (cross-job dependency) has completed.
+  /// True when every precedent task has finished.
   bool is_ready(Gid g) const { return tasks_.ready(g); }
   /// True when a previous launch/preempt-in attempt failed the input
   /// check and the task has not become ready since. Dependency-blind

@@ -1,7 +1,6 @@
 #include "sim/recorder.h"
 
 #include <algorithm>
-#include <ostream>
 
 namespace dsp {
 
@@ -130,70 +129,6 @@ SimTime TimelineRecorder::finish_time(Gid g) const {
 
 SimTime TimelineRecorder::first_run_start(Gid g) const {
   return g < tracks_.size() ? tracks_[g].first_run : kNoTime;
-}
-
-double TimelineRecorder::busy_seconds_on_node(int node) const {
-  double total = 0.0;
-  for (const auto& iv : intervals_)
-    if (iv.node == node && iv.kind != IntervalKind::kHoard)
-      total += to_seconds(iv.duration());
-  return total;
-}
-
-std::string TimelineRecorder::render_gantt(std::size_t node_count,
-                                           std::size_t width) const {
-  SimTime t_min = kMaxTime, t_max = 0;
-  for (const auto& iv : intervals_) {
-    t_min = std::min(t_min, iv.begin);
-    t_max = std::max(t_max, iv.end);
-  }
-  if (intervals_.empty() || t_max <= t_min) return "(empty timeline)\n";
-
-  const double span = static_cast<double>(t_max - t_min);
-  std::string out;
-  char label[32];
-  for (std::size_t k = 0; k < node_count; ++k) {
-    std::string row(width, '.');
-    for (const auto& iv : intervals_) {
-      if (iv.node != static_cast<int>(k)) continue;
-      const char mark = iv.kind == IntervalKind::kRun      ? '#'
-                        : iv.kind == IntervalKind::kOverhead ? '%'
-                                                             : '~';
-      auto col = [&](SimTime t) {
-        return std::min(width - 1,
-                        static_cast<std::size_t>(
-                            static_cast<double>(t - t_min) / span *
-                            static_cast<double>(width)));
-      };
-      for (std::size_t c = col(iv.begin); c <= col(iv.end - 1); ++c) {
-        // Running work wins over overhead, overhead over hoarding, so the
-        // most informative mark survives bucket collisions.
-        if (row[c] == '.' || (row[c] == '~' && mark != '~') ||
-            (row[c] == '%' && mark == '#'))
-          row[c] = mark;
-      }
-    }
-    std::snprintf(label, sizeof label, "node %2zu |", k);
-    out += label;
-    out += row;
-    out += "|\n";
-  }
-  std::snprintf(label, sizeof label, "%8s", "");
-  out += label;
-  out += format_time(t_min) + " .. " + format_time(t_max) + "\n";
-  return out;
-}
-
-void TimelineRecorder::write_csv(std::ostream& out) const {
-  out << "task,node,kind,begin_us,end_us,outcome\n";
-  for (const auto& iv : intervals_) {
-    const char* outcome = iv.outcome == Interval::End::kFinished ? "finished"
-                          : iv.outcome == Interval::End::kPreempted
-                              ? "preempted"
-                              : "evicted";
-    out << iv.task << ',' << iv.node << ',' << to_string(iv.kind) << ','
-        << iv.begin << ',' << iv.end << ',' << outcome << '\n';
-  }
 }
 
 }  // namespace dsp

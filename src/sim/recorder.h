@@ -4,15 +4,12 @@
 // Every slot occupation becomes an interval {task, node, kind, begin, end}:
 // productive execution, dispatch overhead (context switch / checkpoint
 // recovery), or slot hoarding. The recorder powers the run-invariant
-// checker (invariants.h), the Chrome trace export, per-node utilization
-// reports, and CSV export for external plotting. It reads the stream
+// checker (invariants.h) and the Chrome trace export. It reads the stream
 // either in process (as an EventLog consumer) or from a recorded JSONL
 // file (read_event_log); both yield the same timeline.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -100,17 +97,6 @@ class TimelineRecorder {
 
   /// Every preemption epoch tick, in time order.
   const std::vector<SimTime>& epochs() const { return epochs_; }
-
-  /// Total productive seconds on a node.
-  double busy_seconds_on_node(int node) const;
-
-  /// Writes the timeline as CSV: task,node,kind,begin_us,end_us,outcome.
-  void write_csv(std::ostream& out) const;
-
-  /// Renders an ASCII Gantt chart: one row per node, time bucketed into
-  /// `width` columns. '#' = running, '%' = overhead, '~' = hoarding,
-  /// '.' = idle. Useful in examples and for eyeballing schedules.
-  std::string render_gantt(std::size_t node_count, std::size_t width = 72) const;
 
  private:
   /// Per-task state, indexed by gid: the open slot occupation plus the

@@ -22,7 +22,6 @@ void TaskRuntime::init(const JobSet& jobs) {
       task_index_[g] = t;
       rt_[g].unfinished_parents =
           static_cast<std::uint32_t>(jobs[j].graph().parents(t).size());
-      // No job has a predecessor job yet (add_job_dependency clears).
       if (rt_[g].unfinished_parents == 0) state_bits_[g] = kReadyBit;
     }
   }
@@ -31,13 +30,6 @@ void TaskRuntime::init(const JobSet& jobs) {
   for (std::size_t j = 0; j < jobs.size(); ++j)
     job_rt_[j].unfinished_tasks =
         static_cast<std::uint32_t>(jobs[j].task_count());
-}
-
-void TaskRuntime::clear_job_ready(JobId j) {
-  assert(j < job_offset_.size());
-  const Gid end = job_offset_[j] + static_cast<Gid>((*jobs_)[j].task_count());
-  for (Gid g = job_offset_[j]; g < end; ++g)
-    state_bits_[g] &= static_cast<std::uint8_t>(~kReadyBit);
 }
 
 }  // namespace dsp

@@ -11,10 +11,9 @@
 // Besides the records, two compact per-task facts serve the
 // dependency-blind queue scans (DESIGN.md §10.5), which reject most
 // queued tasks before they need anything else:
-//   - a state byte with a *ready* bit (every precedent task finished and
-//     every predecessor job completed) and a *launch-blocked* bit (a
-//     launch attempt failed the input check), so ready() and
-//     launch_blocked() read one byte instead of TaskRt and JobRt;
+//   - a state byte with a *ready* bit (every precedent task finished) and
+//     a *launch-blocked* bit (a launch attempt failed the input check), so
+//     ready() and launch_blocked() read one byte instead of TaskRt;
 //   - the remaining MI a queued task carries. A queued task makes no
 //     progress, so the value written when it is queued stays exact until
 //     it leaves the queue.
@@ -50,8 +49,6 @@ struct TaskRt {
 /// Mutable per-job record.
 struct JobRt {
   std::uint32_t unfinished_tasks = 0;
-  std::uint32_t pred_jobs_remaining = 0;  // cross-job dependencies
-  std::vector<JobId> successor_jobs;
   double serviced_mi = 0.0;
   bool scheduled = false;
   bool finished = false;
@@ -133,24 +130,19 @@ class TaskRuntime {
     return job_rt_[j];
   }
 
-  /// True when every precedent task of `g` has finished and every
-  /// predecessor job of its job has completed. Reads the ready bit, which
-  /// the Engine sets where either count reaches zero. Monotone once the
-  /// run starts: once true, it stays true.
+  /// True when every precedent task of `g` has finished. Reads the ready
+  /// bit, which init() sets for parentless tasks and the Engine sets when
+  /// the last parent finishes. Monotone: once true, it stays true.
   bool ready(Gid g) const {
     assert(g < state_bits_.size());
     assert(((state_bits_[g] & kReadyBit) != 0) ==
-           (rt(g).unfinished_parents == 0 &&
-            job_rt(job_of(g)).pred_jobs_remaining == 0));
+           (rt(g).unfinished_parents == 0));
     return (state_bits_[g] & kReadyBit) != 0;
   }
   void set_ready(Gid g) {
     assert(g < state_bits_.size());
     state_bits_[g] |= kReadyBit;
   }
-  /// Clears the ready bits of job `j`'s tasks: a predecessor job was
-  /// declared for it (before the run).
-  void clear_job_ready(JobId j);
 
  private:
   static constexpr std::uint8_t kReadyBit = 1;

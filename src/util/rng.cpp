@@ -92,14 +92,6 @@ double Rng::exponential(double rate) {
   return -std::log(u) / rate;
 }
 
-double Rng::bounded_pareto(double alpha, double lo, double hi) {
-  assert(alpha > 0.0 && lo > 0.0 && hi > lo);
-  const double u = uniform();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   double total = 0.0;
   for (double w : weights) total += w;
@@ -111,7 +103,5 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   }
   return weights.size() - 1;
 }
-
-Rng Rng::fork() { return Rng((*this)() ^ 0xa5a5a5a5deadbeefULL); }
 
 }  // namespace dsp

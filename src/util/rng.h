@@ -58,14 +58,8 @@ class Rng {
   /// Exponential with the given rate (mean 1/rate). Poisson inter-arrivals.
   double exponential(double rate);
 
-  /// Bounded Pareto on [lo, hi] with tail index alpha. Heavy-tailed sizes.
-  double bounded_pareto(double alpha, double lo, double hi);
-
   /// Samples an index in [0, weights.size()) proportionally to weights.
   std::size_t weighted_index(const std::vector<double>& weights);
-
-  /// Forks a child engine whose stream is independent of this one.
-  Rng fork();
 
  private:
   std::array<std::uint64_t, 4> s_{};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 
 namespace dsp {
 
@@ -62,38 +61,5 @@ double mean_of(std::span<const double> values) {
 }
 
 double median_of(std::span<const double> values) { return percentile(values, 0.5); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  assert(hi > lo && bins > 0);
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(frac * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[128];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / peak;
-    std::snprintf(line, sizeof line, "%10.3g | ", bin_lo(i));
-    out += line;
-    out.append(bar, '#');
-    std::snprintf(line, sizeof line, " %zu\n", counts_[i]);
-    out += line;
-  }
-  return out;
-}
 
 }  // namespace dsp

@@ -59,28 +59,4 @@ double mean_of(std::span<const double> values);
 /// Median (50th percentile).
 double median_of(std::span<const double> values);
 
-/// Simple histogram over [lo, hi) with uniform bins, for bench reports.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  /// Adds an observation; out-of-range values clamp into the edge bins.
-  void add(double x);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count_in_bin(std::size_t i) const { return counts_.at(i); }
-  std::size_t total() const { return total_; }
-
-  /// Lower edge of bin i.
-  double bin_lo(std::size_t i) const;
-
-  /// Renders an ASCII sketch, one line per bin.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace dsp

@@ -41,20 +41,6 @@ std::string Table::render() const {
   return out;
 }
 
-std::string Table::render_csv() const {
-  std::string out;
-  auto emit = [&out](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) out += ',';
-      out += cells[i];
-    }
-    out += '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out;
-}
-
 std::string fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);

@@ -31,9 +31,6 @@ class Table {
   /// Renders the table with aligned columns and a separator under the header.
   std::string render() const;
 
-  /// Renders as CSV (header first), for machine consumption.
-  std::string render_csv() const;
-
  private:
   std::string title_;
   std::vector<std::string> header_;

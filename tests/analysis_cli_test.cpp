@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -136,6 +137,23 @@ TEST(DspAnalyzeCliTest, UsageAndBadFlagsExitTwo) {
   EXPECT_EQ(run_cli("workload x --cluster moon:4").exit_code, 2);
   // A missing input is an analyzable parse failure, not a usage error.
   EXPECT_EQ(run_cli("workload /nonexistent.csv").exit_code, 1);
+  // Numeric flag values that are fractional, non-finite, out of range or
+  // wider than the event node ids are usage errors naming the flag, on a
+  // workload that is otherwise clean.
+  const std::string clean = "workload " + example_workload("etl_pipeline.csv");
+  const std::pair<const char*, const char*> bad_values[] = {
+      {"--cluster", "uniform:2.7:nan:4:2.9"},
+      {"--cluster", "uniform:2:inf:4:2"},
+      {"--cluster", "uniform:3:2660:4:1e12"},
+      {"--cluster", "ec2:40000"},
+      {"--rate", "nan"}};
+  for (const auto& [flag, value] : bad_values) {
+    const CliResult r = run_cli(clean + " " + flag + " " + value);
+    EXPECT_EQ(r.exit_code, 2) << flag << " " << value << "\n" << r.output;
+    EXPECT_NE(r.output.find(std::string(flag) + ": "), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find(value), std::string::npos) << r.output;
+  }
 }
 
 TEST(DspAnalyzeCliTest, StdoutWriteFailureExitsTwo) {

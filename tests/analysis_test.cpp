@@ -522,6 +522,20 @@ TEST(ClusterSpecParseTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(analysis::parse_cluster_spec("moon:4", spec, &error));
   EXPECT_FALSE(analysis::parse_cluster_spec("uniform:4:1000", spec, &error));
   EXPECT_NE(error, "");
+  // Fractional counts, non-finite numbers, an int-overflowing slot count
+  // and a cluster wider than ClusterSpec::kMaxNodes are refused with a
+  // message, never truncated or thrown.
+  for (const char* text :
+       {"uniform:2.7:nan:4:2.9", "uniform:2:inf:4:2", "uniform:3:2660:4:1e12",
+        "uniform:3:2660:4:4294967297", "uniform:2:2660:1e308:2",
+        "ec2:40000", "real:0", "ec2:-3"}) {
+    error.clear();
+    bool parsed = true;
+    EXPECT_NO_THROW(parsed = analysis::parse_cluster_spec(text, spec, &error))
+        << text;
+    EXPECT_FALSE(parsed) << text;
+    EXPECT_NE(error, "") << text;
+  }
 }
 
 }  // namespace

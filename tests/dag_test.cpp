@@ -17,7 +17,6 @@ using testing::kTestRate;
 using testing::make_chain_job;
 using testing::make_diamond_job;
 using testing::make_fig2_job;
-using testing::make_fig3_job;
 
 TaskGraph make_graph(std::size_t n,
                      std::initializer_list<std::pair<TaskIndex, TaskIndex>> edges) {
@@ -45,7 +44,6 @@ TEST(TaskGraphTest, SingleTask) {
   EXPECT_EQ(g.level(0), 1);
   ASSERT_EQ(g.roots().size(), 1u);
   ASSERT_EQ(g.leaves().size(), 1u);
-  EXPECT_EQ(g.descendant_count(0), 0u);
 }
 
 TEST(TaskGraphTest, ChainLevelsAndDepth) {
@@ -54,7 +52,6 @@ TEST(TaskGraphTest, ChainLevelsAndDepth) {
   for (TaskIndex t = 0; t < 4; ++t) EXPECT_EQ(g.level(t), static_cast<int>(t) + 1);
   EXPECT_EQ(g.roots().size(), 1u);
   EXPECT_EQ(g.leaves().size(), 1u);
-  EXPECT_EQ(g.descendant_count(0), 3u);
 }
 
 TEST(TaskGraphTest, DiamondLevels) {
@@ -64,8 +61,6 @@ TEST(TaskGraphTest, DiamondLevels) {
   EXPECT_EQ(g.level(1), 2);
   EXPECT_EQ(g.level(2), 2);
   EXPECT_EQ(g.level(3), 3);
-  // Diamond: 3 is counted once despite two paths.
-  EXPECT_EQ(g.descendant_count(0), 3u);
 }
 
 TEST(TaskGraphTest, ParentsAndChildren) {
@@ -132,52 +127,6 @@ TEST(TaskGraphTest, DependsOnDiamond) {
   EXPECT_TRUE(g.depends_on(3, 1));
   EXPECT_TRUE(g.depends_on(3, 2));
   EXPECT_FALSE(g.depends_on(1, 2));
-}
-
-TEST(TaskGraphTest, DescendantsPerLevelFig3) {
-  // The Fig. 3 discussion: T11 and T6 have the same number of level-1
-  // dependents, but T11 has more at level 2, so it outranks T6.
-  const Job job = make_fig3_job(0);
-  const TaskGraph& g = job.graph();
-  const auto a = g.descendants_per_level(0);    // "T1"
-  const auto b = g.descendants_per_level(5);    // "T6"
-  const auto c = g.descendants_per_level(11);   // "T11"
-  ASSERT_EQ(a.size(), 1u);
-  EXPECT_EQ(a[0], 4u);
-  ASSERT_EQ(b.size(), 2u);
-  EXPECT_EQ(b[0], 4u);
-  EXPECT_EQ(b[1], 1u);
-  ASSERT_EQ(c.size(), 2u);
-  EXPECT_EQ(c[0], 4u);
-  EXPECT_EQ(c[1], 3u);
-}
-
-TEST(TaskGraphTest, ChainsEnumeration) {
-  const auto g = make_graph(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
-  const auto chains = g.chains();
-  // Two root->leaf paths: 0-1-3 and 0-2-3.
-  ASSERT_EQ(chains.size(), 2u);
-  for (const auto& chain : chains) {
-    EXPECT_EQ(chain.front(), 0u);
-    EXPECT_EQ(chain.back(), 3u);
-    EXPECT_EQ(chain.size(), 3u);
-  }
-}
-
-TEST(TaskGraphTest, ChainsRespectLimit) {
-  // A ladder of diamonds has exponentially many chains; the limit caps it.
-  TaskGraph g(9);
-  for (TaskIndex d = 0; d < 4; ++d) {
-    const TaskIndex base = d * 2;
-    g.add_edge(base, base + 1);
-    g.add_edge(base, base + 2);
-    if (base + 3 < 9) {
-      g.add_edge(base + 1, base + 3 - 1);  // converge
-    }
-  }
-  ASSERT_TRUE(g.finalize());
-  const auto chains = g.chains(3);
-  EXPECT_LE(chains.size(), 3u);
 }
 
 TEST(TaskGraphTest, IsolatedTasksAreRootsAndLeaves) {
@@ -394,18 +343,6 @@ TEST(ValidateTest, EnforcesFanoutLimit) {
   DagLimits limits;
   limits.max_fanout = 4;
   EXPECT_FALSE(validate_job(job, limits).empty());
-}
-
-TEST(ValidateTest, ValidateJobsPrefixesJobId) {
-  JobSet jobs;
-  Job bad(7, 1);
-  bad.task(0).size_mi = -1.0;
-  bad.task(0).demand = Resources{1, 1, 0, 0};
-  EXPECT_TRUE(bad.finalize(kTestRate));
-  jobs.push_back(std::move(bad));
-  const auto problems = validate_jobs(jobs);
-  ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems[0].find("job 7"), std::string::npos);
 }
 
 TEST(ValidateTest, UnfinalizedJobReported) {

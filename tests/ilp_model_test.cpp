@@ -1,5 +1,5 @@
 // Tests for the §III ILP model: exact solves vs hand-computed optima,
-// relax-and-round feasibility, list scheduling, preemption estimation.
+// relax-and-round feasibility, list scheduling.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -140,24 +140,9 @@ TEST(IlpModelTest, InfeasibleDeadlineRelaxedWhenAllowed) {
   t.size_mi = 5000.0;
   t.deadline_s = 1.0;  // impossible: needs 5 s
   p.tasks.push_back(t);
-  IlpSolveOptions opts;
-  opts.relax_deadlines_on_infeasible = true;
-  const IlpScheduleResult r = solve_ilp_schedule(p, opts);
+  const IlpScheduleResult r = solve_ilp_schedule(p);
   ASSERT_TRUE(r.ok());
   EXPECT_NEAR(r.makespan_s, 5.0, 1e-4);
-}
-
-TEST(IlpModelTest, InfeasibleDeadlineReportedWhenStrict) {
-  IlpProblem p;
-  p.machine_rates = {1000.0};
-  IlpTask t;
-  t.size_mi = 5000.0;
-  t.deadline_s = 1.0;
-  p.tasks.push_back(t);
-  IlpSolveOptions opts;
-  opts.relax_deadlines_on_infeasible = false;
-  const IlpScheduleResult r = solve_ilp_schedule(p, opts);
-  EXPECT_EQ(r.status, lp::SolveStatus::kInfeasible);
 }
 
 TEST(IlpModelTest, DeadlineSteersPlacement) {
@@ -176,14 +161,6 @@ TEST(IlpModelTest, DeadlineSteersPlacement) {
   EXPECT_EQ(r.machine_of[0], 0);
   EXPECT_NEAR(r.start_s[0], 0.0, 0.06);
   expect_feasible_schedule(p, r);
-}
-
-TEST(IlpModelTest, CanSolveExactlyGuards) {
-  IlpProblem p = two_machine_problem();
-  EXPECT_TRUE(can_solve_exactly(p));
-  EXPECT_FALSE(can_solve_exactly(p, /*max_tasks=*/2));
-  IlpProblem empty;
-  EXPECT_FALSE(can_solve_exactly(empty));
 }
 
 TEST(IlpModelTest, ModelVariableLayout) {
@@ -270,20 +247,6 @@ TEST(ListScheduleTest, ParallelMachines) {
   std::vector<double> start;
   const double makespan = list_schedule_fixed(p, {0, 1}, {0, 1}, start);
   EXPECT_NEAR(makespan, 1.0, 1e-9);
-}
-
-// ---------------------------------------------------------------------
-// Preemption estimation
-// ---------------------------------------------------------------------
-
-TEST(EstimatePreemptionsTest, MonotoneInSlack) {
-  EXPECT_EQ(estimate_preemptions(10.0, 12.0), 2);   // ratio 1.2
-  EXPECT_EQ(estimate_preemptions(10.0, 25.0), 1);   // ratio 2.5
-  EXPECT_EQ(estimate_preemptions(10.0, 100.0), 0);  // generous
-  EXPECT_EQ(estimate_preemptions(10.0,
-                                 std::numeric_limits<double>::infinity()),
-            0);
-  EXPECT_EQ(estimate_preemptions(0.0, 5.0), 0);
 }
 
 }  // namespace

@@ -2,14 +2,13 @@
 // and before every dispatch decision, Engine::ready(k) must equal
 // waiting(k) filtered by readiness, in the same order, and ready_within
 // must count the ready entries of every waiting-queue prefix. Readiness
-// is derived here from the task and job records (no unfinished parent,
-// no pending predecessor job), and every queued task's compact facts
-// must agree with the records: its ready bit, Engine::launch_blocked,
-// and Engine::queued_remaining_mi, which must equal remaining_mi bit for
-// bit. The scenarios drive each path that changes readiness, progress or
-// queue membership: slot hoarding and hoard-timeout requeues, node
-// failover (with and without surviving checkpoints) and straggler
-// migration, cross-job dependencies, and restart-mode preemption.
+// is derived here from the task record (no unfinished parent), and every
+// queued task's compact facts must agree with the records: its ready
+// bit, Engine::launch_blocked, and Engine::queued_remaining_mi, which
+// must equal remaining_mi bit for bit. The scenarios drive each path
+// that changes readiness, progress or queue membership: slot hoarding
+// and hoard-timeout requeues, node failover (with and without surviving
+// checkpoints) and straggler migration, and restart-mode preemption.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -53,12 +52,9 @@ EngineParams fast_params() {
   return p;
 }
 
-/// Readiness from the records: every parent finished and every
-/// predecessor job completed.
+/// Readiness from the record: every parent finished.
 bool derived_ready(const Engine& engine, Gid g) {
-  const TaskRuntime& tasks = engine.task_runtime();
-  return tasks.rt(g).unfinished_parents == 0 &&
-         tasks.job_rt(tasks.job_of(g)).pred_jobs_remaining == 0;
+  return engine.task_runtime().rt(g).unfinished_parents == 0;
 }
 
 /// Compares the kernel's ready subsets and per-task facts with the slow
@@ -72,11 +68,7 @@ class ReadyProbe {
       for (Gid g : engine.waiting(k)) {
         const bool ready = derived_ready(engine, g);
         check_task(engine, g, ready);
-        if (ready) {
-          want.push_back(g);
-        } else if (engine.task_runtime().rt(g).unfinished_parents == 0) {
-          ++job_blocked_;  // held back only by a predecessor job
-        }
+        if (ready) want.push_back(g);
       }
       if (!want.empty() && want.size() < engine.waiting(k).size()) ++mixed_;
       if (engine.ready(k) != want) note_mismatch(engine, k, "ready", want);
@@ -106,7 +98,6 @@ class ReadyProbe {
   /// Queued tasks seen launch-blocked.
   std::uint64_t blocked() const { return blocked_; }
   std::uint64_t mixed() const { return mixed_; }
-  std::uint64_t job_blocked() const { return job_blocked_; }
   std::uint64_t mismatches() const { return mismatches_; }
   const std::string& first_mismatch() const { return first_; }
 
@@ -150,7 +141,6 @@ class ReadyProbe {
   std::uint64_t progressed_ = 0;
   std::uint64_t blocked_ = 0;
   std::uint64_t mixed_ = 0;
-  std::uint64_t job_blocked_ = 0;
   std::uint64_t mismatches_ = 0;
   std::string first_;
 };
@@ -333,25 +323,6 @@ TEST(ReadySubsetTest, FailoverWithoutSurvivingCheckpoints) {
   EXPECT_GT(p.metrics.node_failures, 0u);
   EXPECT_GT(p.metrics.work_lost_mi, 0.0);
   EXPECT_GT(p.failovers, 0u);
-  EXPECT_GT(probe.progressed(), 0u);
-  expect_consistent(probe);
-}
-
-TEST(ReadySubsetTest, CrossJobDependencies) {
-  const JobSet jobs = contended_workload(405);
-  const std::size_t tasks = total_tasks(jobs);
-  DspScheduler sched;
-  AmoebaPolicy amoeba;
-  ReadyProbe probe;
-  const Probed p = run_probed(
-      ClusterSpec::ec2(4), jobs, sched, &amoeba, probe, [](Engine& engine) {
-        for (JobId j = 0; j + 1 < engine.job_count(); j += 2)
-          ASSERT_TRUE(engine.add_job_dependency(j, j + 1));
-        ASSERT_TRUE(engine.add_job_dependency(0, 4));
-      });
-  EXPECT_EQ(p.metrics.tasks_finished, tasks);
-  EXPECT_GT(probe.job_blocked(), 0u)
-      << "no queued task was ever held back by a predecessor job";
   EXPECT_GT(probe.progressed(), 0u);
   expect_consistent(probe);
 }

@@ -1,13 +1,11 @@
-// Tests for TimelineRecorder: its exports (CSV, the ASCII Gantt chart),
-// the round/epoch bookkeeping the Chrome trace exporter relies on, and
-// the agreement of its two inputs — the in-process event consumer and a
+// Tests for TimelineRecorder: the round/epoch bookkeeping the Chrome
+// trace exporter relies on, and the agreement of its two inputs — the in-process event consumer and a
 // recorded JSONL file — including the invariant checker and the audit
 // replay run on that file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <string>
 
 #include "analysis/analyzer.h"
@@ -46,55 +44,6 @@ TimelineRecorder record_run(std::size_t node_count = 2) {
   engine.set_event_log(log.get());
   engine.run();
   return recorder;
-}
-
-TEST(RecorderCsvTest, HeaderAndOneRowPerInterval) {
-  const TimelineRecorder recorder = record_run();
-  ASSERT_FALSE(recorder.intervals().empty());
-
-  std::ostringstream os;
-  recorder.write_csv(os);
-  const std::string csv = os.str();
-
-  EXPECT_EQ(csv.find("task,node,kind,begin_us,end_us,outcome\n"), 0u);
-  const auto rows = static_cast<std::size_t>(
-      std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(rows, recorder.intervals().size() + 1);  // header + intervals
-  EXPECT_NE(csv.find(",run,"), std::string::npos);
-  EXPECT_NE(csv.find("finished"), std::string::npos);
-}
-
-TEST(RecorderCsvTest, RowsMatchIntervalFields) {
-  const TimelineRecorder recorder = record_run();
-  std::ostringstream os;
-  recorder.write_csv(os);
-  std::istringstream in(os.str());
-  std::string line;
-  std::getline(in, line);  // header
-  for (const auto& iv : recorder.intervals()) {
-    ASSERT_TRUE(std::getline(in, line));
-    std::ostringstream expect;
-    expect << iv.task << ',' << iv.node << ',' << to_string(iv.kind) << ','
-           << iv.begin << ',' << iv.end;
-    EXPECT_EQ(line.rfind(expect.str(), 0), 0u) << line;
-  }
-}
-
-TEST(RecorderGanttTest, OneRowPerNodeWithMarks) {
-  const TimelineRecorder recorder = record_run(2);
-  const std::string gantt = recorder.render_gantt(2, 40);
-
-  EXPECT_NE(gantt.find("node  0 |"), std::string::npos);
-  EXPECT_NE(gantt.find("node  1 |"), std::string::npos);
-  // Productive work shows up as '#'.
-  EXPECT_NE(gantt.find('#'), std::string::npos);
-  // Footer carries the time span.
-  EXPECT_NE(gantt.find(".."), std::string::npos);
-}
-
-TEST(RecorderGanttTest, EmptyTimelineRenders) {
-  const TimelineRecorder recorder;
-  EXPECT_EQ(recorder.render_gantt(3), "(empty timeline)\n");
 }
 
 TEST(RecorderRoundsTest, RecordsRoundsAndEpochs) {

@@ -355,6 +355,15 @@ TEST(BenchDiffCliTest, EmptyIntersectionAndBadInputExitTwo) {
   }
   EXPECT_EQ(bench_diff(base + " " + bad).exit_code, 2);
   EXPECT_EQ(bench_diff(base).exit_code, 2);  // usage
+  // A threshold that is not a finite number >= 0 would pass or fail every
+  // scalar regardless of its delta.
+  for (const char* threshold : {"nan", "inf", "-5", "5x", ""}) {
+    const CliResult r = bench_diff(base + " " + base + " --threshold '" +
+                                   threshold + "'");
+    EXPECT_EQ(r.exit_code, 2) << threshold << "\n" << r.output;
+    EXPECT_NE(r.output.find("--threshold"), std::string::npos)
+        << threshold << "\n" << r.output;
+  }
   std::remove(base.c_str());
   std::remove(other.c_str());
   std::remove(bad.c_str());

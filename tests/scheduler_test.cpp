@@ -1,5 +1,5 @@
-// Tests for DSP's offline scheduler (heuristic / relax-round / exact) and
-// the Tetris/Aalo baseline schedulers.
+// Tests for DSP's offline scheduler (checked against the exact §III ILP on
+// small instances) and the Tetris/Aalo baseline schedulers.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,6 +8,7 @@
 #include "baselines/tetris.h"
 #include "core/dsp_scheduler.h"
 #include "core/dsp_system.h"
+#include "core/ilp_model.h"
 #include "test_util.h"
 #include "trace/workload.h"
 
@@ -165,40 +166,23 @@ TEST(DspSchedulerTest, PlannedStartsRespectDependencies) {
       EXPECT_GE(start_of[c], start_of[t]);
 }
 
-TEST(DspSchedulerTest, ExactModeMatchesHeuristicOnTrivial) {
-  // A 4-task chain on a 1-node/1-slot cluster: both modes give 4 s.
-  auto run_mode = [](ScheduleMode mode) {
-    JobSet jobs;
-    jobs.push_back(make_chain_job(0, 4, 1000.0));
-    DspScheduler::Options opts;
-    opts.mode = mode;
-    DspScheduler sched(opts);
-    Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 1), std::move(jobs),
-                  sched, nullptr, fast_params());
-    return engine.run().makespan;
-  };
-  EXPECT_EQ(run_mode(ScheduleMode::kHeuristic), 4 * kSecond);
-  EXPECT_EQ(run_mode(ScheduleMode::kExact), 4 * kSecond);
-}
-
-TEST(DspSchedulerTest, ExactModeFallsBackWhenTooLarge) {
-  JobSet jobs = tiny_workload(3, 53);
-  DspScheduler::Options opts;
-  opts.mode = ScheduleMode::kExact;
-  opts.exact_max_tasks = 4;  // workload is bigger than this
-  DspScheduler sched(opts);
-  Engine engine(small_cluster(2, 2), std::move(jobs), sched, nullptr,
-                fast_params());
-  engine.run();
-  EXPECT_EQ(sched.last_mode(), ScheduleMode::kHeuristic);
+TEST(DspSchedulerTest, ChainOnOneSlotTakesItsLength) {
+  // A 4-task chain of 1 s tasks on a 1-node/1-slot cluster: 4 s.
+  JobSet jobs;
+  jobs.push_back(make_chain_job(0, 4, 1000.0));
+  DspScheduler sched;
+  Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 1), std::move(jobs),
+                sched, nullptr, fast_params());
+  EXPECT_EQ(engine.run().makespan, 4 * kSecond);
 }
 
 TEST(DspSchedulerTest, HeuristicNearExactOnSmallInstances) {
   // Cross-validation: on instances the MILP can solve, the heuristic's
-  // realized makespan is within 1.6x of the exact schedule's.
+  // realized makespan is within 1.6x of the exact optimum.
+  const ClusterSpec cluster = ClusterSpec::uniform(2, 1800.0, 2.0, 1);
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed * 7919);
-    JobSet base;
+    JobSet jobs;
     Job job(0, 5);
     for (TaskIndex t = 0; t < 5; ++t) {
       job.task(t).size_mi = rng.uniform(500.0, 3000.0);
@@ -208,36 +192,28 @@ TEST(DspSchedulerTest, HeuristicNearExactOnSmallInstances) {
     job.add_dependency(1, 3);
     if (rng.chance(0.5)) job.add_dependency(2, 4);
     ASSERT_TRUE(job.finalize(1000.0));
-    base.push_back(std::move(job));
 
-    auto run_mode = [&](ScheduleMode mode) {
-      JobSet jobs = base;
-      DspScheduler::Options opts;
-      opts.mode = mode;
-      opts.exact_max_tasks = 6;
-      opts.exact_max_machines = 2;
-      DspScheduler sched(opts);
-      Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 1), std::move(jobs),
-                    sched, nullptr, fast_params());
-      return engine.run().makespan;
-    };
-    const SimTime exact = run_mode(ScheduleMode::kExact);
-    const SimTime heuristic = run_mode(ScheduleMode::kHeuristic);
-    EXPECT_LE(heuristic, exact * 16 / 10 + kSecond) << "seed " << seed;
+    // The same instance as an ILP: one machine per single-slot node.
+    IlpProblem problem;
+    for (std::size_t k = 0; k < cluster.size(); ++k)
+      problem.machine_rates.push_back(cluster.rate(k));
+    for (TaskIndex t = 0; t < job.task_count(); ++t) {
+      IlpTask task;
+      task.size_mi = job.task(t).size_mi;
+      for (TaskIndex p : job.graph().parents(t))
+        task.parents.push_back(static_cast<int>(p));
+      problem.tasks.push_back(std::move(task));
+    }
+    const IlpScheduleResult exact = solve_ilp_schedule(problem);
+    ASSERT_EQ(exact.status, lp::SolveStatus::kOptimal) << "seed " << seed;
+
+    jobs.push_back(std::move(job));
+    DspScheduler sched;
+    Engine engine(cluster, std::move(jobs), sched, nullptr, fast_params());
+    const SimTime heuristic = engine.run().makespan;
+    EXPECT_LE(heuristic, from_seconds(exact.makespan_s) * 16 / 10 + kSecond)
+        << "seed " << seed;
   }
-}
-
-TEST(DspSchedulerTest, RelaxRoundCompletesWorkload) {
-  JobSet jobs;
-  jobs.push_back(make_chain_job(0, 4, 1000.0));
-  jobs.push_back(make_independent_job(1, 3, 1500.0));
-  DspScheduler::Options opts;
-  opts.mode = ScheduleMode::kRelaxRound;
-  DspScheduler sched(opts);
-  Engine engine(small_cluster(2, 1), std::move(jobs), sched, nullptr,
-                fast_params());
-  const RunMetrics m = engine.run();
-  EXPECT_EQ(m.tasks_finished, 7u);
 }
 
 // ---------------------------------------------------------------------
@@ -288,8 +264,8 @@ TEST(TetrisTest, BlindVariantAccumulatesDisorders) {
 /// Wraps a TetrisScheduler and checks, at every dispatch, that its pick
 /// is the first maximum of alignment() over the non-excluded, fitting
 /// entries that are not launch-blocked (W/oDep scans the whole queue) or
-/// that are ready (W/SimDep). Readiness and blocks come from the task and
-/// job records, not the engine's compact state byte.
+/// that are ready (W/SimDep). Readiness and blocks come from the task
+/// record and launch-blocked flag, not the engine's compact state byte.
 class ArgmaxCheck : public Scheduler {
  public:
   explicit ArgmaxCheck(TetrisScheduler::Dependency dep)
@@ -311,9 +287,7 @@ class ArgmaxCheck : public Scheduler {
     double best_score = -1.0;
     bool tied = false;
     for (Gid g : engine.waiting(node)) {
-      const bool ready =
-          tasks.rt(g).unfinished_parents == 0 &&
-          tasks.job_rt(tasks.job_of(g)).pred_jobs_remaining == 0;
+      const bool ready = tasks.rt(g).unfinished_parents == 0;
       if (excluded[g]) continue;
       if (simple_ ? !ready : tasks.launch_blocked_flag(g) && !ready) continue;
       const Resources& demand = engine.task_info(g).demand;

@@ -2,6 +2,8 @@
 // enforcement, preemption mechanics, checkpoint semantics, metrics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "sim/cluster.h"
@@ -101,6 +103,14 @@ TEST(ClusterTest, ValidationRejectsNonPositiveCapacity) {
     EXPECT_NE(std::string(e.what()).find("node 1"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos);
   }
+  for (const double v : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    bad = good;
+    bad.capacity.cpu = v;
+    EXPECT_THROW(ClusterSpec({good, bad}), std::invalid_argument) << v;
+    bad = good;
+    bad.capacity.bw = v;
+    EXPECT_THROW(ClusterSpec({good, bad}), std::invalid_argument) << v;
+  }
 }
 
 TEST(ClusterTest, ValidationRejectsNegativeTheta) {
@@ -133,6 +143,16 @@ TEST(ClusterTest, ValidationRejectsNonPositiveCpuAndMem) {
   bad.cpu_mips = 2660.0;
   bad.mem_gb = 0.0;
   EXPECT_THROW(ClusterSpec({bad}), std::invalid_argument);
+  // NaN passes a `<= 0` test and infinity a positivity test; both would
+  // turn g(k) into NaN or infinity.
+  for (const double v : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    bad.cpu_mips = v;
+    bad.mem_gb = 4.0;
+    EXPECT_THROW(ClusterSpec({bad}), std::invalid_argument) << v;
+    bad.cpu_mips = 2660.0;
+    bad.mem_gb = v;
+    EXPECT_THROW(ClusterSpec({bad}), std::invalid_argument) << v;
+  }
 }
 
 TEST(ClusterTest, ValidationRejectsClustersWiderThanEventNodeIds) {
@@ -252,6 +272,17 @@ TEST(EngineTest, MultiNodeSpreadsLoad) {
   jobs.push_back(make_independent_job(0, 8, 1000.0));
   RoundRobinScheduler sched;
   Engine engine(test_cluster(4, 2), std::move(jobs), sched, nullptr,
+                fast_params());
+  EXPECT_EQ(engine.run().makespan, 1 * kSecond);
+}
+
+TEST(EngineTest, IndependentJobsOverlap) {
+  // Two 2-task jobs arriving together on 8 slots run side by side: 1 s.
+  JobSet jobs;
+  jobs.push_back(make_independent_job(0, 2, 1000.0));
+  jobs.push_back(make_independent_job(1, 2, 1000.0));
+  RoundRobinScheduler sched;
+  Engine engine(test_cluster(2, 4), std::move(jobs), sched, nullptr,
                 fast_params());
   EXPECT_EQ(engine.run().makespan, 1 * kSecond);
 }

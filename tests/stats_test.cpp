@@ -1,8 +1,6 @@
-// Tests for workload statistics and the ASCII Gantt renderer.
+// Tests for workload statistics.
 #include <gtest/gtest.h>
 
-#include "sim/engine.h"
-#include "sim/recorder.h"
 #include "test_util.h"
 #include "trace/stats.h"
 #include "trace/workload.h"
@@ -12,7 +10,6 @@ namespace {
 
 using testing::make_chain_job;
 using testing::make_independent_job;
-using testing::RoundRobinScheduler;
 
 TEST(WorkloadStatsTest, EmptyWorkload) {
   const WorkloadStats s = analyze_workload({});
@@ -64,32 +61,6 @@ TEST(WorkloadStatsTest, RenderMentionsKeyNumbers) {
   EXPECT_NE(text.find("jobs: 6"), std::string::npos);
   EXPECT_NE(text.find("DAG depth"), std::string::npos);
   EXPECT_NE(text.find("total work"), std::string::npos);
-}
-
-TEST(GanttTest, RendersNodeRows) {
-  JobSet jobs;
-  jobs.push_back(make_independent_job(0, 4, 2000.0));
-  RoundRobinScheduler sched;
-  TimelineRecorder recorder;
-  EngineParams ep;
-  ep.period = 1 * kSecond;
-  Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 1), jobs, sched, nullptr,
-                ep);
-  const auto log = testing::recorder_log(recorder);
-  engine.set_event_log(log.get());
-  engine.run();
-
-  const std::string gantt = recorder.render_gantt(2, 40);
-  EXPECT_NE(gantt.find("node  0 |"), std::string::npos);
-  EXPECT_NE(gantt.find("node  1 |"), std::string::npos);
-  EXPECT_NE(gantt.find('#'), std::string::npos);  // running marks
-  // Two rows + time footer.
-  EXPECT_EQ(std::count(gantt.begin(), gantt.end(), '\n'), 3);
-}
-
-TEST(GanttTest, EmptyTimeline) {
-  TimelineRecorder recorder;
-  EXPECT_EQ(recorder.render_gantt(2), "(empty timeline)\n");
 }
 
 }  // namespace

@@ -73,9 +73,12 @@ TEST(WorkloadTest, JobsAreFinalizedAndValid) {
   DagLimits limits;
   limits.max_depth = cfg.max_levels;
   limits.max_fanout = cfg.max_fanout;
-  const auto problems = validate_jobs(jobs, limits);
-  EXPECT_TRUE(problems.empty())
-      << (problems.empty() ? "" : problems.front());
+  for (const Job& job : jobs) {
+    const auto problems = validate_job(job, limits);
+    EXPECT_TRUE(problems.empty())
+        << "job " << job.id() << ": "
+        << (problems.empty() ? "" : problems.front());
+  }
 }
 
 TEST(WorkloadTest, DagRespectsDepthCap) {

@@ -14,6 +14,7 @@
 // bench/BENCH_hotpath.json baseline; thresholds there are generous
 // because CI machines are noisy — the check catches order-of-magnitude
 // slips, not single-digit drift.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -73,9 +74,17 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--threshold") {
       if (i + 1 >= argc) return dsp::usage(argv[0]);
+      const char* v = argv[++i];
       char* end = nullptr;
-      threshold_pct = std::strtod(argv[++i], &end);
-      if (end == nullptr || *end != '\0') return dsp::usage(argv[0]);
+      threshold_pct = std::strtod(v, &end);
+      if (end == v || *end != '\0' || !std::isfinite(threshold_pct) ||
+          threshold_pct < 0.0) {
+        std::fprintf(stderr,
+                     "bench_diff: --threshold expects a finite percentage "
+                     ">= 0, got \"%s\"\n",
+                     v);
+        return 2;
+      }
     } else if (arg == "--json") {
       if (i + 1 >= argc) return dsp::usage(argv[0]);
       json_path = argv[++i];

@@ -22,7 +22,12 @@
 #            fixtures (audit fixtures are JSONL event logs), with --json
 #            output validated by json_check
 #   bench-smoke  micro_bench hot-path benchmarks at a tiny min_time,
-#            with the --json report validated by json_check
+#            with the --json report validated by json_check; then
+#            ablation_ilp, one of the two programs that solve the §III
+#            ILP (perfbench's ilp_small is the other), at the default seed
+#            with --json validated by json_check, and at DSP_SEED=1, whose
+#            one instance that stops at the branch & bound node cap must
+#            be marked and counted in the footnote
 #   bench-diff  micro_bench scalars compared against the committed
 #            bench/BENCH_hotpath.json baseline via bench_diff; the
 #            threshold is generous (CI machines are noisy) — it
@@ -167,7 +172,7 @@ if ! skipped analyze; then
 fi
 
 if ! skipped bench-smoke; then
-  banner "bench smoke (micro_bench hot paths)"
+  banner "bench smoke (micro_bench hot paths, ablation_ilp)"
   # No EXIT trap here: the analyze stage may already own it.
   smoke_tmp=$(mktemp -d)
   build/bench/micro_bench \
@@ -179,6 +184,17 @@ if ! skipped bench-smoke; then
     scalars.BM_SimplexSolve_60_ns scalars.BM_MilpSolve_1_ns scalars.BM_PriorityComputeJob_1000_ns \
     scalars.BM_ComputeAllFullRecompute_20_ns \
     registry.counters registry.histograms
+  build/bench/ablation_ilp --json "$smoke_tmp/ilp.json" >/dev/null
+  build/tools/json_check "$smoke_tmp/ilp.json" \
+    bench env.seed scalars scalars.rr_over_exact_mean \
+    scalars.heur_over_exact_mean scalars.node_capped_instances
+  DSP_SEED=1 build/bench/ablation_ilp >"$smoke_tmp/ilp_seed1.txt"
+  { grep -q '^\* 1 instance(s) stopped at the branch & bound node cap' \
+      "$smoke_tmp/ilp_seed1.txt" &&
+    [ "$(grep -c '^[0-9]t/[0-9]m  *[0-9.]*\* ' "$smoke_tmp/ilp_seed1.txt")" = 1 ]
+  } || {
+    echo "ci: ablation_ilp at DSP_SEED=1 did not mark exactly one capped instance"
+    cat "$smoke_tmp/ilp_seed1.txt"; exit 1; }
   rm -rf "$smoke_tmp"
 fi
 

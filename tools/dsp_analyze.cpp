@@ -25,6 +25,7 @@
 #include "analysis/analyzer.h"
 #include "analysis/rules.h"
 #include "util/log.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -107,11 +108,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--rate") == 0) {
       const char* v = need_value("--rate");
       if (!v) return 2;
-      char* end = nullptr;
-      reference_rate = std::strtod(v, &end);
-      if (!end || *end != '\0' || reference_rate <= 0.0) {
-        std::fprintf(stderr, "%s: --rate expects a positive MIPS value\n",
-                     argv[0]);
+      if (!dsp::parse_positive(v, reference_rate)) {
+        std::fprintf(stderr,
+                     "%s: --rate: \"%s\" is not a finite positive MIPS "
+                     "value\n",
+                     argv[0], v);
         return 2;
       }
     } else {
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
     dsp::ClusterSpec cluster;
     std::string error;
     if (!dsp::analysis::parse_cluster_spec(cluster_spec, cluster, &error)) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], error.c_str());
+      std::fprintf(stderr, "%s: --cluster: %s\n", argv[0], error.c_str());
       return 2;
     }
     report = dsp::analysis::analyze_workload_file(input, cluster,
