@@ -28,14 +28,14 @@ int main(int argc, char** argv) {
 
   // This bench reads policy.current_delta() after each run, which a grid
   // cell cannot return, so its five short runs stay a loop over bare
-  // Engines with a concrete DspPreemption (recording no event stream);
-  // the knob-to-params mapping still comes from the factory.
+  // Engines with a concrete DspPreemption over the spec's DSP settings
+  // (recording no event stream).
   auto run_variant = [&](const std::string& name, double delta, bool adaptive) {
     ScenarioSpec spec = base;
-    spec.knobs.delta = delta;
-    spec.knobs.adaptive_delta = adaptive;
+    spec.dsp.delta = delta;
+    spec.dsp.adaptive_delta = adaptive;
     const auto sched = StandardScenarioFactory().make_scheduler(spec);
-    DspPreemption policy(StandardScenarioFactory::dsp_params(spec));
+    DspPreemption policy(spec.dsp);
     Engine engine(make_cluster(spec.cluster), jobs, *sched, &policy,
                   spec.engine);
     const RunMetrics m = engine.run();

@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
     if (mtbf_hours > 0.0) {
       spec.failures.kind = FailureRecipe::Kind::kOutages;
       spec.failures.mtbf_hours = mtbf_hours;
-      spec.failures.mttr_minutes = 5.0;
       spec.failures.seed = env.seed + 1;
     }
     grid.push_back(std::move(spec));
@@ -45,7 +44,6 @@ int main(int argc, char** argv) {
     spec.policy = policy;
     spec.failures.kind = FailureRecipe::Kind::kOutages;
     spec.failures.mtbf_hours = 4.0;
-    spec.failures.mttr_minutes = 5.0;
     spec.failures.seed = env.seed + 2;
     grid.push_back(std::move(spec));
   }
@@ -59,12 +57,10 @@ int main(int argc, char** argv) {
                              Level{"heavy", 30 * kMinute}}) {
     for (bool mitigate : {false, true}) {
       ScenarioSpec spec = base;
-      spec.knobs.straggler_mitigation = mitigate;
+      spec.dsp.straggler_mitigation = mitigate;
       if (level.mean_gap > 0) {
         spec.failures.kind = FailureRecipe::Kind::kStragglers;
         spec.failures.mean_gap = level.mean_gap;
-        spec.failures.mean_duration = 10 * kMinute;
-        spec.failures.factor = 0.4;
         spec.failures.seed = env.seed + 3;
       }
       grid.push_back(std::move(spec));
@@ -116,7 +112,7 @@ int main(int argc, char** argv) {
   strag.set_header(
       {"straggler-load", "mitigation", "makespan(s)", "throughput(t/ms)"});
   for (const char* level : straggler_levels) {
-    const bool mitigate = grid[next].knobs.straggler_mitigation;
+    const bool mitigate = grid[next].dsp.straggler_mitigation;
     const RunMetrics& m = results[next++];
     strag.add_row({level, mitigate ? "on" : "off",
                    fmt(to_seconds(m.makespan)),

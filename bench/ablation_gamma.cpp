@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     // gamma feeds both the scheduler (level weights) and the preemption
     // policy (urgency); the knob plumbs it to both via the factory.
     ScenarioSpec spec = fig_scenario(ClusterProfile::kEc2, jobs_n, env);
-    spec.knobs.gamma = gamma;
+    spec.dsp.gamma = gamma;
     grid.push_back(std::move(spec));
   }
   const std::vector<RunMetrics> results =

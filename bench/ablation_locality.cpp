@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       spec.workload.locality_nodes = cluster_nodes;
       spec.workload.locality_fraction = fraction;
       spec.workload.input_mb_mu = 6.5;
-      spec.knobs.locality_aware = aware;
+      spec.dsp.locality_aware = aware;
       grid.push_back(std::move(spec));
       if (fraction == 0.0) break;  // variants identical with no pinning
     }
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
                     "throughput(t/ms)", "overhead(s)"});
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const double fraction = grid[i].workload.locality_fraction;
-    const char* variant = grid[i].knobs.locality_aware ? "aware" : "blind";
+    const char* variant = grid[i].dsp.locality_aware ? "aware" : "blind";
     const RunMetrics& m = results[i];
     table.add_row({fmt(fraction, 1), variant, fmt(m.locality_hit_rate(), 3),
                    fmt(to_seconds(m.makespan)),

@@ -36,8 +36,8 @@ int main(int argc, char** argv) {
   std::vector<ScenarioSpec> grid;
   for (const auto& v : variants) {
     ScenarioSpec spec = fig_scenario(ClusterProfile::kEc2, jobs_n, env);
-    spec.knobs.normalized_pp = v.pp;
-    if (v.pp) spec.knobs.rho = v.rho;
+    spec.dsp.normalized_pp = v.pp;
+    if (v.pp) spec.dsp.rho = v.rho;
     grid.push_back(std::move(spec));
   }
   const std::vector<RunMetrics> results =

@@ -142,7 +142,7 @@ void BM_SimplexWarmRestart(benchmark::State& state) {
     for (int v = 0; v < n; ++v) e.add(v, rng.uniform(0.0, 3.0));
     m.add_constraint(std::move(e), lp::Sense::kLe, rng.uniform(5.0, 20.0));
   }
-  lp::BoundedSimplex bs(m, {});
+  lp::BoundedSimplex bs(m);
   lp::Basis base;
   const lp::Solution cold = bs.solve(nullptr, &base);
   // Tighten past the optimal value of the first nonzero variable so the

@@ -10,7 +10,9 @@
 //
 // The tokens are dsp_sweep's (sim/scenario.h), and the standard scenario
 // factory builds the pair with the Table II settings. A bad token exits
-// with status 2 and names it.
+// with status 2 and names it, and so does a trace with a task whose demand
+// fits no node of the cluster (the Engine's message names the job, the
+// task, its demand and the largest node capacity).
 //
 // Generate a compatible trace with the workload generator:
 //   $ ./trace_replay --emit sample.csv 20 42   # 20 jobs, seed 42
@@ -19,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 
 #include "core/dsp_system.h"
 #include "metrics/report.h"
@@ -76,7 +79,7 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "--emit") == 0)
     return emit_trace(argc, argv);
   if (argc >= 3 && std::strcmp(argv[1], "--stats") == 0) {
-    const TraceParseResult parsed = read_trace_csv(argv[2], 2660.0);
+    const TraceParseResult parsed = read_trace_csv(argv[2], kReferenceRate);
     if (!parsed.ok()) {
       for (const auto& e : parsed.errors)
         std::fprintf(stderr, "trace error: %s\n", e.c_str());
@@ -132,8 +135,13 @@ int main(int argc, char** argv) {
   EngineParams ep;
   ep.period = 1 * kMinute;
   ep.epoch = 10 * kSecond;
-  const RunMetrics m =
-      simulate(cluster, parsed.jobs, *scheduler, policy.get(), ep);
+  RunMetrics m;
+  try {
+    m = simulate(cluster, parsed.jobs, *scheduler, policy.get(), ep);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "trace_replay: %s\n", e.what());
+    return 2;
+  }
   std::printf("%s + %s on %s(%zu):\n  %s\n", sched_name, policy_name,
               cluster_name, cluster.size(), summarize(m).c_str());
   return 0;

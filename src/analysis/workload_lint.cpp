@@ -34,14 +34,7 @@ void check_demand_satisfiable(const Job& job, const ClusterSpec& cluster,
                               Report& report) {
   for (TaskIndex t = 0; t < job.task_count(); ++t) {
     const Resources& demand = job.task(t).demand;
-    bool fits_somewhere = false;
-    for (std::size_t k = 0; k < cluster.size(); ++k) {
-      if (cluster.node(k).capacity.fits(demand)) {
-        fits_somewhere = true;
-        break;
-      }
-    }
-    if (!fits_somewhere) {
+    if (!cluster.fits_some_node(demand)) {
       report.add("W004", job_subject(job) + " task " + std::to_string(t),
                  "demand " + demand.to_string() + " exceeds every node's "
                  "capacity (" + std::to_string(cluster.size()) + " nodes)");

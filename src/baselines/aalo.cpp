@@ -1,6 +1,6 @@
 #include "baselines/aalo.h"
 
-#include "util/log.h"
+#include "baselines/tetris.h"
 
 namespace dsp {
 
@@ -15,36 +15,9 @@ int AaloScheduler::queue_level(double serviced_mi) const {
 
 std::vector<TaskPlacement> AaloScheduler::schedule(
     const std::vector<JobId>& jobs, Engine& engine) {
-  std::vector<TaskPlacement> placements;
-  const std::size_t n_nodes = engine.node_count();
-  std::vector<double> backlog(n_nodes);
-  for (std::size_t k = 0; k < n_nodes; ++k)
-    backlog[k] = engine.node_backlog_mi(static_cast<int>(k));
-
-  SimTime seq = 0;
-  for (JobId j : jobs) {
-    const Job& job = engine.job(j);
-    // Queue each job's tasks in topological order (all flows of a coflow
-    // share a queue; precedence inside the job is preserved FIFO).
-    for (TaskIndex t : job.graph().topo_order()) {
-      const Task& task = job.task(t);
-      int best = -1;
-      for (std::size_t k = 0; k < n_nodes; ++k) {
-        if (!engine.cluster().node(k).capacity.fits(task.demand)) continue;
-        if (best < 0 || backlog[k] < backlog[static_cast<std::size_t>(best)])
-          best = static_cast<int>(k);
-      }
-      if (best < 0) {
-        DSP_ERROR("aalo: task %u fits no node", engine.gid(j, t));
-        continue;
-      }
-      backlog[static_cast<std::size_t>(best)] += task.size_mi;
-      placements.push_back(
-          TaskPlacement{engine.gid(j, t), best, engine.now() + seq});
-      ++seq;
-    }
-  }
-  return placements;
+  // Each job's tasks queue in topological order (all flows of a coflow
+  // share a queue; precedence inside the job is preserved FIFO).
+  return place_least_backlog(jobs, engine, /*topological=*/true);
 }
 
 Gid AaloScheduler::select_next(int node, Engine& engine,

@@ -33,8 +33,8 @@ class AaloScheduler : public Scheduler {
 
   const char* name() const override { return "Aalo"; }
 
-  /// Placement: least-backlog spread (Aalo itself schedules flows over
-  /// fixed endpoints; placement is outside its scope).
+  /// Placement: place_least_backlog in topological order (Aalo itself
+  /// schedules flows over fixed endpoints; placement is outside its scope).
   std::vector<TaskPlacement> schedule(const std::vector<JobId>& jobs,
                                       Engine& engine) override;
 

@@ -165,7 +165,7 @@ double SrptPolicy::priority(const Engine& engine, Gid g,
                             SimTime remaining) const {
   const double t_w = engine.accumulated_wait_s(g);
   const double t_rem = std::max(0.001, to_seconds(remaining));
-  return alpha_ * t_w + beta_ / t_rem;
+  return kSrptAlpha * t_w + kSrptBeta / t_rem;
 }
 
 QueueScanPreemption::Key SrptPolicy::make_key(const Engine& engine, Gid g,

@@ -131,16 +131,17 @@ class NatjamPolicy : public QueueScanPreemption {
   bool eligible_victim(const Engine& engine, Gid running) const override;
 };
 
+/// SRPT's weight of waiting time (Table II: alpha = 0.5).
+inline constexpr double kSrptAlpha = 0.5;
+/// SRPT's weight of inverse remaining time (Table II: beta = 1).
+inline constexpr double kSrptBeta = 1.0;
+
 /// SRPT (Balasubramanian et al., JSSPP 2013): priority is the linear
-/// combination alpha * waiting time + beta * (1 / remaining time)
-/// (Table II: alpha = 0.5, beta = 1). No checkpointing — preempted tasks
-/// restart from scratch, which is why SRPT shows the most preemptions in
-/// Fig. 6(d).
+/// combination kSrptAlpha * waiting time + kSrptBeta * (1 / remaining
+/// time). No checkpointing — preempted tasks restart from scratch, which
+/// is why SRPT shows the most preemptions in Fig. 6(d).
 class SrptPolicy : public QueueScanPreemption {
  public:
-  SrptPolicy() = default;
-  SrptPolicy(double alpha, double beta) : alpha_(alpha), beta_(beta) {}
-
   const char* name() const override { return "SRPT"; }
   CheckpointMode checkpoint_mode() const override {
     return CheckpointMode::kRestart;
@@ -158,9 +159,6 @@ class SrptPolicy : public QueueScanPreemption {
  private:
   /// The priority formula, given the task's remaining time.
   double priority(const Engine& engine, Gid g, SimTime remaining) const;
-
-  double alpha_ = 0.5;  ///< Weight of waiting time (Table II).
-  double beta_ = 1.0;   ///< Weight of remaining time (Table II).
 };
 
 }  // namespace dsp

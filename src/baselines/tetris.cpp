@@ -1,8 +1,6 @@
 #include "baselines/tetris.h"
 
-#include <algorithm>
-
-#include "util/log.h"
+#include <cassert>
 
 namespace dsp {
 
@@ -37,8 +35,9 @@ double TetrisScheduler::alignment(const Resources& available,
   return score(normalized(available, capacity), demand, capacity);
 }
 
-std::vector<TaskPlacement> TetrisScheduler::schedule(
-    const std::vector<JobId>& jobs, Engine& engine) {
+std::vector<TaskPlacement> place_least_backlog(const std::vector<JobId>& jobs,
+                                               Engine& engine,
+                                               bool topological) {
   std::vector<TaskPlacement> placements;
   const std::size_t n_nodes = engine.node_count();
 
@@ -48,12 +47,10 @@ std::vector<TaskPlacement> TetrisScheduler::schedule(
     backlog[k] = engine.node_backlog_mi(static_cast<int>(k));
 
   SimTime seq = 0;
+  std::vector<TaskIndex> order;
   for (JobId j : jobs) {
     const Job& job = engine.job(j);
-    // W/SimDep queues precedents ahead of dependents (topological order);
-    // W/oDep keeps raw submission order.
-    std::vector<TaskIndex> order;
-    if (dep_ == Dependency::kSimple) {
+    if (topological) {
       const auto topo = job.graph().topo_order();
       order.assign(topo.begin(), topo.end());
     } else {
@@ -68,10 +65,8 @@ std::vector<TaskPlacement> TetrisScheduler::schedule(
         if (best < 0 || backlog[k] < backlog[static_cast<std::size_t>(best)])
           best = static_cast<int>(k);
       }
-      if (best < 0) {
-        DSP_ERROR("tetris: task %u fits no node", engine.gid(j, t));
-        continue;
-      }
+      // The Engine's constructor rejects a task that fits no node.
+      assert(best >= 0);
       backlog[static_cast<std::size_t>(best)] += task.size_mi;
       placements.push_back(
           TaskPlacement{engine.gid(j, t), best, engine.now() + seq});
@@ -79,6 +74,13 @@ std::vector<TaskPlacement> TetrisScheduler::schedule(
     }
   }
   return placements;
+}
+
+std::vector<TaskPlacement> TetrisScheduler::schedule(
+    const std::vector<JobId>& jobs, Engine& engine) {
+  // W/SimDep queues precedents ahead of dependents (topological order);
+  // W/oDep keeps raw submission order.
+  return place_least_backlog(jobs, engine, dep_ == Dependency::kSimple);
 }
 
 Gid TetrisScheduler::select_next(int node, Engine& engine,

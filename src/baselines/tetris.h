@@ -19,6 +19,14 @@
 
 namespace dsp {
 
+/// The schedule() of Tetris and Aalo, which act at dispatch: each task, in
+/// job order and within a job in topological (`topological`) or index
+/// order, goes to the least-backlogged node that fits it, at planned
+/// starts 1 us apart so the queues keep that order.
+std::vector<TaskPlacement> place_least_backlog(const std::vector<JobId>& jobs,
+                                               Engine& engine,
+                                               bool topological);
+
 /// Tetris packing scheduler.
 class TetrisScheduler : public Scheduler {
  public:
@@ -33,10 +41,7 @@ class TetrisScheduler : public Scheduler {
     return dep_ == Dependency::kNone ? "TetrisW/oDep" : "TetrisW/SimDep";
   }
 
-  /// Placement: spread tasks over the least-loaded feasible nodes (Tetris'
-  /// packing intelligence acts at dispatch time, not placement time).
-  /// Queue order preserves submission order; the W/SimDep variant orders
-  /// each job's tasks topologically so precedents queue first.
+  /// Placement: place_least_backlog, topological for W/SimDep.
   std::vector<TaskPlacement> schedule(const std::vector<JobId>& jobs,
                                       Engine& engine) override;
 

@@ -5,8 +5,6 @@
 #include <map>
 #include <queue>
 
-#include "util/log.h"
-
 namespace dsp {
 
 std::vector<double> DspScheduler::dependency_weights(const Job& job,
@@ -119,7 +117,7 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
 
   for (JobId j : jobs) {
     const Job& job = engine.job(j);
-    const auto weights = dependency_weights(job, options_.gamma);
+    const auto weights = dependency_weights(job, params_.gamma);
     const std::size_t base = base_of(j);
     for (TaskIndex t = 0; t < job.task_count(); ++t) {
       aux[base + t].unplaced_parents =
@@ -152,7 +150,7 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
       if (!engine.cluster().node(k).capacity.fits(task.demand)) continue;
       const double est = std::max(dep_ready_s, earliest[k]);
       double eft = est + task.size_mi / rate[k];
-      if (options_.locality_aware)
+      if (params_.locality_aware)
         eft += to_seconds(engine.transfer_time(item.gid, static_cast<int>(k)));
       if (best_node < 0 || eft < best_eft) {
         best_node = static_cast<int>(k);
@@ -161,10 +159,8 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
         best_est = est;
       }
     }
-    if (best_node < 0) {
-      DSP_ERROR("task %u fits no node; skipping placement", item.gid);
-      continue;
-    }
+    // The Engine's constructor rejects a task that fits no node.
+    assert(best_node >= 0);
     slot_free[static_cast<std::size_t>(best_node)][best_slot] = best_eft;
     refresh_earliest(static_cast<std::size_t>(best_node));
     aux[base + t].finish_est = best_eft;

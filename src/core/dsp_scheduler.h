@@ -25,18 +25,10 @@ namespace dsp {
 /// DSP's offline scheduler.
 class DspScheduler : public Scheduler {
  public:
-  struct Options {
-    /// gamma of the ranking weight (matches DspParams::gamma).
-    double gamma = 0.5;
-    /// Account for input-data transfer time in placement (data locality,
-    /// §VI future work): the heuristic's finish estimate includes the
-    /// remote-fetch cost, steering tasks toward the nodes holding their
-    /// inputs.
-    bool locality_aware = true;
-  };
-
-  DspScheduler() = default;
-  explicit DspScheduler(Options options) : options_(options) {}
+  /// Reads gamma (the ranking weight) and locality_aware (the finish
+  /// estimate includes the remote-fetch cost of a task's input data,
+  /// steering tasks toward the nodes holding it; §VI future work).
+  explicit DspScheduler(DspParams params = {}) : params_(params) {}
 
   const char* name() const override { return "DSP"; }
 
@@ -52,7 +44,7 @@ class DspScheduler : public Scheduler {
   std::vector<TaskPlacement> schedule_heuristic(const std::vector<JobId>& jobs,
                                                 Engine& engine) const;
 
-  Options options_;
+  DspParams params_;
 };
 
 }  // namespace dsp

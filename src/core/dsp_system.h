@@ -23,6 +23,8 @@ namespace dsp {
 /// the only library function that reads DSP_EVENT_LOG, and each call
 /// truncates that file: a program that calls it twice keeps only the
 /// second run's stream. `preempt` may be null (offline scheduling only).
+/// Throws std::invalid_argument, as the Engine's constructor does, when a
+/// task's demand fits no node of the cluster; nothing is simulated then.
 RunMetrics simulate(const ClusterSpec& cluster, JobSet jobs,
                     Scheduler& scheduler, PreemptionPolicy* preempt,
                     EngineParams engine_params = {});
@@ -31,15 +33,13 @@ RunMetrics simulate(const ClusterSpec& cluster, JobSet jobs,
 /// scheduling (§III) + dependency-aware preemption with PP (§IV).
 class DspSystem {
  public:
-  explicit DspSystem(DspParams params = {},
-                     DspScheduler::Options scheduler_options = {})
-      : params_(params),
-        scheduler_(scheduler_options),
-        preemption_(params) {}
+  /// One parameter set drives both halves.
+  explicit DspSystem(DspParams params = {})
+      : scheduler_(params), preemption_(params) {}
 
   DspScheduler& scheduler() { return scheduler_; }
   DspPreemption& preemption() { return preemption_; }
-  const DspParams& params() const { return params_; }
+  const DspParams& params() const { return preemption_.params(); }
 
   /// Runs the full offline + online system on the workload.
   RunMetrics run(const ClusterSpec& cluster, JobSet jobs,
@@ -49,7 +49,6 @@ class DspSystem {
   }
 
  private:
-  DspParams params_;
   DspScheduler scheduler_;
   DspPreemption preemption_;
 };

@@ -68,8 +68,8 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines);
 /// Solves the instance with branch & bound, enforcing deadlines (6). When
 /// the deadline-constrained model is infeasible it retries without them
 /// (the paper's online preemption then repairs lateness). The search stops
-/// at MilpSolver's default node cap; a capped solve returns its best
-/// incumbent with status kNodeLimit.
+/// at MilpSolver's node cap (lp::kMilpNodeCap); a capped solve returns its
+/// best incumbent with status kNodeLimit.
 IlpScheduleResult solve_ilp_schedule(const IlpProblem& problem);
 
 /// The paper's relax-and-round mode: solve the LP relaxation, fix each

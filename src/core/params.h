@@ -1,41 +1,49 @@
 // DSP parameter set — the paper's Table II defaults.
+//
+// Header-only and including only util/time.h, so sim/scenario.h carries a
+// DspParams without linking dsp_core. Settings some program, bench or test
+// changes are DspParams fields; the rest are the constants below.
 #pragma once
 
 #include "util/time.h"
 
 namespace dsp {
 
-/// All DSP tunables with the paper's Table II settings as defaults. The
-/// g(k) weights theta1/theta2 (Eq. 1) live on ClusterSpec, and SRPT's
-/// alpha/beta on SrptPolicy.
+/// The adaptive-delta controller (§IV-B: "the value of delta can be
+/// dynamically adjusted") keeps delta in [kDeltaMin, kDeltaMax]; it grows
+/// delta when more than kDeltaGrowAbove of the considered tasks preempted
+/// last epoch and shrinks it below kDeltaShrinkBelow.
+inline constexpr double kDeltaMin = 0.05, kDeltaMax = 0.80;
+inline constexpr double kDeltaGrowAbove = 0.50, kDeltaShrinkBelow = 0.10;
+
+/// tau: waiting-time threshold beyond which a preempting task ignores
+/// condition C1. Table II lists 0.05 s, which would make every queued
+/// task urgent within one epoch and contradicts the paper's own Fig. 6(d)
+/// (DSP has the *fewest* preemptions); tau is 10 min instead (see
+/// DESIGN.md "Known deviations").
+inline constexpr SimTime kTau = 10 * kMinute;
+
+/// Straggler mitigation vacates nodes slower than this x nominal.
+inline constexpr double kStragglerThreshold = 0.7;
+
+/// Every DSP setting some caller changes, with the paper's Table II
+/// settings as defaults; the offline DspScheduler and the online
+/// DspPreemption both take it. The g(k) weights theta1/theta2 (Eq. 1)
+/// live on ClusterSpec, and SRPT's alpha/beta beside SrptPolicy.
 struct DspParams {
   // ---- Preemption window (Algorithm 1) ----
   /// delta: fraction of each waiting queue considered as preempting tasks.
   double delta = 0.35;
-  /// Bounds for the adaptive-delta controller (§IV-B: "the value of delta
-  /// can be dynamically adjusted").
-  double delta_min = 0.05;
-  double delta_max = 0.80;
-  /// Adaptive controller: grow delta when more than `delta_grow_above` of
-  /// the considered tasks preempted last epoch, shrink below
-  /// `delta_shrink_below`.
-  double delta_grow_above = 0.50;
-  double delta_shrink_below = 0.10;
   bool adaptive_delta = true;
 
-  // ---- Urgency thresholds ----
+  // ---- Urgency thresholds (tau is kTau) ----
   /// epsilon: a waiting task whose allowable waiting time t^a falls to or
   /// below this becomes *urgent* and preempts regardless of priority.
   SimTime epsilon = 1 * kSecond;
-  /// tau: waiting-time threshold beyond which a preempting task ignores
-  /// condition C1. Table II lists 0.05 s, which would make every queued
-  /// task urgent within one epoch and contradicts the paper's own Fig. 6(d)
-  /// (DSP has the *fewest* preemptions); we default to 10 min and expose
-  /// the knob (see DESIGN.md "Known deviations").
-  SimTime tau = 10 * kMinute;
 
   // ---- Dependency-aware priority (Formulas 12-13) ----
-  /// gamma in (0,1): level-weighting coefficient of Formula 12.
+  /// gamma in (0,1): level-weighting coefficient of Formula 12, used by
+  /// both the offline ranking weight and the online priority.
   double gamma = 0.5;
   /// omega1/2/3: weights of remaining time, waiting time and allowable
   /// waiting time in the leaf priority (Formula 13); must sum to 1.
@@ -59,10 +67,13 @@ struct DspParams {
 
   // ---- Straggler mitigation (§VI future work) ----
   /// When enabled, each epoch DSP vacates nodes whose effective speed has
-  /// dropped below `straggler_threshold` x nominal: running tasks are
+  /// dropped below kStragglerThreshold x nominal: running tasks are
   /// checkpointed and their work migrates to healthy nodes.
   bool straggler_mitigation = false;
-  double straggler_threshold = 0.7;
+
+  /// Data locality (§VI future work): DspScheduler's finish estimate adds
+  /// the remote-fetch cost of a task's input, steering it to its data.
+  bool locality_aware = true;
 };
 
 }  // namespace dsp

@@ -126,7 +126,7 @@ void DspPreemption::urgent_pass(Engine& engine, int node,
     // (t^a <= epsilon) but still salvageable (t^a >= 0) — preempting for a
     // task that can no longer meet its deadline buys nothing. Both tests
     // are pure; the cheap tau test goes first and skips computing t^a.
-    bool urgent = engine.waiting_time(w) >= params_.tau;
+    bool urgent = engine.waiting_time(w) >= kTau;
     if (!urgent) {
       const SimTime t_a = engine.allowable_waiting_time(w);
       urgent = t_a <= params_.epsilon && t_a >= 0;
@@ -278,7 +278,7 @@ void DspPreemption::mitigate_stragglers(Engine& engine) const {
 
   for (int node = 0; node < static_cast<int>(engine.node_count()); ++node) {
     if (!engine.node_up(node)) continue;
-    if (engine.node_speed_factor(node) >= params_.straggler_threshold) continue;
+    if (engine.node_speed_factor(node) >= kStragglerThreshold) continue;
     // Vacate only when it pays: a migrated task must be expected to finish
     // meaningfully sooner on the destination than if left crawling here —
     // under cluster-wide saturation every node is equally backlogged and
@@ -312,10 +312,10 @@ void DspPreemption::adapt_delta(std::uint64_t considered,
   if (considered == 0) return;
   const double fraction =
       static_cast<double>(preempted) / static_cast<double>(considered);
-  if (fraction > params_.delta_grow_above) {
-    delta_ = std::min(params_.delta_max, delta_ * 1.2);
-  } else if (fraction < params_.delta_shrink_below) {
-    delta_ = std::max(params_.delta_min, delta_ * 0.85);
+  if (fraction > kDeltaGrowAbove) {
+    delta_ = std::min(kDeltaMax, delta_ * 1.2);
+  } else if (fraction < kDeltaShrinkBelow) {
+    delta_ = std::max(kDeltaMin, delta_ * 0.85);
   }
 }
 

@@ -86,7 +86,7 @@ struct Task {
   // Data locality (paper §VI future work). When `input_nodes` is
   // non-empty, the task's input data of `input_mb` megabytes lives on
   // those cluster nodes; running anywhere else first fetches the data over
-  // the network (EngineParams::remote_read_bw_mbps).
+  // the network (sim/engine.h's kRemoteReadBwMbps).
   std::vector<int> input_nodes;
   double input_mb = 0.0;
 

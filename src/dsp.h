@@ -18,6 +18,9 @@
 //   DspSystem system;                         // Table II defaults
 //   RunMetrics m = system.run(ClusterSpec::real_cluster(), jobs);
 //
+// Every setting has one home: a DspParams field when some caller changes
+// it, else a named constant in the header that documents it.
+//
 // See README.md for a walkthrough and DESIGN.md for the architecture.
 #pragma once
 
@@ -39,7 +42,7 @@
 
 // Discrete-event cluster simulator.
 #include "sim/cluster.h"    // NodeSpec, ClusterSpec (real_cluster / ec2)
-#include "sim/engine.h"     // Engine, EngineParams
+#include "sim/engine.h"     // Engine, EngineParams, sigma and t^r
 #include "sim/failures.h"   // FailurePlan: outages + stragglers
 #include "sim/invariants.h" // whole-run invariant checking
 #include "sim/policy.h"     // Scheduler / PreemptionPolicy interfaces
@@ -50,7 +53,7 @@
 #include "core/dsp_scheduler.h"  // §III dependency-weighted scheduling
 #include "core/dsp_system.h"     // DspSystem façade + simulate()
 #include "core/ilp_model.h"      // §III ILP + relax-and-round
-#include "core/params.h"         // DspParams (Table II)
+#include "core/params.h"         // DspParams + constants (Table II)
 #include "core/preemption.h"     // §IV Algorithm 1 + PP
 #include "core/priority.h"       // Formulas 12-13
 

@@ -13,10 +13,9 @@ namespace dsp::lp {
 namespace {
 
 /// Index of the most fractional integral variable, or -1 if all integral.
-int most_fractional(const Model& model, const std::vector<double>& x,
-                    double int_tol) {
+int most_fractional(const Model& model, const std::vector<double>& x) {
   int best = -1;
-  double best_frac_dist = int_tol;
+  double best_frac_dist = kIntTol;
   for (std::size_t i = 0; i < model.var_count(); ++i) {
     if (!model.var(static_cast<VarId>(i)).is_integer) continue;
     const double frac = x[i] - std::floor(x[i]);
@@ -78,7 +77,7 @@ Solution MilpSolver::solve(const Model& model) const {
   // One simplex for the whole search. Best-bound order usually pops a
   // child right after its parent, so the first child reuses the live
   // tableau and its sibling restores the parent's snapshot.
-  BoundedSimplex bs(model, opts_.lp);
+  BoundedSimplex bs(model);
   auto count_node = [&] {
     ++last_nodes_;
     DSP_COUNT("lp.milp_nodes");
@@ -120,7 +119,7 @@ Solution MilpSolver::solve(const Model& model) const {
     if (rel.status == SolveStatus::kUnbounded)
       return {SolveStatus::kUnbounded, 0.0, {}};
     if (rel.status != SolveStatus::kOptimal) return {rel.status, 0.0, {}};
-    const int frac_var = most_fractional(model, rel.x, opts_.int_tol);
+    const int frac_var = most_fractional(model, rel.x);
     if (frac_var < 0) {
       Solution sol = rel;
       sol.status = SolveStatus::kOptimal;
@@ -136,8 +135,8 @@ Solution MilpSolver::solve(const Model& model) const {
   incumbent.status = SolveStatus::kNoSolution;
   double incumbent_obj = kInf;  // in minimize direction
   std::vector<int> seen;
-  while (!open.empty() && last_nodes_ < opts_.max_nodes) {
-    if (open.top()->bound >= incumbent_obj - opts_.gap_tol)
+  while (!open.empty() && last_nodes_ < kMilpNodeCap) {
+    if (open.top()->bound >= incumbent_obj - kGapTol)
       break;  // best-bound pruning: the whole heap is dominated
     const NodePtr node = open.top();
     open.pop();
@@ -146,9 +145,9 @@ Solution MilpSolver::solve(const Model& model) const {
     count_node();
     if (rel.status != SolveStatus::kOptimal) continue;  // prune
     const double rel_obj = dir_sign * rel.objective;
-    if (rel_obj >= incumbent_obj - opts_.gap_tol) continue;
+    if (rel_obj >= incumbent_obj - kGapTol) continue;
 
-    const int frac_var = most_fractional(model, rel.x, opts_.int_tol);
+    const int frac_var = most_fractional(model, rel.x);
     if (frac_var < 0) {
       // Integral: new incumbent.
       incumbent = rel;
@@ -162,7 +161,7 @@ Solution MilpSolver::solve(const Model& model) const {
   if (incumbent.status == SolveStatus::kOptimal) {
     // Exhausted the tree => proven optimal; otherwise best-so-far.
     const bool proven = open.empty() ||
-                        open.top()->bound >= incumbent_obj - opts_.gap_tol;
+                        open.top()->bound >= incumbent_obj - kGapTol;
     incumbent.status = proven ? SolveStatus::kOptimal : SolveStatus::kNodeLimit;
     return incumbent;
   }

@@ -11,7 +11,7 @@
 // creation order) order, so the tree, the node count and the solution
 // are deterministic. Suited to the small exact instances the DSP ILP
 // scheduler solves and to cross-validating the scheduling heuristic; a
-// node cap returns the best incumbent on larger models.
+// node cap (kMilpNodeCap) returns the best incumbent on larger models.
 #pragma once
 
 #include "lp/model.h"
@@ -19,18 +19,20 @@
 
 namespace dsp::lp {
 
+/// Search-tree node cap of one solve, integrality tolerance, and the
+/// absolute optimality gap at which the search stops early.
+inline constexpr int kMilpNodeCap = 20000;
+inline constexpr double kIntTol = 1e-6, kGapTol = 1e-9;
+
 /// Branch & bound MILP solver. Solves are independent of each other; the
 /// per-solve statistics make an instance unsafe for concurrent solve()
 /// calls.
 class MilpSolver {
  public:
+  /// The one option: off is the cold reference path that tests and
+  /// benchmarks compare warm-started child LPs against.
   struct Options {
-    int max_nodes = 20000;   ///< Search-tree node cap.
-    double int_tol = 1e-6;   ///< Integrality tolerance.
-    double gap_tol = 1e-9;   ///< Absolute optimality gap to stop early.
-    bool warm_start = true;  ///< Warm-start child LPs from the parent
-                             ///< basis; off is the cold reference path.
-    SimplexSolver::Options lp{};  ///< Options for relaxation solves.
+    bool warm_start = true;
   };
 
   MilpSolver() = default;

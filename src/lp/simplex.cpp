@@ -29,9 +29,8 @@ constexpr double kPivotTol = 1e-8;
 // Construction: bounds-independent matrix, built once per model.
 // ---------------------------------------------------------------------
 
-BoundedSimplex::BoundedSimplex(const Model& model, SimplexSolver::Options opts)
-    : opts_(opts),
-      model_(&model),
+BoundedSimplex::BoundedSimplex(const Model& model)
+    : model_(&model),
       nv_(model.var_count()),
       m_(model.constraint_count()),
       n_(nv_ + m_),
@@ -104,7 +103,7 @@ double BoundedSimplex::value_of(std::size_t j) const {
 
 bool BoundedSimplex::fixed(std::size_t j) const {
   return std::isfinite(lo_[j]) && std::isfinite(hi_[j]) &&
-         hi_[j] - lo_[j] <= opts_.tol;
+         hi_[j] - lo_[j] <= kTol;
 }
 
 /// beta_i -= delta * T[i][enter] for every row (except `skip_row`): the
@@ -231,7 +230,7 @@ int BoundedSimplex::price_primal(bool /*bland*/) const {
   const std::size_t ncols = n_ + n_art_;
   for (std::size_t j = 0; j < ncols; ++j) {
     if (status_[j] == VarStatus::kBasic || fixed(j)) continue;
-    if (primal_eligible(status_[j], z_[j], opts_.tol))
+    if (primal_eligible(status_[j], z_[j], kTol))
       return static_cast<int>(j);
   }
   return -1;
@@ -243,12 +242,12 @@ int BoundedSimplex::price_primal(bool /*bland*/) const {
 int BoundedSimplex::price_primal_candidates() {
   for (int attempt = 0; attempt < 2; ++attempt) {
     int best = -1;
-    double best_score = opts_.tol;
+    double best_score = kTol;
     std::size_t keep = 0;
     for (std::size_t c = 0; c < candidates_.size(); ++c) {
       const std::size_t j = candidates_[c];
       if (status_[j] == VarStatus::kBasic || fixed(j) ||
-          !primal_eligible(status_[j], z_[j], opts_.tol))
+          !primal_eligible(status_[j], z_[j], kTol))
         continue;  // stale: drop
       candidates_[keep++] = static_cast<std::uint32_t>(j);
       // Largest |z| wins; ties break on the lower column index, keeping
@@ -271,7 +270,7 @@ void BoundedSimplex::refresh_candidates() {
   const std::size_t ncols = n_ + n_art_;
   for (std::size_t j = 0; j < ncols; ++j) {
     if (status_[j] == VarStatus::kBasic || fixed(j) ||
-        !primal_eligible(status_[j], z_[j], opts_.tol))
+        !primal_eligible(status_[j], z_[j], kTol))
       continue;
     if (candidates_.size() < kCandidateCap) {
       candidates_.push_back(static_cast<std::uint32_t>(j));
@@ -291,7 +290,7 @@ void BoundedSimplex::refresh_candidates() {
 // ---------------------------------------------------------------------
 
 BoundedSimplex::LoopStatus BoundedSimplex::primal_loop(int& budget) {
-  const double tol = opts_.tol;
+  const double tol = kTol;
   int degenerate_streak = 0;
   candidates_.clear();
 
@@ -373,7 +372,7 @@ BoundedSimplex::LoopStatus BoundedSimplex::primal_loop(int& budget) {
 // ---------------------------------------------------------------------
 
 BoundedSimplex::LoopStatus BoundedSimplex::dual_loop(int& budget) {
-  const double tol = opts_.tol;
+  const double tol = kTol;
   const std::size_t ncols = n_ + n_art_;
   int degenerate_streak = 0;
 
@@ -753,9 +752,9 @@ Solution BoundedSimplex::solve(const Basis* warm, Basis* out) {
   if (tab_.empty()) tab_.resize(m_ * width_, 0.0);
 
   for (std::size_t j = 0; j < n_; ++j)
-    if (lo_[j] > hi_[j] + opts_.tol) return {SolveStatus::kInfeasible, 0.0, {}};
+    if (lo_[j] > hi_[j] + kTol) return {SolveStatus::kInfeasible, 0.0, {}};
 
-  int budget = opts_.max_iterations;
+  int budget = kMaxIterations;
 
   // Decide the fast path before invalidating: any solve mutates the
   // tableau, so the own-state snapshot is good for exactly one reuse.
@@ -851,7 +850,7 @@ Solution SimplexSolver::solve(const Model& model) const {
 }
 
 Solution SimplexSolver::solve(const Model& model, Basis* basis) const {
-  BoundedSimplex bs(model, opts_);
+  BoundedSimplex bs(model);
   Solution sol = bs.solve(basis, basis);
   stats_ = bs.stats();
   return sol;

@@ -12,7 +12,7 @@
 // entering columns are chosen by candidate-list partial pricing; a run of
 // degenerate steps falls back to Bland's anti-cycling rule in both the
 // primal and the dual iteration, which guarantees termination; an
-// iteration cap guards against pathological inputs.
+// iteration cap (kMaxIterations) guards against pathological inputs.
 //
 // Warm start: a Basis (per-row basic column + per-column status) exported
 // from a previous optimal solve can seed a new solve. The basis is
@@ -29,6 +29,11 @@
 #include "lp/model.h"
 
 namespace dsp::lp {
+
+/// Pivot/flip cap of one solve across all phases, and the numerical
+/// tolerance.
+inline constexpr int kMaxIterations = 100000;
+inline constexpr double kTol = 1e-9;
 
 /// Status of one column in a simplex basis.
 enum class VarStatus : std::uint8_t {
@@ -61,11 +66,6 @@ struct Basis {
 /// continuous relaxation. Use MilpSolver for integral models.
 class SimplexSolver {
  public:
-  struct Options {
-    int max_iterations = 100000;  ///< Pivot/flip cap across all phases.
-    double tol = 1e-9;            ///< Numerical tolerance.
-  };
-
   /// Counters for the most recent solve (benchmarks, tests, obs).
   struct SolveStats {
     int iterations = 0;       ///< Pivots + bound flips, all phases.
@@ -73,9 +73,6 @@ class SimplexSolver {
     int bland_pivots = 0;     ///< Iterations chosen under Bland's rule.
     bool warm_used = false;   ///< A warm basis was accepted (not cold).
   };
-
-  SimplexSolver() = default;
-  explicit SimplexSolver(Options opts) : opts_(opts) {}
 
   /// Solves the continuous relaxation of `model` from a cold start.
   Solution solve(const Model& model) const;
@@ -92,7 +89,6 @@ class SimplexSolver {
   const SolveStats& last_stats() const { return stats_; }
 
  private:
-  Options opts_;
   mutable SolveStats stats_;
 };
 
@@ -104,7 +100,7 @@ class SimplexSolver {
 /// whole search on one instance.
 class BoundedSimplex {
  public:
-  BoundedSimplex(const Model& model, SimplexSolver::Options opts);
+  explicit BoundedSimplex(const Model& model);
 
   /// Overrides the bounds of structural variable `v` for later solves.
   void set_var_bounds(VarId v, double lower, double upper);
@@ -151,7 +147,6 @@ class BoundedSimplex {
   void expel_artificials();
   Solution extract(const Model& model, Basis* out);
 
-  SimplexSolver::Options opts_;
   SimplexSolver::SolveStats stats_;
   const Model* model_;
 

@@ -8,28 +8,13 @@
 
 namespace dsp {
 
-DspParams StandardScenarioFactory::dsp_params(const ScenarioSpec& spec) {
-  DspParams p;
-  p.gamma = spec.knobs.gamma;
-  p.delta = spec.knobs.delta;
-  p.adaptive_delta = spec.knobs.adaptive_delta;
-  p.normalized_pp = spec.knobs.normalized_pp;
-  p.rho = spec.knobs.rho;
-  p.straggler_mitigation = spec.knobs.straggler_mitigation;
-  return p;
-}
-
 std::unique_ptr<Scheduler> StandardScenarioFactory::make_scheduler(
     const ScenarioSpec& spec) const {
   switch (spec.sched) {
-    case SchedKind::kDsp: {
-      DspScheduler::Options options;
-      // gamma feeds both the offline ranking weight and the online
-      // priority (Formula 12); ablations sweep them together.
-      options.gamma = spec.knobs.gamma;
-      options.locality_aware = spec.knobs.locality_aware;
-      return std::make_unique<DspScheduler>(options);
-    }
+    case SchedKind::kDsp:
+      // spec.dsp.gamma feeds both the offline ranking weight and the
+      // online priority (Formula 12); ablations sweep them together.
+      return std::make_unique<DspScheduler>(spec.dsp);
     case SchedKind::kAalo:
       return std::make_unique<AaloScheduler>();
     case SchedKind::kTetrisSimDep:
@@ -46,9 +31,9 @@ std::unique_ptr<PreemptionPolicy> StandardScenarioFactory::make_policy(
     const ScenarioSpec& spec) const {
   switch (spec.policy) {
     case PolicyKind::kDsp:
-      return std::make_unique<DspPreemption>(dsp_params(spec));
+      return std::make_unique<DspPreemption>(spec.dsp);
     case PolicyKind::kDspNoPp: {
-      DspParams params = dsp_params(spec);
+      DspParams params = spec.dsp;
       params.normalized_pp = false;
       return std::make_unique<DspPreemption>(params);
     }

@@ -88,6 +88,12 @@ int ClusterSpec::total_slots() const {
   return total;
 }
 
+bool ClusterSpec::fits_some_node(const Resources& demand) const {
+  return std::any_of(nodes_.begin(), nodes_.end(), [&](const NodeSpec& n) {
+    return n.capacity.fits(demand);
+  });
+}
+
 ClusterSpec ClusterSpec::real_cluster(std::size_t n) {
   // Sun X2200 (AMD Opteron 2356, 4 cores @ 2.3 GHz, 16 GB RAM); 1 GB/s
   // network, 720 GB disk per §V. A 2.3 GHz Opteron core is roughly

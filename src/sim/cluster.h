@@ -73,6 +73,9 @@ class ClusterSpec {
   /// Total slot count across the cluster.
   int total_slots() const;
 
+  /// Whether some node's capacity fits `demand`.
+  bool fits_some_node(const Resources& demand) const;
+
   /// The paper's "real cluster" testbed profile: `n` Sun X2200 servers
   /// (quad-core Opteron 2356 ~ 9200 MIPS aggregate, 16 GB RAM, 720 GB disk,
   /// 1 GB/s network). Default n = 50 as in §V.

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -45,6 +47,26 @@ static_assert(ClusterSpec::kMaxNodes - 1 ==
                   std::numeric_limits<decltype(obs::Event::node)>::max()));
 std::int16_t n16(int node) { return static_cast<std::int16_t>(node); }
 
+// Throws std::invalid_argument naming the first task whose demand fits no
+// node: it could never run, so it is rejected once, here.
+void reject_unplaceable_tasks(const ClusterSpec& cluster, const JobSet& jobs) {
+  for (const Job& job : jobs) {
+    for (TaskIndex t = 0; t < job.task_count(); ++t) {
+      const Resources& demand = job.task(t).demand;
+      if (cluster.fits_some_node(demand)) continue;
+      Resources largest;
+      for (const NodeSpec& n : cluster.nodes())
+        largest = Resources::max_of(largest, n.capacity);
+      throw std::invalid_argument(
+          "Engine: job " + std::to_string(job.id()) + " task " +
+          std::to_string(t) + " demands " + demand.to_string() +
+          ", which fits none of the " + std::to_string(cluster.size()) +
+          " nodes (largest capacity per dimension " + largest.to_string() +
+          ")");
+    }
+  }
+}
+
 }  // namespace
 
 // Default dispatch rule: first ready, fitting task in planned-start order.
@@ -65,6 +87,8 @@ Engine::Engine(ClusterSpec cluster, JobSet jobs, Scheduler& scheduler,
       scheduler_(scheduler),
       preempt_(preempt),
       params_(params) {
+  // Before the renumbering, so the message names the caller's job id.
+  reject_unplaceable_tasks(cluster_, jobs_);
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     assert(jobs_[j].finalized() && "jobs must be finalized before simulation");
     // Engine addresses jobs by their position; keep ids consistent.
@@ -487,27 +511,28 @@ void Engine::apply_placements(const std::vector<TaskPlacement>& placements,
   }
 
   // Fallback: any unplaced task of a pending job goes to the least-loaded
-  // node that can hold it. Keeps runs comparable even when a scheduler
-  // mis-places (logged above).
+  // node that can hold it, live nodes first. Keeps runs comparable even
+  // when a scheduler mis-places (logged above); a task that only down
+  // nodes fit waits there for recover_node, as replace_waiting_task does.
   for (JobId j : pending) {
     for (TaskIndex t = 0; t < jobs_[j].task_count(); ++t) {
       const Gid g = gid(j, t);
       if (placed[g] || tasks_.rt(g).state != TaskState::kUnscheduled) continue;
       int best = -1;
+      bool best_up = false;
       double best_backlog = 0.0;
       for (std::size_t k = 0; k < cluster_.size(); ++k) {
-        if (!nodes_.node(static_cast<int>(k)).up) continue;
         if (!cluster_.node(k).capacity.fits(task_info(g).demand)) continue;
+        const bool up = nodes_.node(static_cast<int>(k)).up;
         const double backlog = nodes_.node(static_cast<int>(k)).backlog_mi;
-        if (best < 0 || backlog < best_backlog) {
+        if (best < 0 || (up && !best_up) ||
+            (up == best_up && backlog < best_backlog)) {
           best = static_cast<int>(k);
+          best_up = up;
           best_backlog = backlog;
         }
       }
-      if (best < 0) {
-        DSP_ERROR("task %u fits no node; it will never run", g);
-        continue;
-      }
+      assert(best >= 0);  // the constructor rejected unplaceable tasks
       DSP_DEBUG("fallback placement: task %u -> node %d", g, best);
       tasks_.rt(g).node = best;
       tasks_.rt(g).planned_start = now_;
@@ -593,8 +618,7 @@ void Engine::fill_slots(int node) {
       const bool checkpointed =
           !preempt_ ||
           preempt_->checkpoint_mode() == CheckpointMode::kCheckpoint;
-      overhead = checkpointed ? params_.recovery + params_.ctx_switch
-                              : params_.ctx_switch;
+      overhead = checkpointed ? kRecovery + kCtxSwitch : kCtxSwitch;
     }
     nodes_.remove_waiting(node, g, tasks_);
     start_task(node, g, overhead);
@@ -770,11 +794,11 @@ PreemptResult Engine::try_preempt(int node, Gid victim, Gid incoming) {
   suspend_task(node, victim);
   ++metrics_.preemptions;
 
-  SimTime overhead = params_.ctx_switch;
+  SimTime overhead = kCtxSwitch;
   if (in_state == TaskState::kSuspended) {
     const bool checkpointed =
         !preempt_ || preempt_->checkpoint_mode() == CheckpointMode::kCheckpoint;
-    if (checkpointed) overhead += params_.recovery;
+    if (checkpointed) overhead += kRecovery;
   }
   nodes_.remove_waiting(node, incoming, tasks_);
   start_task(node, incoming, overhead);

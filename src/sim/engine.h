@@ -48,12 +48,18 @@
 
 namespace dsp {
 
-/// Engine tuning knobs (defaults follow the paper's §V settings).
+/// sigma (Table II: 0.05 s), the context switch a resumed task pays, and
+/// t^r, the checkpoint restore a checkpointed task pays on top of it.
+inline constexpr SimTime kCtxSwitch = 50 * kMillisecond;
+inline constexpr SimTime kRecovery = 250 * kMillisecond;
+/// Rate (MB/s) at which a task launched off its input nodes first fetches
+/// its input_mb (data locality, §VI future work).
+inline constexpr double kRemoteReadBwMbps = 100.0;
+
+/// Engine settings some caller changes (defaults follow the paper's §V).
 struct EngineParams {
   SimTime period = 5 * kMinute;        ///< Offline scheduling period.
   SimTime epoch = 30 * kSecond;        ///< Online preemption epoch.
-  SimTime ctx_switch = 50 * kMillisecond;  ///< sigma (Table II: 0.05 s).
-  SimTime recovery = 250 * kMillisecond;   ///< t^r: checkpoint restore cost.
   /// How long a hoarding task (launched without its inputs by a
   /// dependency-blind scheduler) may hold a slot before being evicted and
   /// requeued. Prevents whole-cluster hoarding deadlock.
@@ -61,10 +67,6 @@ struct EngineParams {
   /// Whether a failed node's tasks resume from their checkpoints (stored
   /// on shared storage) or restart from scratch after the failure.
   bool checkpoints_survive_failure = true;
-  /// Effective bandwidth for reading a task's input data from a remote
-  /// node (data locality, §VI future work). A task launched off its input
-  /// nodes first fetches input_mb at this rate.
-  double remote_read_bw_mbps = 100.0;
   SimTime horizon = 2000 * kHour;      ///< Hard stop for runaway runs.
 };
 
@@ -73,7 +75,11 @@ struct EngineParams {
 class Engine {
  public:
   /// `preempt` may be null (no online preemption, as for the Fig. 5
-  /// scheduler baselines). Jobs must be finalized.
+  /// scheduler baselines). Jobs must be finalized. Throws
+  /// std::invalid_argument, as ClusterSpec's constructor does, when a
+  /// task's demand fits no node of the cluster: the message names the job
+  /// (by the id it was given), the task, its demand and the largest node
+  /// capacity per dimension.
   Engine(ClusterSpec cluster, JobSet jobs, Scheduler& scheduler,
          PreemptionPolicy* preempt, EngineParams params = {});
 
@@ -248,7 +254,7 @@ class Engine {
   SimTime transfer_time(Gid g, int node) const {
     const Task& t = task_info(g);
     if (t.input_local_to(node)) return 0;
-    return from_seconds(t.input_mb / params_.remote_read_bw_mbps);
+    return from_seconds(t.input_mb / kRemoteReadBwMbps);
   }
   /// Outstanding work assigned to `node` in MI (waiting + running).
   double node_backlog_mi(int node) const {

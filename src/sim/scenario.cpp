@@ -147,14 +147,14 @@ FailurePlan make_failure_plan(const FailureRecipe& recipe,
     case FailureRecipe::Kind::kNone:
       return {};
     case FailureRecipe::Kind::kOutages:
-      return FailurePlan::random_outages(cluster, recipe.horizon,
+      return FailurePlan::random_outages(cluster, kFailureHorizon,
                                          recipe.mtbf_hours,
-                                         recipe.mttr_minutes, seed);
+                                         kOutageMttrMinutes, seed);
     case FailureRecipe::Kind::kStragglers:
-      return FailurePlan::random_stragglers(cluster, recipe.horizon,
+      return FailurePlan::random_stragglers(cluster, kFailureHorizon,
                                             recipe.mean_gap,
-                                            recipe.mean_duration,
-                                            recipe.factor, seed);
+                                            kStragglerMeanDuration,
+                                            kStragglerFactor, seed);
   }
   return {};
 }

@@ -2,9 +2,9 @@
 //
 // The paper's evaluation (§V) is a grid: two testbeds × five baselines ×
 // ablation knobs × seeds. A ScenarioSpec captures one cell of that grid as
-// data — cluster profile, workload recipe, policy pair, knobs, seed — so
-// experiment drivers (bench/fig*, tools/dsp_sweep) enumerate specs instead
-// of hand-rolling private loops. run_scenario() turns one spec into a
+// data — cluster profile, workload recipe, policy pair, DSP settings, seed
+// — so experiment drivers (bench/fig*, tools/dsp_sweep) enumerate specs
+// instead of hand-rolling private loops. run_scenario() turns one spec into a
 // RunMetrics via a fresh Engine (the kernel stack is re-entrant: nothing
 // survives a run except the returned metrics); run_scenario_grid() fans a
 // spec list over parallel_for (util/thread_pool.h), one independent
@@ -13,7 +13,9 @@
 //
 // Policy construction is behind the abstract ScenarioFactory so this layer
 // stays below core/ and baselines/ in the link order; the standard factory
-// for the paper's methods lives in scenarios/standard.h.
+// for the paper's methods lives in scenarios/standard.h. The one include
+// from core/ is core/params.h, which is header-only and includes only
+// util/time.h, so a spec carries DspParams without a link to dsp_core.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/params.h"
 #include "sim/cluster.h"
 #include "sim/engine.h"
 #include "sim/failures.h"
@@ -92,36 +95,28 @@ const char* to_token(PolicyKind k);
 bool parse_policy_kind(std::string_view s, PolicyKind& out);
 
 // ------------------------------------------------------------------
-// Knobs and failure injection.
+// Failure injection.
 // ------------------------------------------------------------------
 
-/// The ablation surface of the paper, normalized into one struct. The
-/// defaults equal the Table II settings, so a default-constructed knob
-/// set reproduces the headline configuration exactly.
-struct ScenarioKnobs {
-  double gamma = 0.5;        ///< Formula 12 level weighting (sched + policy).
-  double delta = 0.35;       ///< Algorithm 1 preemptor window.
-  bool adaptive_delta = true;
-  bool normalized_pp = true; ///< PP filter on/off (DSPW/oPP = off).
-  double rho = 200.0;        ///< PP rank-distance threshold.
-  bool straggler_mitigation = false;
-  bool locality_aware = true;  ///< Scheduler placement uses input locations.
-};
+/// Injection window [0, kFailureHorizon) of a random failure plan.
+inline constexpr SimTime kFailureHorizon = 40 * kHour;
+/// Mean time to repair of a random outage, in minutes.
+inline constexpr double kOutageMttrMinutes = 5.0;
+/// Mean length of a random slowdown.
+inline constexpr SimTime kStragglerMeanDuration = 10 * kMinute;
+/// Speed factor of a straggling node.
+inline constexpr double kStragglerFactor = 0.4;
 
 /// Declarative failure/straggler injection (sim/failures.h plans).
 struct FailureRecipe {
   enum class Kind : std::uint8_t { kNone, kOutages, kStragglers };
   Kind kind = Kind::kNone;
-  SimTime horizon = 40 * kHour;  ///< Injection window [0, horizon).
   /// Seed for the random plan; 0 derives one from the scenario seed.
   std::uint64_t seed = 0;
-  // kOutages:
+  /// kOutages: mean time between failures per node, in hours.
   double mtbf_hours = 4.0;
-  double mttr_minutes = 5.0;
-  // kStragglers:
+  /// kStragglers: mean gap between slowdowns per node.
   SimTime mean_gap = 2 * kHour;
-  SimTime mean_duration = 10 * kMinute;
-  double factor = 0.4;
 };
 
 /// Instantiates the recipe against `cluster`. `fallback_seed` is used when
@@ -145,7 +140,10 @@ struct ScenarioSpec {
   WorkloadConfig workload;
   SchedKind sched = SchedKind::kDsp;
   PolicyKind policy = PolicyKind::kDsp;
-  ScenarioKnobs knobs;
+  /// DSP's settings, read by the DSP scheduler and both DSP policies; the
+  /// defaults are Table II, so a default spec reproduces the headline
+  /// configuration exactly.
+  DspParams dsp;
   EngineParams engine;  ///< Defaults already match the paper's §V timing.
   FailureRecipe failures;
   std::uint64_t seed = 42;  ///< Workload seed.

@@ -45,11 +45,11 @@ Job WorkloadGenerator::make_job(JobId id, JobSize size_class, SimTime arrival) {
   Job job(id, n);
   job.set_size_class(size_class);
   job.set_arrival(arrival);
-  job.set_tier(rng_.chance(config_.production_fraction) ? JobTier::kProduction
-                                                        : JobTier::kResearch);
+  job.set_tier(rng_.chance(kProductionFraction) ? JobTier::kProduction
+                                                : JobTier::kResearch);
   fill_tasks(job);
   build_dag(job);
-  const bool ok = job.finalize(config_.reference_rate);
+  const bool ok = job.finalize(kReferenceRate);
   assert(ok && "generated DAG must be acyclic");
   (void)ok;
   assign_deadline(job);
@@ -57,7 +57,7 @@ Job WorkloadGenerator::make_job(JobId id, JobSize size_class, SimTime arrival) {
   // Re-finalize deadline-dependent per-task deadlines now that the job
   // deadline is known (finalize computes levels; deadlines need the final
   // job deadline).
-  const bool ok2 = job.finalize(config_.reference_rate);
+  const bool ok2 = job.finalize(kReferenceRate);
   assert(ok2);
   (void)ok2;
   return job;
@@ -66,14 +66,14 @@ Job WorkloadGenerator::make_job(JobId id, JobSize size_class, SimTime arrival) {
 void WorkloadGenerator::fill_tasks(Job& job) {
   for (TaskIndex j = 0; j < job.task_count(); ++j) {
     Task& t = job.task(j);
-    t.size_mi = std::clamp(rng_.lognormal(config_.size_mu, config_.size_sigma),
-                           config_.size_min_mi, config_.size_max_mi);
-    t.demand.cpu = std::clamp(rng_.lognormal(config_.cpu_mu, config_.cpu_sigma),
+    t.size_mi = std::clamp(rng_.lognormal(kSizeMu, kSizeSigma), kSizeMinMi,
+                           kSizeMaxMi);
+    t.demand.cpu = std::clamp(rng_.lognormal(kCpuMu, kCpuSigma),
                               config_.cpu_min, config_.cpu_max);
-    t.demand.mem = std::clamp(rng_.lognormal(config_.mem_mu, config_.mem_sigma),
+    t.demand.mem = std::clamp(rng_.lognormal(kMemMu, kMemSigma),
                               config_.mem_min, config_.mem_max);
-    t.demand.disk = config_.disk_mb;
-    t.demand.bw = config_.bw_mbps;
+    t.demand.disk = kDiskMb;
+    t.demand.bw = kBwMbps;
   }
 }
 
@@ -83,9 +83,9 @@ void WorkloadGenerator::assign_input_locations(Job& job) {
   for (TaskIndex root : job.graph().roots()) {
     if (!rng_.chance(config_.locality_fraction)) continue;
     Task& t = job.task(root);
-    t.input_mb = rng_.lognormal(config_.input_mb_mu, config_.input_mb_sigma);
+    t.input_mb = rng_.lognormal(config_.input_mb_mu, kInputMbSigma);
     const int replicas =
-        std::min<int>(config_.locality_replicas, static_cast<int>(n_nodes));
+        std::min<int>(kLocalityReplicas, static_cast<int>(n_nodes));
     while (static_cast<int>(t.input_nodes.size()) < replicas) {
       const int node = static_cast<int>(rng_.uniform_int(0, n_nodes - 1));
       if (std::find(t.input_nodes.begin(), t.input_nodes.end(), node) ==
@@ -96,13 +96,13 @@ void WorkloadGenerator::assign_input_locations(Job& job) {
 }
 
 void WorkloadGenerator::build_dag(Job& job) {
-  // Assign every task a level in [1, max_levels], then draw parents from
+  // Assign every task a level in [1, kMaxLevels], then draw parents from
   // the immediately preceding level. This reproduces the paper's DAG
   // construction invariants (depth <= 5, direct dependents <= 15) while
   // producing the diverse shapes of Fig. 1 (wide fans, diamonds, chains).
   const std::size_t n = job.task_count();
-  const int levels = std::min<int>(config_.max_levels,
-                                   std::max<int>(1, static_cast<int>(n / 2)));
+  const int levels =
+      std::min<int>(kMaxLevels, std::max<int>(1, static_cast<int>(n / 2)));
 
   // Level occupancy: gentle geometric decay — level 1 (the map stage) is
   // widest, but deeper levels stay well populated, matching the "median
@@ -127,9 +127,9 @@ void WorkloadGenerator::build_dag(Job& job) {
   for (int l = 1; l < levels; ++l) {
     const auto& prev = by_level[static_cast<std::size_t>(l - 1)];
     for (TaskIndex child : by_level[static_cast<std::size_t>(l)]) {
-      // Number of parents: at least 1, geometric-ish around mean_parents.
+      // Number of parents: at least 1, geometric-ish around kMeanParents.
       std::size_t want = 1;
-      while (want < 4 && rng_.chance((config_.mean_parents - 1.0) / 3.0)) ++want;
+      while (want < 4 && rng_.chance((kMeanParents - 1.0) / 3.0)) ++want;
       std::size_t added = 0;
       // Random probes into the previous level; skip saturated parents.
       for (std::size_t attempt = 0; attempt < prev.size() * 2 && added < want;
@@ -137,7 +137,7 @@ void WorkloadGenerator::build_dag(Job& job) {
         const TaskIndex p =
             prev[static_cast<std::size_t>(rng_.uniform_int(
                 0, static_cast<std::int64_t>(prev.size()) - 1))];
-        if (fanout[p] >= config_.max_fanout) continue;
+        if (fanout[p] >= kMaxFanout) continue;
         job.add_dependency(p, child);
         ++fanout[p];
         ++added;
@@ -149,11 +149,11 @@ void WorkloadGenerator::build_dag(Job& job) {
 }
 
 void WorkloadGenerator::assign_deadline(Job& job) {
-  const SimTime cp = job.critical_path_time(config_.reference_rate);
+  const SimTime cp = job.critical_path_time(kReferenceRate);
   const bool production = job.tier() == JobTier::kProduction;
   const double slack =
-      production ? rng_.uniform(config_.prod_slack_min, config_.prod_slack_max)
-                 : rng_.uniform(config_.res_slack_min, config_.res_slack_max);
+      production ? rng_.uniform(kProdSlackMin, kProdSlackMax)
+                 : rng_.uniform(kResSlackMin, kResSlackMax);
   job.set_deadline(job.arrival() +
                    static_cast<SimTime>(static_cast<double>(cp) * slack));
 }

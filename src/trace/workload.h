@@ -13,6 +13,9 @@
 // demands with parameters matched to published Google-trace statistics, and
 // DAGs built level-by-level under the same depth/fan-out caps. A CSV reader
 // (trace_io.h) accepts real traces in place of the generator.
+//
+// The recipe's fixed parameters are the named constants below; the
+// settings some program, bench or test changes stay WorkloadConfig fields.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +25,45 @@
 
 namespace dsp {
 
-/// Tunable workload parameters; defaults reproduce the paper's setup at
-/// `task_scale` = 1. Benches run a scaled-down default (see DESIGN.md).
+/// DAG shape caps from the paper, and the mean number of parents of a
+/// non-root task (each drawn from the previous level, under kMaxFanout).
+inline constexpr int kMaxLevels = 5;
+inline constexpr std::size_t kMaxFanout = 15;
+inline constexpr double kMeanParents = 1.6;
+
+/// Task size distribution: log-normal over Millions of Instructions,
+/// clamped. Median exp(kSizeMu) MI; at a 2660 MIPS node exp(10.8) MI ~=
+/// 18.5 s, matching the tens-of-seconds median of Google-trace task
+/// durations.
+inline constexpr double kSizeMu = 10.8, kSizeSigma = 1.0;
+inline constexpr double kSizeMinMi = 1.0e3, kSizeMaxMi = 2.0e6;
+
+/// Resource demand distributions (log-normal, clamped to WorkloadConfig's
+/// bounds), and the disk (MB) and bandwidth (MB/s) fixed per paper §V.
+inline constexpr double kCpuMu = -0.7, kCpuSigma = 0.6;  ///< median ~0.5
+inline constexpr double kMemMu = -1.0, kMemSigma = 0.8;  ///< median ~0.37
+inline constexpr double kDiskMb = 0.02, kBwMbps = 0.02;
+
+/// Deadline = arrival + slack * critical-path time at kReferenceRate.
+/// Production jobs (Natjam's high tier) get the tight range, research
+/// jobs the loose range.
+inline constexpr double kProductionFraction = 0.5;
+inline constexpr double kProdSlackMin = 2.0, kProdSlackMax = 3.5;
+inline constexpr double kResSlackMin = 4.0, kResSlackMax = 7.0;
+
+/// MIPS rate used for critical-path estimation when deriving deadlines
+/// and per-level task deadlines (the paper's EC2 instances: 2660 MIPS);
+/// also the rate `trace_replay --stats` and `dsp_analyze` (by default)
+/// read a CSV trace at.
+inline constexpr double kReferenceRate = 2660.0;
+
+/// Replicas of each input dataset, and the sigma of its log-normal size.
+inline constexpr int kLocalityReplicas = 3;
+inline constexpr double kInputMbSigma = 1.0;
+
+/// Workload settings some caller changes; defaults reproduce the paper's
+/// setup at `task_scale` = 1. Benches run a scaled-down default (see
+/// DESIGN.md).
 struct WorkloadConfig {
   std::size_t job_count = 150;  ///< h in the paper (150..750, 500..2500).
 
@@ -36,52 +76,20 @@ struct WorkloadConfig {
   double min_arrival_rate = 2.0;
   double max_arrival_rate = 5.0;
 
-  /// DAG shape caps from the paper.
-  int max_levels = 5;
-  std::size_t max_fanout = 15;
-
-  /// Mean number of parents for a non-root task (each parent drawn from
-  /// the previous level, subject to max_fanout).
-  double mean_parents = 1.6;
-
-  /// Task size distribution: log-normal over Millions of Instructions.
-  /// Median exp(size_mu) MI; at a 2660 MIPS node exp(10.8) MI ~= 18.5 s,
-  /// matching the tens-of-seconds median of Google-trace task durations.
-  double size_mu = 10.8;
-  double size_sigma = 1.0;
-  double size_min_mi = 1.0e3;
-  double size_max_mi = 2.0e6;
-
-  /// Resource demand distributions (log-normal, clamped). The clamps keep
-  /// every task runnable on the smallest evaluated node (the EC2 profile:
-  /// 2 cores, 4 GB).
-  double cpu_mu = -0.7, cpu_sigma = 0.6;   ///< cores; median ~0.5
+  /// Demand clamps (cores, GB). The defaults keep every task runnable on
+  /// the smallest evaluated node (the EC2 profile: 2 cores, 4 GB).
   double cpu_min = 0.1, cpu_max = 2.0;
-  double mem_mu = -1.0, mem_sigma = 0.8;   ///< GB; median ~0.37
   double mem_min = 0.05, mem_max = 3.5;
-  double disk_mb = 0.02;                   ///< fixed per paper §V
-  double bw_mbps = 0.02;                   ///< fixed per paper §V
-
-  /// Deadline = arrival + slack * critical-path time at reference_rate.
-  /// Production jobs (Natjam's high tier) get the tight range, research
-  /// jobs the loose range.
-  double production_fraction = 0.5;
-  double prod_slack_min = 2.0, prod_slack_max = 3.5;
-  double res_slack_min = 4.0, res_slack_max = 7.0;
-
-  /// MIPS rate used for critical-path estimation when deriving deadlines
-  /// and per-level task deadlines (the paper's EC2 instances: 2660 MIPS).
-  double reference_rate = 2660.0;
 
   /// Data locality (§VI future work): when `locality_nodes` > 0, each
   /// root task gets, with probability `locality_fraction`, an input
-  /// dataset of log-normal size replicated on `locality_replicas` random
-  /// nodes of a cluster with that many nodes. Non-root tasks read their
-  /// parents' outputs and carry no placement constraint.
+  /// dataset of log-normal size (mu `input_mb_mu`, sigma kInputMbSigma)
+  /// replicated on kLocalityReplicas random nodes of a cluster with that
+  /// many nodes. Non-root tasks read their parents' outputs and carry no
+  /// placement constraint.
   std::size_t locality_nodes = 0;
   double locality_fraction = 0.8;
-  int locality_replicas = 3;
-  double input_mb_mu = 5.5, input_mb_sigma = 1.0;  ///< median ~245 MB
+  double input_mb_mu = 5.5;  ///< median ~245 MB
 };
 
 /// Number of tasks for each size class at the given scale (paper values

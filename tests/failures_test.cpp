@@ -106,8 +106,7 @@ TEST(FailureTest, OutageKillsAndResumesWithCheckpoint) {
   EXPECT_EQ(m.node_failures, 1u);
   EXPECT_EQ(m.tasks_killed_by_failure, 1u);
   EXPECT_EQ(m.tasks_finished, 1u);
-  EXPECT_EQ(m.makespan,
-            7 * kSecond + params.recovery + params.ctx_switch + 6 * kSecond);
+  EXPECT_EQ(m.makespan, 7 * kSecond + kRecovery + kCtxSwitch + 6 * kSecond);
   EXPECT_DOUBLE_EQ(m.work_lost_mi, 0.0);
 }
 
@@ -123,8 +122,7 @@ TEST(FailureTest, OutageWithoutCheckpointLosesProgress) {
   engine.set_failure_plan(plan);
   const RunMetrics m = engine.run();
   // All 4 s of progress lost: resume at 7 s, full 10 s re-run.
-  EXPECT_EQ(m.makespan,
-            7 * kSecond + params.recovery + params.ctx_switch + 10 * kSecond);
+  EXPECT_EQ(m.makespan, 7 * kSecond + kRecovery + kCtxSwitch + 10 * kSecond);
   EXPECT_NEAR(m.work_lost_mi, 4000.0, 1.0);
 }
 
@@ -159,6 +157,27 @@ TEST(FailureTest, DownNodeAcceptsNoWork) {
   const RunMetrics m = engine.run();
   EXPECT_EQ(m.tasks_finished, 4u);
   for (const auto& iv : recorder.intervals()) EXPECT_EQ(iv.node, 1);
+}
+
+TEST(FailureTest, TaskPlacedWhileEveryFittingNodeIsDownRunsAtRecovery) {
+  // The only node is down from 0.5 s to 10.5 s, and a chain of two 1 s
+  // tasks arrives at 1 s: the scheduling round at 1 s finds no live node
+  // that fits. The tasks queue on the down node, as replace_waiting_task
+  // leaves work there, and run back to back from its recovery.
+  JobSet jobs;
+  jobs.push_back(make_chain_job(0, 2, 1000.0, 1 * kSecond));
+  DspScheduler sched;
+  EngineParams params = fast_params();
+  params.horizon = 2 * kHour;
+  Engine engine(nodes(1), std::move(jobs), sched, nullptr, params);
+  FailurePlan plan;
+  plan.add_outage(0, 500 * kMillisecond, 10 * kSecond);
+  engine.set_failure_plan(plan);
+  const RunMetrics m = engine.run();
+  EXPECT_EQ(m.jobs_finished, 1u);
+  EXPECT_EQ(m.tasks_finished, 2u);
+  // From the arrival at 1 s to the recovery at 10.5 s, then 2 s of work.
+  EXPECT_EQ(m.makespan, 11500 * kMillisecond);
 }
 
 TEST(FailureTest, NodeUpQueryReflectsState) {
@@ -225,8 +244,7 @@ TEST(FailureTest, SimultaneousDownUpSameTimestamp) {
   EXPECT_EQ(m.node_failures, 1u);
   EXPECT_EQ(m.tasks_killed_by_failure, 1u);
   EXPECT_EQ(m.tasks_finished, 1u);
-  EXPECT_EQ(m.makespan,
-            4 * kSecond + params.recovery + params.ctx_switch + 6 * kSecond);
+  EXPECT_EQ(m.makespan, 4 * kSecond + kRecovery + kCtxSwitch + 6 * kSecond);
 }
 
 TEST(FailureTest, EventsTargetingAlreadyDownNodeAreNoOps) {
@@ -249,8 +267,7 @@ TEST(FailureTest, EventsTargetingAlreadyDownNodeAreNoOps) {
   EXPECT_EQ(m.node_failures, 1u);
   EXPECT_EQ(m.tasks_killed_by_failure, 1u);
   EXPECT_EQ(m.tasks_finished, 1u);
-  EXPECT_EQ(m.makespan,
-            5 * kSecond + params.recovery + params.ctx_switch + 8 * kSecond);
+  EXPECT_EQ(m.makespan, 5 * kSecond + kRecovery + kCtxSwitch + 8 * kSecond);
 }
 
 // ---------------------------------------------------------------------

@@ -18,7 +18,6 @@ EngineParams fast_params() {
   EngineParams p;
   p.period = 1 * kSecond;
   p.epoch = 500 * kMillisecond;
-  p.remote_read_bw_mbps = 100.0;
   return p;
 }
 
@@ -44,7 +43,8 @@ TEST(LocalityTest, LocalLaunchPaysNoTransfer) {
 }
 
 TEST(LocalityTest, RemoteLaunchPaysTransfer) {
-  // 500 MB at 100 MB/s = 5 s of fetch before the 10 s of work.
+  // 500 MB at kRemoteReadBwMbps (100 MB/s) = 5 s of fetch before the
+  // 10 s of work.
   PinnedScheduler sched(1);
   Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 1), pinned_input_job(),
                 sched, nullptr, fast_params());
@@ -102,15 +102,15 @@ TEST(LocalityTest, LocalityAwarePlacementAvoidsFetches) {
   };
   const ClusterSpec cluster = ClusterSpec::ec2(4);
 
-  DspScheduler::Options aware_opts;
-  aware_opts.locality_aware = true;
-  DspScheduler aware(aware_opts);
+  DspParams aware_params;
+  aware_params.locality_aware = true;
+  DspScheduler aware(aware_params);
   const RunMetrics aware_m =
       simulate(cluster, build(), aware, nullptr, fast_params());
 
-  DspScheduler::Options blind_opts;
-  blind_opts.locality_aware = false;
-  DspScheduler blind(blind_opts);
+  DspParams blind_params;
+  blind_params.locality_aware = false;
+  DspScheduler blind(blind_params);
   const RunMetrics blind_m =
       simulate(cluster, build(), blind, nullptr, fast_params());
 
@@ -124,7 +124,6 @@ TEST(LocalityTest, GeneratorAssignsInputsToRootsOnly) {
   cfg.task_scale = 0.02;
   cfg.locality_nodes = 10;
   cfg.locality_fraction = 1.0;
-  cfg.locality_replicas = 3;
   const JobSet jobs = WorkloadGenerator(cfg, 409).generate();
   bool any_input = false;
   for (const auto& job : jobs) {
@@ -136,7 +135,8 @@ TEST(LocalityTest, GeneratorAssignsInputsToRootsOnly) {
       }
       if (task.input_nodes.empty()) continue;
       any_input = true;
-      EXPECT_EQ(task.input_nodes.size(), 3u);
+      EXPECT_EQ(task.input_nodes.size(),
+                static_cast<std::size_t>(kLocalityReplicas));
       EXPECT_GT(task.input_mb, 0.0);
       for (int n : task.input_nodes) {
         EXPECT_GE(n, 0);

@@ -375,7 +375,7 @@ TEST(WarmStartTest, DualRepairAfterBoundTightening) {
   m.add_constraint(LinearExpr().add(x, 1).add(y, 1), Sense::kLe, 4);
   m.add_constraint(LinearExpr().add(x, 1).add(y, 3), Sense::kLe, 6);
 
-  BoundedSimplex bs(m, {});
+  BoundedSimplex bs(m);
   Basis basis;
   const Solution cold = bs.solve(nullptr, &basis);
   ASSERT_EQ(cold.status, SolveStatus::kOptimal);
@@ -389,7 +389,7 @@ TEST(WarmStartTest, DualRepairAfterBoundTightening) {
   EXPECT_NEAR(warm.x[0], 2.5, 1e-6);
 
   // Reference: cold solve of the tightened model agrees.
-  BoundedSimplex ref(m, {});
+  BoundedSimplex ref(m);
   ref.set_var_bounds(x, 0.0, 2.5);
   const Solution check = ref.solve(nullptr, nullptr);
   ASSERT_EQ(check.status, SolveStatus::kOptimal);
@@ -413,7 +413,7 @@ TEST(WarmStartTest, DegenerateDualExercisesBlandFallback) {
                          .add(us[static_cast<std::size_t>(i)], -1.0),
                      Sense::kLe, 0.0);
 
-  BoundedSimplex bs(m, {});
+  BoundedSimplex bs(m);
   Basis basis;
   ASSERT_EQ(bs.solve(nullptr, &basis).status, SolveStatus::kOptimal);
 

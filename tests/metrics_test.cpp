@@ -144,8 +144,8 @@ TEST(RunMetricsJsonTest, CarriesAuditCounters) {
 }
 
 TEST(TableIiTest, DefaultsMatchThePaper) {
-  // Table II of the paper, field by field (documented deviations: tau and
-  // rho — see DESIGN.md §7).
+  // Table II of the paper, value by value, each at its one home
+  // (documented deviations: tau and rho — see DESIGN.md §7).
   const DspParams p;
   EXPECT_DOUBLE_EQ(p.delta, 0.35);    // minimum required ratio
   EXPECT_DOUBLE_EQ(p.gamma, 0.5);     // level coefficient in (0,1)
@@ -153,16 +153,27 @@ TEST(TableIiTest, DefaultsMatchThePaper) {
   EXPECT_DOUBLE_EQ(p.omega2, 0.3);    // waiting-time weight
   EXPECT_DOUBLE_EQ(p.omega3, 0.2);    // allowable-waiting-time weight
   EXPECT_DOUBLE_EQ(p.omega1 + p.omega2 + p.omega3, 1.0);
+  EXPECT_EQ(p.epsilon, 1 * kSecond);  // urgency threshold on t^a
+  EXPECT_DOUBLE_EQ(p.rho, 200.0);     // PP rank distance (deviation)
+  EXPECT_EQ(kTau, 10 * kMinute);      // Table II: 0.05 s (deviation)
+  // The adaptive-delta controller's bounds (§IV-B) hold the initial delta.
+  EXPECT_DOUBLE_EQ(kDeltaMin, 0.05);
+  EXPECT_DOUBLE_EQ(kDeltaMax, 0.80);
+  EXPECT_DOUBLE_EQ(kDeltaGrowAbove, 0.50);
+  EXPECT_DOUBLE_EQ(kDeltaShrinkBelow, 0.10);
+  EXPECT_LT(kDeltaMin, p.delta);
+  EXPECT_LT(p.delta, kDeltaMax);
   // theta1/theta2 (CPU and memory weights in g(k)) belong to the cluster.
   for (const ClusterSpec& cluster :
        {ClusterSpec::real_cluster(), ClusterSpec::ec2()}) {
     EXPECT_DOUBLE_EQ(cluster.theta1(), 0.5);
     EXPECT_DOUBLE_EQ(cluster.theta2(), 0.5);
   }
-  const SrptPolicy srpt;              // alpha = 0.5, beta = 1 per Table II
-  (void)srpt;
+  EXPECT_DOUBLE_EQ(kSrptAlpha, 0.5);  // SRPT's waiting-time weight
+  EXPECT_DOUBLE_EQ(kSrptBeta, 1.0);   // SRPT's remaining-time weight
+  EXPECT_EQ(kCtxSwitch, 50 * kMillisecond);  // sigma = 0.05 s
+  EXPECT_EQ(kRecovery, 250 * kMillisecond);  // t^r, checkpoint restore
   const EngineParams ep;
-  EXPECT_EQ(ep.ctx_switch, 50 * kMillisecond);  // sigma = 0.05 s
   EXPECT_EQ(ep.period, 5 * kMinute);  // "ran the scheduling every 5mins"
 }
 

@@ -149,8 +149,8 @@ TEST(DspPreemptionTest, AdaptiveDeltaStaysInBounds) {
   params.adaptive_delta = true;
   DspPreemption dsp(params);
   run_policy(&dsp, 10, 131);
-  EXPECT_GE(dsp.current_delta(), params.delta_min);
-  EXPECT_LE(dsp.current_delta(), params.delta_max);
+  EXPECT_GE(dsp.current_delta(), kDeltaMin);
+  EXPECT_LE(dsp.current_delta(), kDeltaMax);
 }
 
 TEST(DspPreemptionTest, AdaptiveDeltaShrinksWhenNothingPreempts) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "sim/cluster.h"
 #include "sim/engine.h"
@@ -298,6 +299,30 @@ TEST(EngineTest, ZeroRateClusterRejectedAtConstruction) {
   EXPECT_THROW(ClusterSpec::uniform(1, 0.0, 0.0, 2), std::invalid_argument);
 }
 
+TEST(EngineTest, TaskThatFitsNoNodeRejectedAtConstruction) {
+  // A 1-slot uniform node offers one core; task 1 of job 7 demands two, so
+  // it could never run. The engine rejects it when it is built, naming the
+  // job by the id it was given, the task, the demand and the largest node.
+  JobSet jobs;
+  Job job = make_independent_job(7, 2, 1000.0);
+  job.task(1).demand.cpu = 2.0;
+  jobs.push_back(std::move(job));
+  RoundRobinScheduler sched;
+  try {
+    Engine engine(test_cluster(3, 1), std::move(jobs), sched, nullptr,
+                  fast_params());
+    FAIL() << "an engine was built around a task that fits no node";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("job 7 task 1 "), std::string::npos) << message;
+    EXPECT_NE(message.find("demands {cpu=2.00 "), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("capacity per dimension {cpu=1.00 "),
+              std::string::npos)
+        << message;
+  }
+}
+
 TEST(EngineTest, LifecycleAdvancesAcrossRun) {
   JobSet jobs;
   jobs.push_back(make_independent_job(0, 1, 1000.0));
@@ -492,7 +517,7 @@ TEST(EngineTest, PreemptionSwapsTasks) {
   EXPECT_EQ(m.tasks_finished, 2u);
   // Work conserved (checkpoint): 20 s of work + ctx switch on preempt-in +
   // recovery + ctx when the victim resumes.
-  const SimTime overhead = params.ctx_switch + (params.recovery + params.ctx_switch);
+  const SimTime overhead = kCtxSwitch + (kRecovery + kCtxSwitch);
   EXPECT_EQ(m.makespan, 20 * kSecond + overhead);
   EXPECT_DOUBLE_EQ(m.overhead_s, to_seconds(overhead));
 }
@@ -511,8 +536,8 @@ TEST(EngineTest, RestartModeLosesProgress) {
   const RunMetrics m = engine.run();
   EXPECT_EQ(m.preemptions, 1u);
   // Victim was preempted at the first epoch (0.5 s in) and restarts: total
-  // work executed = 20 s + 0.5 s lost; restart pays ctx_switch only.
-  const SimTime overhead = params.ctx_switch + params.ctx_switch;
+  // work executed = 20 s + 0.5 s lost; restart pays kCtxSwitch only.
+  const SimTime overhead = kCtxSwitch + kCtxSwitch;
   EXPECT_EQ(m.makespan, 20 * kSecond + from_seconds(0.5) + overhead);
 }
 

@@ -44,11 +44,11 @@ TEST(WorkloadStatsTest, MatchesGeneratorShape) {
   EXPECT_EQ(s.jobs_by_class[0], 4u);
   EXPECT_EQ(s.jobs_by_class[1], 4u);
   EXPECT_EQ(s.jobs_by_class[2], 4u);
-  EXPECT_LE(s.max_depth, cfg.max_levels);
-  EXPECT_LE(s.max_fanout, cfg.max_fanout);
+  EXPECT_LE(s.max_depth, kMaxLevels);
+  EXPECT_LE(s.max_fanout, kMaxFanout);
   EXPECT_GT(s.dependent_fraction, 0.3);  // flat level profile binds deps
-  EXPECT_GE(s.size_median, cfg.size_min_mi);
-  EXPECT_LE(s.size_median, cfg.size_max_mi);
+  EXPECT_GE(s.size_median, kSizeMinMi);
+  EXPECT_LE(s.size_median, kSizeMaxMi);
 }
 
 TEST(WorkloadStatsTest, RenderMentionsKeyNumbers) {

@@ -71,8 +71,8 @@ TEST(WorkloadTest, JobsAreFinalizedAndValid) {
   WorkloadConfig cfg = small_config(12);
   const JobSet jobs = WorkloadGenerator(cfg, 11).generate();
   DagLimits limits;
-  limits.max_depth = cfg.max_levels;
-  limits.max_fanout = cfg.max_fanout;
+  limits.max_depth = kMaxLevels;
+  limits.max_fanout = kMaxFanout;
   for (const Job& job : jobs) {
     const auto problems = validate_job(job, limits);
     EXPECT_TRUE(problems.empty())
@@ -84,7 +84,7 @@ TEST(WorkloadTest, JobsAreFinalizedAndValid) {
 TEST(WorkloadTest, DagRespectsDepthCap) {
   WorkloadConfig cfg = small_config(30);
   const JobSet jobs = WorkloadGenerator(cfg, 13).generate();
-  for (const auto& j : jobs) EXPECT_LE(j.graph().depth(), cfg.max_levels);
+  for (const auto& j : jobs) EXPECT_LE(j.graph().depth(), kMaxLevels);
 }
 
 TEST(WorkloadTest, DagRespectsFanoutCap) {
@@ -92,7 +92,7 @@ TEST(WorkloadTest, DagRespectsFanoutCap) {
   const JobSet jobs = WorkloadGenerator(cfg, 17).generate();
   for (const auto& j : jobs)
     for (TaskIndex t = 0; t < j.task_count(); ++t)
-      EXPECT_LE(j.graph().children(t).size(), cfg.max_fanout);
+      EXPECT_LE(j.graph().children(t).size(), kMaxFanout);
 }
 
 TEST(WorkloadTest, DemandsWithinConfiguredClamps) {
@@ -104,10 +104,10 @@ TEST(WorkloadTest, DemandsWithinConfiguredClamps) {
       EXPECT_LE(t.demand.cpu, cfg.cpu_max);
       EXPECT_GE(t.demand.mem, cfg.mem_min);
       EXPECT_LE(t.demand.mem, cfg.mem_max);
-      EXPECT_DOUBLE_EQ(t.demand.disk, cfg.disk_mb);
-      EXPECT_DOUBLE_EQ(t.demand.bw, cfg.bw_mbps);
-      EXPECT_GE(t.size_mi, cfg.size_min_mi);
-      EXPECT_LE(t.size_mi, cfg.size_max_mi);
+      EXPECT_DOUBLE_EQ(t.demand.disk, kDiskMb);
+      EXPECT_DOUBLE_EQ(t.demand.bw, kBwMbps);
+      EXPECT_GE(t.size_mi, kSizeMinMi);
+      EXPECT_LE(t.size_mi, kSizeMaxMi);
     }
 }
 
@@ -116,13 +116,13 @@ TEST(WorkloadTest, DeadlineAfterArrivalWithSlack) {
   const JobSet jobs = WorkloadGenerator(cfg, 23).generate();
   for (const auto& j : jobs) {
     EXPECT_GT(j.deadline(), j.arrival());
-    const SimTime cp = j.critical_path_time(cfg.reference_rate);
+    const SimTime cp = j.critical_path_time(kReferenceRate);
     // Deadline slack between the configured min (production) and max
     // (research).
     const double slack =
         static_cast<double>(j.deadline() - j.arrival()) / static_cast<double>(cp);
-    EXPECT_GE(slack, cfg.prod_slack_min - 0.01);
-    EXPECT_LE(slack, cfg.res_slack_max + 0.01);
+    EXPECT_GE(slack, kProdSlackMin - 0.01);
+    EXPECT_LE(slack, kResSlackMax + 0.01);
   }
 }
 
@@ -179,7 +179,7 @@ TEST(TraceIoTest, RoundTripPreservesWorkload) {
   std::stringstream buffer;
   write_trace_csv(buffer, original);
   const TraceParseResult parsed =
-      read_trace_csv(buffer, cfg.reference_rate);
+      read_trace_csv(buffer, kReferenceRate);
   ASSERT_TRUE(parsed.ok()) << parsed.errors.front();
   ASSERT_EQ(parsed.jobs.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -282,7 +282,7 @@ TEST(TraceIoTest, RoundTripPreservesLocalityFields) {
   const JobSet original = WorkloadGenerator(cfg, 43).generate();
   std::stringstream buffer;
   write_trace_csv(buffer, original);
-  const TraceParseResult parsed = read_trace_csv(buffer, cfg.reference_rate);
+  const TraceParseResult parsed = read_trace_csv(buffer, kReferenceRate);
   ASSERT_TRUE(parsed.ok()) << parsed.errors.front();
   bool any_input = false;
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -317,7 +317,7 @@ TEST(TraceIoTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/dsp_trace_test.csv";
   const JobSet original = WorkloadGenerator(small_config(3), 41).generate();
   ASSERT_TRUE(write_trace_csv(path, original));
-  const TraceParseResult parsed = read_trace_csv(path, 2660.0);
+  const TraceParseResult parsed = read_trace_csv(path, kReferenceRate);
   EXPECT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.jobs.size(), 3u);
 }

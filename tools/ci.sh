@@ -20,7 +20,9 @@
 #            each fail naming exactly their rule
 #   analyze  dsp_analyze over examples/workloads and the analysis
 #            fixtures (audit fixtures are JSONL event logs), with --json
-#            output validated by json_check
+#            output validated by json_check; then trace_replay on the W004
+#            fixture, whose task that fits no node must fail the run at
+#            engine construction (exit 2, naming the job and the task)
 #   bench-smoke  micro_bench hot-path benchmarks at a tiny min_time,
 #            with the --json report validated by json_check; then
 #            ablation_ilp, one of the two programs that solve the §III
@@ -169,6 +171,16 @@ if ! skipped analyze; then
       echo "seeded $rule ok ($file)"
     done
   done
+
+  # The task W004 flags statically must also stop a run: the engine rejects
+  # it at construction instead of simulating to the horizon.
+  echo "trace_replay tests/fixtures/analysis/w004_oversized_demand.csv"
+  status=0
+  build/examples/trace_replay tests/fixtures/analysis/w004_oversized_demand.csv \
+    dsp dsp ec2 >"$tmp/replay.txt" 2>&1 || status=$?
+  [ "$status" = 2 ] && grep -q 'job 1 task 1 ' "$tmp/replay.txt" || {
+    echo "ci: trace_replay on the W004 fixture exited $status without naming job 1 task 1"
+    cat "$tmp/replay.txt"; exit 1; }
 fi
 
 if ! skipped bench-smoke; then

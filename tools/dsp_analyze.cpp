@@ -12,6 +12,8 @@
 //   --rules <ids>     comma-separated rule filter, e.g. W001,W003
 //   --cluster <spec>  ec2:<n> | real:<n> | uniform:<n>:<mips>:<mem_gb>:<slots>
 //                     (default ec2:30, the paper's EC2 testbed)
+//   --rate <mips>     rate that derives per-level task deadlines (default
+//                     the workload recipe's kReferenceRate, 2660)
 //
 // Exit codes: 0 = no error-severity findings, 1 = at least one error
 // finding, 2 = usage or I/O problem.
@@ -24,6 +26,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/rules.h"
+#include "trace/workload.h"
 #include "util/log.h"
 #include "util/parse.h"
 
@@ -80,7 +83,7 @@ int main(int argc, char** argv) {
   std::string workload_path;
   std::string json_path;
   std::vector<std::string> filter;
-  double reference_rate = 2660.0;
+  double reference_rate = dsp::kReferenceRate;
   for (int i = 3; i < argc; ++i) {
     const auto need_value = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
