@@ -20,6 +20,28 @@ double completion_padding(const IlpProblem& p, std::size_t task) {
   return static_cast<double>(p.tasks[task].n_preempt) * p.recovery_s;
 }
 
+/// Seconds `task` holds `machine`: execution plus preemption padding.
+double busy_seconds(const IlpProblem& p, std::size_t task, std::size_t machine) {
+  return exec_seconds(p, task, machine) + completion_padding(p, task);
+}
+
+/// reach[i * T + j] is true when task i is an ancestor of task j along
+/// `parents` (Warshall's transitive closure), so (7) already makes i
+/// finish before j starts.
+std::vector<char> precedence_closure(const IlpProblem& p) {
+  const std::size_t T = p.tasks.size();
+  std::vector<char> reach(T * T, 0);
+  for (std::size_t c = 0; c < T; ++c)
+    for (int parent : p.tasks[c].parents)
+      reach[static_cast<std::size_t>(parent) * T + c] = 1;
+  for (std::size_t k = 0; k < T; ++k)
+    for (std::size_t i = 0; i < T; ++i)
+      if (reach[i * T + k])
+        for (std::size_t j = 0; j < T; ++j)
+          if (reach[k * T + j]) reach[i * T + j] = 1;
+  return reach;
+}
+
 /// Big-M: an upper bound on any reasonable schedule horizon — running every
 /// task back-to-back on the slowest machine plus all preemption padding.
 double big_m(const IlpProblem& p) {
@@ -42,26 +64,23 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
   model.set_direction(lp::Direction::kMinimize);
 
   // L_MS: the makespan, the sole objective term (3).
-  const lp::VarId var_L = model.add_var(0.0, horizon, 1.0, "L");
+  const lp::VarId var_L = model.add_var(0.0, horizon, 1.0);
 
   // t_s[t]: start times (11).
   std::vector<lp::VarId> var_start(T);
   for (std::size_t t = 0; t < T; ++t)
-    var_start[t] = model.add_var(0.0, horizon, 0.0, "ts" + std::to_string(t));
+    var_start[t] = model.add_var(0.0, horizon, 0.0);
 
   // x[t][m]: placement binaries (10).
   std::vector<std::vector<lp::VarId>> var_x(T, std::vector<lp::VarId>(M));
   for (std::size_t t = 0; t < T; ++t)
-    for (std::size_t m = 0; m < M; ++m)
-      var_x[t][m] = model.add_binary_var(
-          0.0, "x" + std::to_string(t) + "_" + std::to_string(m));
+    for (std::size_t m = 0; m < M; ++m) var_x[t][m] = model.add_binary_var(0.0);
 
   // Each task runs on exactly one machine.
   for (std::size_t t = 0; t < T; ++t) {
     lp::LinearExpr expr;
     for (std::size_t m = 0; m < M; ++m) expr.add(var_x[t][m], 1.0);
-    model.add_constraint(std::move(expr), lp::Sense::kEq, 1.0,
-                         "assign" + std::to_string(t));
+    model.add_constraint(std::move(expr), lp::Sense::kEq, 1.0);
   }
 
   // (4): completion (start + exec + preemption padding) <= L_MS.
@@ -69,10 +88,21 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
     lp::LinearExpr expr;
     expr.add(var_start[t], 1.0);
     for (std::size_t m = 0; m < M; ++m)
-      expr.add(var_x[t][m], exec_seconds(problem, t, m) + completion_padding(problem, t));
+      expr.add(var_x[t][m], busy_seconds(problem, t, m));
     expr.add(var_L, -1.0);
-    model.add_constraint(std::move(expr), lp::Sense::kLe, 0.0,
-                         "makespan" + std::to_string(t));
+    model.add_constraint(std::move(expr), lp::Sense::kLe, 0.0);
+  }
+
+  // Load cut: the tasks on a machine run one at a time within [0, L_MS],
+  // so their busy seconds sum to at most L_MS. (5)/(8) imply it for
+  // integral x; the relaxation, whose big-M rows are slack at fractional
+  // x, does not.
+  for (std::size_t m = 0; m < M; ++m) {
+    lp::LinearExpr expr;
+    for (std::size_t t = 0; t < T; ++t)
+      expr.add(var_x[t][m], busy_seconds(problem, t, m));
+    expr.add(var_L, -1.0);
+    model.add_constraint(std::move(expr), lp::Sense::kLe, 0.0);
   }
 
   // (6): per-task deadlines.
@@ -82,11 +112,9 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
       lp::LinearExpr expr;
       expr.add(var_start[t], 1.0);
       for (std::size_t m = 0; m < M; ++m)
-        expr.add(var_x[t][m],
-                 exec_seconds(problem, t, m) + completion_padding(problem, t));
+        expr.add(var_x[t][m], busy_seconds(problem, t, m));
       model.add_constraint(std::move(expr), lp::Sense::kLe,
-                           problem.tasks[t].deadline_s,
-                           "deadline" + std::to_string(t));
+                           problem.tasks[t].deadline_s);
     }
   }
 
@@ -99,23 +127,23 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
       expr.add(var_start[c], 1.0);
       expr.add(var_start[pt], -1.0);
       for (std::size_t m = 0; m < M; ++m)
-        expr.add(var_x[pt][m],
-                 -(exec_seconds(problem, pt, m) + completion_padding(problem, pt)));
-      model.add_constraint(std::move(expr), lp::Sense::kGe, 0.0,
-                           "prec" + std::to_string(pt) + "_" + std::to_string(c));
+        expr.add(var_x[pt][m], -busy_seconds(problem, pt, m));
+      model.add_constraint(std::move(expr), lp::Sense::kGe, 0.0);
     }
   }
 
   // (5)/(8): non-overlap per machine via ordering binaries y[i][j][m]
   // (i < j; y = 1 means i precedes j on m), big-M deactivated unless both
-  // tasks are placed on m.
+  // tasks are placed on m. A task holds its machine for its busy seconds.
+  // Pairs where one task is an ancestor of the other get no y: (7) along
+  // the dependency chain already orders them on every machine.
+  const std::vector<char> reach = precedence_closure(problem);
   for (std::size_t i = 0; i < T; ++i) {
     for (std::size_t j = i + 1; j < T; ++j) {
+      if (reach[i * T + j] || reach[j * T + i]) continue;
       for (std::size_t m = 0; m < M; ++m) {
-        const lp::VarId y = model.add_binary_var(
-            0.0, "y" + std::to_string(i) + "_" + std::to_string(j) + "_" +
-                     std::to_string(m));
-        // i before j: ts_i + exec_i <= ts_j + M(1-y) + M(1-x_im) + M(1-x_jm)
+        const lp::VarId y = model.add_binary_var(0.0);
+        // i before j: ts_i + busy_i <= ts_j + M(1-y) + M(1-x_im) + M(1-x_jm)
         {
           lp::LinearExpr expr;
           expr.add(var_start[i], 1.0);
@@ -124,9 +152,9 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
           expr.add(var_x[i][m], horizon);
           expr.add(var_x[j][m], horizon);
           model.add_constraint(std::move(expr), lp::Sense::kLe,
-                               3.0 * horizon - exec_seconds(problem, i, m));
+                               3.0 * horizon - busy_seconds(problem, i, m));
         }
-        // j before i: ts_j + exec_j <= ts_i + M*y + M(1-x_im) + M(1-x_jm)
+        // j before i: ts_j + busy_j <= ts_i + M*y + M(1-x_im) + M(1-x_jm)
         {
           lp::LinearExpr expr;
           expr.add(var_start[j], 1.0);
@@ -135,7 +163,7 @@ lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines) {
           expr.add(var_x[i][m], horizon);
           expr.add(var_x[j][m], horizon);
           model.add_constraint(std::move(expr), lp::Sense::kLe,
-                               2.0 * horizon - exec_seconds(problem, j, m));
+                               2.0 * horizon - busy_seconds(problem, j, m));
         }
       }
     }
@@ -191,7 +219,7 @@ double list_schedule_fixed(const IlpProblem& problem,
     for (int parent : problem.tasks[t].parents)
       est = std::max(est, finish[static_cast<std::size_t>(parent)]);
     start_s[t] = est;
-    finish[t] = est + exec_seconds(problem, t, m) + completion_padding(problem, t);
+    finish[t] = est + busy_seconds(problem, t, m);
     machine_free[m] = finish[t];
     makespan = std::max(makespan, finish[t]);
   }
@@ -207,8 +235,7 @@ IlpScheduleResult solve_relax_round(const IlpProblem& problem) {
   // role is restored by the list-scheduling pass below.
   lp::Model model;
   model.set_direction(lp::Direction::kMinimize);
-  const lp::VarId var_L = model.add_var(0.0, lp::kInf, 1.0, "L");
-  (void)var_L;
+  const lp::VarId var_L = model.add_var(0.0, lp::kInf, 1.0);
   std::vector<lp::VarId> var_start(T);
   for (std::size_t t = 0; t < T; ++t)
     var_start[t] = model.add_var(0.0, lp::kInf, 0.0);
@@ -224,8 +251,8 @@ IlpScheduleResult solve_relax_round(const IlpProblem& problem) {
     lp::LinearExpr mk;
     mk.add(var_start[t], 1.0);
     for (std::size_t m = 0; m < M; ++m)
-      mk.add(var_x[t][m], exec_seconds(problem, t, m) + completion_padding(problem, t));
-    mk.add(0, -1.0);  // var_L has id 0
+      mk.add(var_x[t][m], busy_seconds(problem, t, m));
+    mk.add(var_L, -1.0);
     model.add_constraint(std::move(mk), lp::Sense::kLe, 0.0);
   }
   // Machine load <= L (a valid relaxation of non-overlap).
@@ -233,7 +260,7 @@ IlpScheduleResult solve_relax_round(const IlpProblem& problem) {
     lp::LinearExpr load;
     for (std::size_t t = 0; t < T; ++t)
       load.add(var_x[t][m], exec_seconds(problem, t, m));
-    load.add(0, -1.0);
+    load.add(var_L, -1.0);
     model.add_constraint(std::move(load), lp::Sense::kLe, 0.0);
   }
   for (std::size_t c = 0; c < T; ++c) {
@@ -243,8 +270,7 @@ IlpScheduleResult solve_relax_round(const IlpProblem& problem) {
       prec.add(var_start[c], 1.0);
       prec.add(var_start[pt], -1.0);
       for (std::size_t m = 0; m < M; ++m)
-        prec.add(var_x[pt][m],
-                 -(exec_seconds(problem, pt, m) + completion_padding(problem, pt)));
+        prec.add(var_x[pt][m], -busy_seconds(problem, pt, m));
       model.add_constraint(std::move(prec), lp::Sense::kGe, 0.0);
     }
   }

@@ -9,8 +9,19 @@
 //
 // Each cluster node is expanded into `slots` single-task virtual machines
 // running at the node's g(k) rate, which maps the paper's per-node ordering
-// constraints onto multi-slot servers exactly. Completion times carry the
-// paper's preemption padding N^p * (t^r + sigma).
+// constraints onto multi-slot servers exactly. A task holds its machine
+// for its execution time plus the paper's preemption padding
+// N^p * (t^r + sigma), in the completion, deadline, precedence and
+// non-overlap rows alike.
+//
+// Two changes to the paper's model leave its optimum unchanged and
+// shrink the branch & bound tree by an order of magnitude:
+//   - a load cut per machine m, sum_t busy(t, m) * x[t][m] <= L_MS, valid
+//     because a machine runs its tasks one at a time within [0, L_MS];
+//     the big-M rows of (5)/(8) do not imply it at fractional x;
+//   - ordering binaries y (and their big-M rows) only for pairs that
+//     precedence leaves unordered: when one task is an ancestor of the
+//     other, (7) along the chain already separates them on any machine.
 //
 // The model is built over plain inputs (no engine dependency) so it can be
 // unit-tested against brute force and cross-validated with the heuristic
@@ -35,8 +46,8 @@ struct IlpTask {
   double deadline_s = std::numeric_limits<double>::infinity();
   /// Indices of precedent tasks (must run before this one).
   std::vector<int> parents;
-  /// Estimated preemption count N^p (pads completion by n_preempt *
-  /// recovery_s per constraint (4)/(6)).
+  /// Estimated preemption count N^p: the task holds its machine
+  /// n_preempt * recovery_s beyond its execution, in (4)-(8).
   int n_preempt = 0;
 };
 
@@ -62,7 +73,9 @@ struct IlpScheduleResult {
 
 /// Builds the §III model. Exposed for tests; most callers use
 /// solve_ilp_schedule. Variable layout: [L, t_s[0..T), x[t][m] row-major,
-/// y vars appended].
+/// then y[i][j][m] for i < j, m innermost, over the pairs that
+/// precedence leaves unordered]. Rows: assignment, (4), one load cut per
+/// machine, (6) when enforced, (7), then two big-M rows per y.
 lp::Model build_ilp_model(const IlpProblem& problem, bool enforce_deadlines);
 
 /// Solves the instance with branch & bound, enforcing deadlines (6). When

@@ -12,20 +12,17 @@
 namespace dsp::lp {
 namespace {
 
-/// Index of the most fractional integral variable, or -1 if all integral.
-int most_fractional(const Model& model, const std::vector<double>& x) {
-  int best = -1;
-  double best_frac_dist = kIntTol;
+/// Index of the first integral variable, in model order, whose value is
+/// fractional, or -1 if all are integral. Models that declare their
+/// decisive variables first (the §III model: placement x before
+/// ordering y) get them fixed first.
+int first_fractional(const Model& model, const std::vector<double>& x) {
   for (std::size_t i = 0; i < model.var_count(); ++i) {
     if (!model.var(static_cast<VarId>(i)).is_integer) continue;
     const double frac = x[i] - std::floor(x[i]);
-    const double dist = std::min(frac, 1.0 - frac);
-    if (dist > best_frac_dist) {
-      best_frac_dist = dist;
-      best = static_cast<int>(i);
-    }
+    if (std::min(frac, 1.0 - frac) > kIntTol) return static_cast<int>(i);
   }
-  return best;
+  return -1;
 }
 
 /// One open branch-and-bound node: a single bound delta over the parent
@@ -119,7 +116,7 @@ Solution MilpSolver::solve(const Model& model) const {
     if (rel.status == SolveStatus::kUnbounded)
       return {SolveStatus::kUnbounded, 0.0, {}};
     if (rel.status != SolveStatus::kOptimal) return {rel.status, 0.0, {}};
-    const int frac_var = most_fractional(model, rel.x);
+    const int frac_var = first_fractional(model, rel.x);
     if (frac_var < 0) {
       Solution sol = rel;
       sol.status = SolveStatus::kOptimal;
@@ -147,7 +144,7 @@ Solution MilpSolver::solve(const Model& model) const {
     const double rel_obj = dir_sign * rel.objective;
     if (rel_obj >= incumbent_obj - kGapTol) continue;
 
-    const int frac_var = most_fractional(model, rel.x);
+    const int frac_var = first_fractional(model, rel.x);
     if (frac_var < 0) {
       // Integral: new incumbent.
       incumbent = rel;

@@ -1,7 +1,9 @@
 // Branch-and-bound MILP solver on top of the bounded-variable simplex.
 //
-// Serial best-bound search branching on the most fractional integer
-// variable. Open nodes are parent-delta records (one branched bound each,
+// Serial best-bound search branching on the first fractional integer
+// variable in model order, so a model that declares its decisive
+// variables first (the §III model: placement x before ordering y) fixes
+// them first. Open nodes are parent-delta records (one branched bound each,
 // O(1) per node) carrying a shared pointer to the parent's optimal basis;
 // child relaxations warm-start from that basis and are repaired by a
 // dual simplex pass instead of a cold Phase-I/Phase-II solve. The whole

@@ -9,7 +9,6 @@
 
 #include <cassert>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -47,7 +46,6 @@ struct Variable {
   double upper = kInf;
   double objective = 0.0;  ///< Coefficient in the objective.
   bool is_integer = false;
-  std::string name;
 };
 
 /// Constraint row.
@@ -55,7 +53,6 @@ struct Constraint {
   LinearExpr expr;
   Sense sense = Sense::kLe;
   double rhs = 0.0;
-  std::string name;
 };
 
 /// Optimization direction.
@@ -65,28 +62,25 @@ enum class Direction { kMinimize, kMaximize };
 class Model {
  public:
   /// Adds a continuous variable; returns its id.
-  VarId add_var(double lower, double upper, double objective,
-                std::string name = {}) {
-    vars_.push_back({lower, upper, objective, false, std::move(name)});
+  VarId add_var(double lower, double upper, double objective) {
+    vars_.push_back({lower, upper, objective, false});
     return static_cast<VarId>(vars_.size()) - 1;
   }
 
   /// Adds an integer variable.
-  VarId add_int_var(double lower, double upper, double objective,
-                    std::string name = {}) {
-    vars_.push_back({lower, upper, objective, true, std::move(name)});
+  VarId add_int_var(double lower, double upper, double objective) {
+    vars_.push_back({lower, upper, objective, true});
     return static_cast<VarId>(vars_.size()) - 1;
   }
 
   /// Adds a binary (0/1) variable.
-  VarId add_binary_var(double objective, std::string name = {}) {
-    return add_int_var(0.0, 1.0, objective, std::move(name));
+  VarId add_binary_var(double objective) {
+    return add_int_var(0.0, 1.0, objective);
   }
 
   /// Adds a constraint `expr sense rhs`.
-  void add_constraint(LinearExpr expr, Sense sense, double rhs,
-                      std::string name = {}) {
-    constraints_.push_back({std::move(expr), sense, rhs, std::move(name)});
+  void add_constraint(LinearExpr expr, Sense sense, double rhs) {
+    constraints_.push_back({std::move(expr), sense, rhs});
   }
 
   void set_direction(Direction d) { direction_ = d; }
@@ -95,8 +89,6 @@ class Model {
   std::size_t var_count() const { return vars_.size(); }
   std::size_t constraint_count() const { return constraints_.size(); }
   const Variable& var(VarId v) const { return vars_.at(static_cast<std::size_t>(v)); }
-  /// Mutable access for bound tightening (branch & bound uses this).
-  Variable& mutable_var(VarId v) { return vars_.at(static_cast<std::size_t>(v)); }
   const std::vector<Variable>& vars() const { return vars_; }
   const std::vector<Constraint>& constraints() const { return constraints_; }
 

@@ -84,8 +84,6 @@ class SimplexSolver {
   /// basis through consecutive calls.
   Solution solve(const Model& model, Basis* basis) const;
 
-  /// Pivot count of the most recent solve (for benchmarks).
-  int last_iterations() const { return stats_.iterations; }
   const SolveStats& last_stats() const { return stats_; }
 
  private:

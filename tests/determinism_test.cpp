@@ -263,20 +263,19 @@ TEST(DeterminismTest, OnDemandPrioritiesEqualEpochStartSnapshotWithoutPp) {
 // Serial branch & bound search order
 // ---------------------------------------------------------------------
 
-/// An ILP instance whose LP relaxation is fractional, so the solver
-/// actually branches.
+/// An ILP instance whose LP relaxation, load cuts included, is
+/// fractional, so the solver actually branches: a chain of sizes 3 -> 1
+/// beside free tasks of sizes 1, 5 and 5, on machines of rate 1 and 1.4.
 IlpProblem branching_ilp_instance() {
   IlpProblem p;
   p.machine_rates = {1.0, 1.4};
   p.tasks.resize(5);
   p.tasks[0].size_mi = 3.0;
-  p.tasks[1].size_mi = 2.0;
-  p.tasks[2].size_mi = 4.0;
-  p.tasks[2].parents = {0};
-  p.tasks[3].size_mi = 1.0;
-  p.tasks[3].parents = {1};
-  p.tasks[4].size_mi = 2.0;
-  p.tasks[4].parents = {2, 3};
+  p.tasks[1].size_mi = 1.0;
+  p.tasks[1].parents = {0};
+  p.tasks[2].size_mi = 1.0;
+  p.tasks[3].size_mi = 5.0;
+  p.tasks[4].size_mi = 5.0;
   return p;
 }
 
@@ -290,15 +289,15 @@ TEST(DeterminismTest, MilpSearchPinsNodeCountAndSolutionBits) {
   lp::MilpSolver solver;
   const lp::Solution s = solver.solve(model);
   ASSERT_EQ(s.status, lp::SolveStatus::kOptimal);
-  EXPECT_EQ(solver.last_nodes(), 57);
-  EXPECT_EQ(s.objective, 0x1.9b6db6db6db6dp+2);
+  EXPECT_EQ(solver.last_nodes(), 35);
+  EXPECT_EQ(s.objective, 0x1.9b6db6db6db6ep+2);
   const std::vector<double> expected = {
-      0x1.9b6db6db6db6dp+2, 0x0p+0, 0x0p+0, 0x1.1249249249249p+1,
-      0x1p+2, 0x1.3ffffffffffffp+2, 0x0p+0, 0x1p+0, 0x1p+0, 0x0p+0,
-      0x0p+0, 0x1.fffffffffffffp-1, 0x1p+0, 0x0p+0, 0x0p+0, 0x1p+0,
-      0x0p+0, 0x0p+0, 0x0p+0, 0x1p+0, 0x0p+0, 0x1p+0, 0x0p+0, 0x1p+0,
-      0x0p+0, 0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1p+0,
-      0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0};
+      0x1.9b6db6db6db6ep+2, 0x1.6db6db6db6d8p-1, 0x1.3fffffffffffcp+2,
+      0x0p+0, 0x1.6db6db6db6dbcp+1, 0x0p+0, 0x0p+0, 0x1p+0, 0x1p+0, 0x0p+0,
+      0x0p+0, 0x1.ffffffffffffcp-1, 0x0p+0, 0x1.fffffffffffffp-1, 0x1p+0,
+      0x1.0000000000004p-52, 0x0p+0, 0x0p+0, 0x0p+0, 0x1p+0, 0x0p+0, 0x0p+0,
+      0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0, 0x1p+0,
+      0x0p+0, 0x0p+0, 0x0p+0, 0x0p+0};
   ASSERT_EQ(s.x.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(s.x[i], expected[i]) << "var " << i;

@@ -27,9 +27,10 @@
 #            with the --json report validated by json_check; then
 #            ablation_ilp, one of the two programs that solve the §III
 #            ILP (perfbench's ilp_small is the other), at the default seed
-#            with --json validated by json_check, and at DSP_SEED=1, whose
-#            one instance that stops at the branch & bound node cap must
-#            be marked and counted in the footnote
+#            and at DSP_SEED=1, each with --json validated by json_check:
+#            every instance must be proven optimal, so
+#            scalars.node_capped_instances must be 0 and no row may carry
+#            the '*' of a solve stopped at the branch & bound node cap
 #   bench-diff  micro_bench scalars compared against the committed
 #            bench/BENCH_hotpath.json baseline via bench_diff; the
 #            threshold is generous (CI machines are noisy) — it
@@ -196,17 +197,19 @@ if ! skipped bench-smoke; then
     scalars.BM_SimplexSolve_60_ns scalars.BM_MilpSolve_1_ns scalars.BM_PriorityComputeJob_1000_ns \
     scalars.BM_ComputeAllFullRecompute_20_ns \
     registry.counters registry.histograms
-  build/bench/ablation_ilp --json "$smoke_tmp/ilp.json" >/dev/null
-  build/tools/json_check "$smoke_tmp/ilp.json" \
-    bench env.seed scalars scalars.rr_over_exact_mean \
-    scalars.heur_over_exact_mean scalars.node_capped_instances
-  DSP_SEED=1 build/bench/ablation_ilp >"$smoke_tmp/ilp_seed1.txt"
-  { grep -q '^\* 1 instance(s) stopped at the branch & bound node cap' \
-      "$smoke_tmp/ilp_seed1.txt" &&
-    [ "$(grep -c '^[0-9]t/[0-9]m  *[0-9.]*\* ' "$smoke_tmp/ilp_seed1.txt")" = 1 ]
-  } || {
-    echo "ci: ablation_ilp at DSP_SEED=1 did not mark exactly one capped instance"
-    cat "$smoke_tmp/ilp_seed1.txt"; exit 1; }
+  # An empty seed runs ablation_ilp at its default seed.
+  for seed in "" 1; do
+    ilp="$smoke_tmp/ilp_seed${seed:-default}"
+    env ${seed:+DSP_SEED=$seed} build/bench/ablation_ilp --json "$ilp.json" >"$ilp.txt"
+    build/tools/json_check "$ilp.json" \
+      bench env.seed scalars scalars.rr_over_exact_mean \
+      scalars.heur_over_exact_mean scalars.node_capped_instances
+    { grep -q '"node_capped_instances":0[,}]' "$ilp.json" &&
+      ! grep -q '^[0-9]t/[0-9]m  *[0-9.]*\* ' "$ilp.txt"
+    } || {
+      echo "ci: ablation_ilp at seed ${seed:-default} stopped a solve at the node cap"
+      cat "$ilp.txt"; exit 1; }
+  done
   rm -rf "$smoke_tmp"
 fi
 
