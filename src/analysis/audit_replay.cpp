@@ -61,7 +61,7 @@ void replay_audit(const std::vector<obs::PreemptDecision>& decisions,
   const JobSet* jobs = options.workload;
   static const JobSet kNoJobs;
   const GidMap gids(jobs ? *jobs : kNoJobs);
-  const double tol = options.tol;
+  const double tol = kAuditReplayTol;
 
   SimTime last_time = kNoTime;
   for (std::size_t i = 0; i < decisions.size(); ++i) {

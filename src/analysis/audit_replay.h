@@ -38,9 +38,10 @@ struct AuditReplayOptions {
   /// P000 gid-range check; null restricts the replay to the
   /// priority-arithmetic rules (P002/P004).
   const JobSet* workload = nullptr;
-  /// Absolute tolerance for priority/gap comparisons.
-  double tol = 1e-9;
 };
+
+/// Absolute tolerance of replay_audit's priority and gap comparisons.
+inline constexpr double kAuditReplayTol = 1e-9;
 
 /// Replays every decision, appending findings to `report`. The decision's
 /// position among the run's decisions (plus its engine time) names the

@@ -4,13 +4,13 @@
 
 namespace dsp {
 
-int AaloScheduler::queue_level(double serviced_mi) const {
-  double threshold = options_.first_threshold_mi;
-  for (int level = 0; level < options_.queue_count - 1; ++level) {
+int AaloScheduler::queue_level(double serviced_mi) {
+  double threshold = kAaloFirstThresholdMi;
+  for (int level = 0; level < kAaloQueueCount - 1; ++level) {
     if (serviced_mi < threshold) return level;
-    threshold *= options_.threshold_factor;
+    threshold *= kAaloThresholdFactor;
   }
-  return options_.queue_count - 1;
+  return kAaloQueueCount - 1;
 }
 
 std::vector<TaskPlacement> AaloScheduler::schedule(
@@ -24,7 +24,7 @@ Gid AaloScheduler::select_next(int node, Engine& engine,
                                const std::vector<std::uint8_t>& excluded) {
   const Resources& avail = engine.available(node);
   Gid best = kInvalidGid;
-  int best_level = options_.queue_count;
+  int best_level = kAaloQueueCount;
   // The ready subset is already FIFO (planned_start order), so the first
   // qualifying task at the lowest level wins.
   for (Gid g : engine.ready(node)) {

@@ -19,18 +19,16 @@
 
 namespace dsp {
 
+/// K, Aalo's number of queues.
+inline constexpr int kAaloQueueCount = 5;
+/// Service ceiling (MI) of queue 0.
+inline constexpr double kAaloFirstThresholdMi = 1.0e5;
+/// E, the exponential spacing: each queue's ceiling is E times the last.
+inline constexpr double kAaloThresholdFactor = 10.0;
+
 /// Aalo multi-level-feedback-queue scheduler.
 class AaloScheduler : public Scheduler {
  public:
-  struct Options {
-    int queue_count = 5;          ///< K queues.
-    double first_threshold_mi = 1.0e5;  ///< Service ceiling of queue 0.
-    double threshold_factor = 10.0;     ///< E: exponential spacing.
-  };
-
-  AaloScheduler() = default;
-  explicit AaloScheduler(Options options) : options_(options) {}
-
   const char* name() const override { return "Aalo"; }
 
   /// Placement: place_least_backlog in topological order (Aalo itself
@@ -44,10 +42,7 @@ class AaloScheduler : public Scheduler {
                   const std::vector<std::uint8_t>& excluded) override;
 
   /// Queue level for a job that has received `serviced_mi` of service.
-  int queue_level(double serviced_mi) const;
-
- private:
-  Options options_;
+  static int queue_level(double serviced_mi);
 };
 
 }  // namespace dsp

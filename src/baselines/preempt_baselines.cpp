@@ -38,17 +38,14 @@ void QueueScanPreemption::on_epoch(Engine& engine) {
       if (victims_.empty() || attempt_budget <= 0) break;
       // Only the incoming task of a preemption leaves the queue during a
       // node's scan, and the scan never revisits it.
-      assert(engine.state(w) == TaskState::kWaiting ||
-             engine.state(w) == TaskState::kSuspended);
+      assert(queued(engine.state(w)));
       // Cheapest test first. The front victim is tried first, and
       // should_preempt needs w strictly shorter than it: a w that is not
       // can preempt nothing. The remaining time is remaining_time(w)'s
       // value, from the compact queued-remaining array.
       SimTime remaining = 0;
       if (shorter) {
-        remaining = rate <= 0.0
-                        ? kMaxTime
-                        : from_seconds(engine.queued_remaining_mi(w) / rate);
+        remaining = Engine::time_at_rate(engine.queued_remaining_mi(w), rate);
         if (remaining >= victims_.front().remaining) continue;
       }
       if (engine.launch_blocked(w)) continue;  // failed input check earlier

@@ -259,7 +259,7 @@ IlpScheduleResult solve_relax_round(const IlpProblem& problem) {
   for (std::size_t m = 0; m < M; ++m) {
     lp::LinearExpr load;
     for (std::size_t t = 0; t < T; ++t)
-      load.add(var_x[t][m], exec_seconds(problem, t, m));
+      load.add(var_x[t][m], busy_seconds(problem, t, m));
     load.add(var_L, -1.0);
     model.add_constraint(std::move(load), lp::Sense::kLe, 0.0);
   }

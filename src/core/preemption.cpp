@@ -1,6 +1,7 @@
 #include "core/preemption.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "obs/profiler.h"
@@ -120,8 +121,9 @@ void DspPreemption::urgent_pass(Engine& engine, int node,
   const std::vector<Gid>& ready = engine.ready(node);
   ready_scratch_.assign(ready.begin(), ready.end());
   for (Gid w : ready_scratch_) {
-    const TaskState s = engine.state(w);
-    if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;
+    // try_preempt takes only the incoming task out of the queue, and the
+    // scan never revisits it.
+    assert(queued(engine.state(w)));
     // Urgent: the task has waited beyond tau, or its deadline is close
     // (t^a <= epsilon) but still salvageable (t^a >= 0) — preempting for a
     // task that can no longer meet its deadline buys nothing. Both tests
@@ -180,8 +182,7 @@ std::pair<std::uint64_t, std::uint64_t> DspPreemption::window_pass(
   std::uint64_t considered = 0, preempted = 0;
 
   for (Gid w : ready_scratch_) {
-    const TaskState s = engine.state(w);
-    if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;
+    assert(queued(engine.state(w)));  // as in urgent_pass
     ++considered;
 
     obs::PreemptDecision d = make_decision(node, w);
@@ -297,8 +298,8 @@ void DspPreemption::mitigate_stragglers(Engine& engine) const {
     }
     const std::vector<Gid> waiting = engine.waiting(node);
     for (Gid g : waiting) {
-      const TaskState s = engine.state(g);
-      if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;
+      // A migration starts tasks only on its healthy destination.
+      assert(queued(engine.state(g)));
       const int dst = pick_destination(g);
       if (dst < 0) continue;
       if (estimate_s(g, dst) < 0.7 * estimate_s(g, node))

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "obs/json.h"
+#include "util/stats.h"
 
 namespace dsp::obs {
 
@@ -68,22 +69,6 @@ void Histo::merge(const Histo& other) {
     keep(other.samples_[(other.oldest_ + i) % n]);
 }
 
-namespace {
-
-// p-quantile with linear interpolation over a sorted vector (the same
-// convention as util/stats percentile()).
-double sorted_percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = p * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-}  // namespace
-
 Histo::Snapshot Histo::snapshot() const {
   Snapshot s;
   s.count = count_;
@@ -92,11 +77,9 @@ Histo::Snapshot Histo::snapshot() const {
   s.min = min_;
   s.max = max_;
   s.mean = sum_ / static_cast<double>(count_);
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  s.p50 = sorted_percentile(sorted, 0.50);
-  s.p95 = sorted_percentile(sorted, 0.95);
-  s.p99 = sorted_percentile(sorted, 0.99);
+  s.p50 = percentile(samples_, 0.50);
+  s.p95 = percentile(samples_, 0.95);
+  s.p99 = percentile(samples_, 0.99);
   return s;
 }
 

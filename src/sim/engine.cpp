@@ -116,57 +116,85 @@ Engine::Engine(ClusterSpec cluster, JobSet jobs, Scheduler& scheduler,
 double Engine::remaining_mi(Gid g) const {
   const TaskRt& r = tasks_.rt(g);
   double executed = r.executed_mi;
-  // A running task's progress advances continuously; account for the
-  // portion executed since its last dispatch.
-  if (r.state == TaskState::kRunning) {
-    const SimTime worked = now_ - r.last_dispatch - r.current_overhead;
-    if (worked > 0)
-      executed += to_seconds(worked) * node_rate(r.node);
-  }
+  // A running task's progress advances continuously.
+  if (r.state == TaskState::kRunning) executed += progress_mi(r);
   return std::max(0.0, task_info(g).size_mi - executed);
 }
 
 SimTime Engine::remaining_time(Gid g) const {
   const int node = tasks_.rt(g).node;
-  const double rate = node >= 0 ? node_rate(node) : cluster_.mean_rate();
-  // A fully-degraded node (speed factor 0) or an empty cluster offers no
-  // progress: remaining time saturates instead of from_seconds(inf).
-  if (rate <= 0.0) return kMaxTime;
-  return from_seconds(remaining_mi(g) / rate);
-}
-
-SimTime Engine::waiting_time(Gid g) const {
-  const TaskRt& r = tasks_.rt(g);
-  if ((r.state == TaskState::kWaiting || r.state == TaskState::kSuspended) &&
-      r.waiting_since != kNoTime)
-    return now_ - r.waiting_since;
-  return 0;
+  return time_at_rate(remaining_mi(g),
+                      node >= 0 ? node_rate(node) : cluster_.mean_rate());
 }
 
 Engine::LeafInputs Engine::leaf_inputs(Gid g) const {
   const TaskRt& r = tasks_.rt(g);
   const Task& info = task_info(g);
   double executed = r.executed_mi;
-  double wait_s = r.total_wait_s;
-  if (r.state == TaskState::kRunning) {
-    const SimTime worked = now_ - r.last_dispatch - r.current_overhead;
-    if (worked > 0) executed += to_seconds(worked) * node_rate(r.node);
-  } else if ((r.state == TaskState::kWaiting ||
-              r.state == TaskState::kSuspended) &&
-             r.waiting_since != kNoTime) {
-    wait_s += to_seconds(now_ - r.waiting_since);
-  }
+  if (r.state == TaskState::kRunning) executed += progress_mi(r);
+  const double wait_s = r.total_wait_s + to_seconds(waiting_stretch(r));
   const double rate = r.node >= 0 ? node_rate(r.node) : cluster_.mean_rate();
-  const double rem_mi = std::max(0.0, info.size_mi - executed);
-  // Round through SimTime exactly as remaining_time does, so the fused
-  // inputs are bit-identical to the three separate accessors. Zero rate
-  // saturates t_rem the same way remaining_time does; the allowance then
-  // saturates negative instead of wrapping deadline - now - kMaxTime
-  // below INT64_MIN.
-  const SimTime t_rem = rate > 0.0 ? from_seconds(rem_mi / rate) : kMaxTime;
+  // Through the same progress, clock and rounding rules as remaining_time
+  // and accumulated_wait_s, so the fused inputs are bit-identical to the
+  // separate accessors. A saturated t_rem makes the allowance saturate
+  // negative instead of wrapping deadline - now - kMaxTime below
+  // INT64_MIN.
+  const SimTime t_rem =
+      time_at_rate(std::max(0.0, info.size_mi - executed), rate);
   const SimTime t_allow =
       t_rem == kMaxTime ? -kMaxTime : info.deadline - now_ - t_rem;
   return {to_seconds(t_rem), wait_s, to_seconds(t_allow)};
+}
+
+double Engine::progress_mi(const TaskRt& r) const {
+  const SimTime worked =
+      std::max<SimTime>(0, now_ - r.last_dispatch - r.current_overhead);
+  return to_seconds(worked) * node_rate(r.node);
+}
+
+void Engine::bank_progress(Gid g, TaskRt& r) {
+  r.executed_mi =
+      std::min(r.executed_mi + progress_mi(r), task_info(g).size_mi);
+}
+
+SimTime Engine::waiting_stretch(const TaskRt& r) const {
+  return queued(r.state) && r.waiting_since != kNoTime
+             ? now_ - r.waiting_since
+             : 0;
+}
+
+void Engine::stop_waiting_clock(TaskRt& r) {
+  r.total_wait_s += to_seconds(waiting_stretch(r));
+  r.waiting_since = kNoTime;
+}
+
+bool Engine::checkpointed() const {
+  return !preempt_ ||
+         preempt_->checkpoint_mode() == CheckpointMode::kCheckpoint;
+}
+
+SimTime Engine::resume_charge() const {
+  return checkpointed() ? kRecovery + kCtxSwitch : kCtxSwitch;
+}
+
+void Engine::occupy_slot(ClusterState::Node& n, Gid g) {
+  n.available -= task_info(g).demand;
+  --n.free_slots;
+  n.running.push_back(g);
+}
+
+void Engine::release_slot(ClusterState::Node& n, Gid g) {
+  n.available += task_info(g).demand;
+  ++n.free_slots;
+  n.running.erase(std::find(n.running.begin(), n.running.end(), g));
+}
+
+void Engine::arm_finish(Gid g, TaskRt& r) {
+  ++r.token;
+  const double remaining = std::max(0.0, task_info(g).size_mi - r.executed_mi);
+  push_event(now_ + r.current_overhead +
+                 from_seconds(remaining / node_rate(r.node)),
+             EventCalendar::Kind::kFinish, g, r.token);
 }
 
 bool Engine::depends_on(Gid dependent, Gid precedent) const {
@@ -282,11 +310,14 @@ void Engine::on_arrival(JobId job) {
 void Engine::set_failure_plan(const FailurePlan& plan) {
   assert(lifecycle_ == Lifecycle::kIdle &&
          "install the failure plan before run()");
-  for (const NodeEvent& event : plan.sorted_events()) {
-    if (event.node < 0 || static_cast<std::size_t>(event.node) >= cluster_.size()) {
-      DSP_ERROR("failure plan references unknown node %d", event.node);
-      continue;
-    }
+  const std::vector<NodeEvent> events = plan.sorted_events();
+  for (const NodeEvent& event : events)
+    if (!nodes_.in_range(event.node))
+      throw std::invalid_argument(
+          "Engine: failure plan names node " + std::to_string(event.node) +
+          ", but the cluster has " + std::to_string(cluster_.size()) +
+          " nodes");
+  for (const NodeEvent& event : events) {
     failure_events_.push_back(event);
     push_event(event.at, EventCalendar::Kind::kNodeEvent,
                static_cast<Gid>(failure_events_.size() - 1), 0);
@@ -333,19 +364,11 @@ void Engine::rebase_running(int node) {
     // Bank progress at the *current* effective rate, then re-arm the
     // finish event for the remaining work.
     const SimTime elapsed = now_ - r.last_dispatch;
-    const SimTime worked = std::max<SimTime>(0, elapsed - r.current_overhead);
-    r.executed_mi += to_seconds(worked) * node_rate(node);
-    r.executed_mi = std::min(r.executed_mi, task_info(g).size_mi);
+    bank_progress(g, r);
     n.busy_us += static_cast<double>(elapsed);
-    const SimTime overhead_left =
-        std::max<SimTime>(0, r.current_overhead - elapsed);
+    r.current_overhead = std::max<SimTime>(0, r.current_overhead - elapsed);
     r.last_dispatch = now_;
-    r.current_overhead = overhead_left;
-    ++r.token;
-    const double remaining =
-        std::max(0.0, task_info(g).size_mi - r.executed_mi);
-    push_event(now_ + overhead_left + from_seconds(remaining / node_rate(node)),
-               EventCalendar::Kind::kFinish, g, r.token);
+    arm_finish(g, r);
   }
 }
 
@@ -361,19 +384,15 @@ void Engine::fail_node(int node) {
     TaskRt& r = tasks_.rt(g);
     ++metrics_.tasks_killed_by_failure;
     if (r.state == TaskState::kRunning) {
-      const SimTime elapsed = now_ - r.last_dispatch;
-      const SimTime worked = std::max<SimTime>(0, elapsed - r.current_overhead);
-      const double progress = to_seconds(worked) * node_rate(node);
       if (params_.checkpoints_survive_failure) {
-        r.executed_mi = std::min(r.executed_mi + progress,
-                                 task_info(g).size_mi);
         // The un-checkpointed tail since the last event is conservatively
         // kept: continuous checkpointing.
+        bank_progress(g, r);
       } else {
-        metrics_.work_lost_mi += r.executed_mi + progress;
+        metrics_.work_lost_mi += r.executed_mi + progress_mi(r);
         r.executed_mi = 0.0;
       }
-      n.busy_us += static_cast<double>(elapsed);
+      n.busy_us += static_cast<double>(now_ - r.last_dispatch);
       emit_event({.kind = obs::EventKind::kTaskPreempt,
                   .flags = params_.checkpoints_survive_failure
                                ? obs::kEventFlagKeptProgress
@@ -390,11 +409,9 @@ void Engine::fail_node(int node) {
     ++r.token;
     ++r.preemptions;
     r.state = TaskState::kSuspended;
-    n.available += task_info(g).demand;
-    ++n.free_slots;
+    release_slot(n, g);
     enqueue_waiting(node, g);
   }
-  n.running.clear();
 
   // Re-place everything queued on the dead node onto live nodes.
   const std::vector<Gid> stranded = n.waiting;
@@ -409,8 +426,7 @@ void Engine::recover_node(int node) {
 }
 
 void Engine::replace_waiting_task(Gid g) {
-  TaskRt& r = tasks_.rt(g);
-  const int old_node = r.node;
+  const int old_node = tasks_.rt(g).node;
   int best = -1;
   double best_backlog = 0.0;
   for (std::size_t k = 0; k < cluster_.size(); ++k) {
@@ -423,19 +439,7 @@ void Engine::replace_waiting_task(Gid g) {
     }
   }
   if (best < 0) return;  // no live node fits: wait for recovery
-  nodes_.remove_waiting(old_node, g, tasks_);
-  ClusterState::Node& old_n = nodes_.node_mut(old_node);
-  old_n.backlog_mi = std::max(0.0, old_n.backlog_mi - task_info(g).size_mi);
-  r.node = best;
-  nodes_.node_mut(best).backlog_mi += task_info(g).size_mi;
-  nodes_.insert_waiting(best, g, tasks_);
-  emit_event({.kind = obs::EventKind::kTaskMigrate,
-              .flags = obs::kEventFlagFailover,
-              .job = tasks_.job_of(g),
-              .task = g,
-              .node = n16(old_node),
-              .node2 = n16(best)});
-  if (nodes_.node(best).free_slots > 0) fill_slots(best);
+  move_queued(g, best, obs::kEventFlagFailover);
 }
 
 void Engine::on_period() {
@@ -583,8 +587,7 @@ void Engine::fill_slots(int node) {
     const Gid g = scheduler_.select_next(node, *this, dispatch_excluded_);
     if (g == kInvalidGid) break;
     if (g >= tasks_.task_count() || tasks_.rt(g).node != node ||
-        (tasks_.rt(g).state != TaskState::kWaiting &&
-         tasks_.rt(g).state != TaskState::kSuspended)) {
+        !queued(tasks_.rt(g).state)) {
       DSP_ERROR("scheduler %s selected an invalid task %u for dispatch",
                 scheduler_.name(), g);
       break;
@@ -613,13 +616,8 @@ void Engine::fill_slots(int node) {
       touched.push_back(g);
       continue;
     }
-    SimTime overhead = 0;
-    if (tasks_.rt(g).state == TaskState::kSuspended) {
-      const bool checkpointed =
-          !preempt_ ||
-          preempt_->checkpoint_mode() == CheckpointMode::kCheckpoint;
-      overhead = checkpointed ? kRecovery + kCtxSwitch : kCtxSwitch;
-    }
+    const SimTime overhead =
+        tasks_.rt(g).state == TaskState::kSuspended ? resume_charge() : 0;
     nodes_.remove_waiting(node, g, tasks_);
     start_task(node, g, overhead);
   }
@@ -630,15 +628,10 @@ void Engine::start_hoarding(int node, Gid g) {
   TaskRt& r = tasks_.rt(g);
   ClusterState::Node& n = nodes_.node_mut(node);
   assert(n.free_slots > 0 && !is_ready(g));
-  if (r.waiting_since != kNoTime) {
-    r.total_wait_s += to_seconds(now_ - r.waiting_since);
-    r.waiting_since = kNoTime;
-  }
+  stop_waiting_clock(r);
   r.state = TaskState::kHoarding;
   ++r.token;
-  n.available -= task_info(g).demand;
-  --n.free_slots;
-  n.running.push_back(g);
+  occupy_slot(n, g);
   push_event(now_ + params_.hoard_timeout, EventCalendar::Kind::kHoardTimeout,
              g, r.token);
   emit_event({.kind = obs::EventKind::kHoardStart,
@@ -658,11 +651,7 @@ void Engine::activate_hoarding(Gid g) {
   r.state = TaskState::kRunning;
   r.last_dispatch = now_;
   r.current_overhead = 0;
-  ++r.token;
-  const double remaining = std::max(0.0, task_info(g).size_mi - r.executed_mi);
-  const SimTime run_time =
-      from_seconds(remaining / node_rate(r.node));
-  push_event(now_ + run_time, EventCalendar::Kind::kFinish, g, r.token);
+  arm_finish(g, r);
   emit_event({.kind = obs::EventKind::kTaskDispatch,
               .flags = obs::kEventFlagHoardActivate,
               .job = tasks_.job_of(g),
@@ -679,9 +668,7 @@ void Engine::on_hoard_timeout(Gid g, std::uint32_t token) {
   ClusterState::Node& n = nodes_.node_mut(node);
   ++r.token;
   r.state = TaskState::kWaiting;
-  n.available += task_info(g).demand;
-  ++n.free_slots;
-  n.running.erase(std::find(n.running.begin(), n.running.end(), g));
+  release_slot(n, g);
   tasks_.set_launch_blocked(g);  // do not re-launch until inputs appear
   // Re-insert into the waiting queue; state must not look unscheduled.
   nodes_.insert_waiting(node, g, tasks_);
@@ -697,12 +684,9 @@ void Engine::start_task(int node, Gid g, SimTime resume_overhead) {
   TaskRt& r = tasks_.rt(g);
   ClusterState::Node& n = nodes_.node_mut(node);
   assert(n.free_slots > 0);
-  assert(r.state == TaskState::kWaiting || r.state == TaskState::kSuspended);
+  assert(queued(r.state));
 
-  if (r.waiting_since != kNoTime) {
-    r.total_wait_s += to_seconds(now_ - r.waiting_since);
-    r.waiting_since = kNoTime;
-  }
+  stop_waiting_clock(r);
   if (r.first_start == kNoTime) {
     r.first_start = now_;
     // First launch fetches the input data; afterwards it is node-local.
@@ -717,17 +701,9 @@ void Engine::start_task(int node, Gid g, SimTime resume_overhead) {
   r.state = TaskState::kRunning;
   r.last_dispatch = now_;
   r.current_overhead = resume_overhead;
-  ++r.token;
   metrics_.overhead_s += to_seconds(resume_overhead);
-
-  n.available -= task_info(g).demand;
-  --n.free_slots;
-  n.running.push_back(g);
-
-  const double remaining = std::max(0.0, task_info(g).size_mi - r.executed_mi);
-  const SimTime run_time = from_seconds(remaining / node_rate(node));
-  push_event(now_ + resume_overhead + run_time, EventCalendar::Kind::kFinish,
-             g, r.token);
+  occupy_slot(n, g);
+  arm_finish(g, r);
   emit_event({.kind = obs::EventKind::kTaskDispatch,
               .job = tasks_.job_of(g),
               .task = g,
@@ -740,16 +716,11 @@ void Engine::suspend_task(int node, Gid g) {
   ClusterState::Node& n = nodes_.node_mut(node);
   assert(r.state == TaskState::kRunning && r.node == node);
 
-  // Accrue progress: time on slot minus the dispatch overhead window.
-  const SimTime elapsed = now_ - r.last_dispatch;
-  const SimTime worked = std::max<SimTime>(0, elapsed - r.current_overhead);
-  r.executed_mi += to_seconds(worked) * node_rate(node);
-  r.executed_mi = std::min(r.executed_mi, task_info(g).size_mi);
-  n.busy_us += static_cast<double>(elapsed);
+  bank_progress(g, r);
+  n.busy_us += static_cast<double>(now_ - r.last_dispatch);
 
-  const bool checkpointed =
-      !preempt_ || preempt_->checkpoint_mode() == CheckpointMode::kCheckpoint;
-  if (!checkpointed) {
+  const bool kept = checkpointed();
+  if (!kept) {
     // Restart from scratch (SRPT): the progress is discarded.
     metrics_.work_lost_mi += r.executed_mi;
     r.executed_mi = 0.0;
@@ -758,13 +729,9 @@ void Engine::suspend_task(int node, Gid g) {
   ++r.token;  // invalidate the in-flight finish event
   ++r.preemptions;
   r.state = TaskState::kSuspended;
-
-  n.available += task_info(g).demand;
-  ++n.free_slots;
-  n.running.erase(std::find(n.running.begin(), n.running.end(), g));
+  release_slot(n, g);
   emit_event({.kind = obs::EventKind::kTaskPreempt,
-              .flags = checkpointed ? obs::kEventFlagKeptProgress
-                                    : std::uint8_t{0},
+              .flags = kept ? obs::kEventFlagKeptProgress : std::uint8_t{0},
               .job = tasks_.job_of(g),
               .task = g,
               .node = n16(node)});
@@ -778,8 +745,7 @@ PreemptResult Engine::try_preempt(int node, Gid victim, Gid incoming) {
       tasks_.rt(victim).node != node)
     return PreemptResult::kVictimNotRunning;
   const TaskState in_state = tasks_.rt(incoming).state;
-  if ((in_state != TaskState::kWaiting && in_state != TaskState::kSuspended) ||
-      tasks_.rt(incoming).node != node)
+  if (!queued(in_state) || tasks_.rt(incoming).node != node)
     return PreemptResult::kIncomingNotWaiting;
   if (!is_ready(incoming)) {
     ++metrics_.disorders;
@@ -794,12 +760,9 @@ PreemptResult Engine::try_preempt(int node, Gid victim, Gid incoming) {
   suspend_task(node, victim);
   ++metrics_.preemptions;
 
-  SimTime overhead = kCtxSwitch;
-  if (in_state == TaskState::kSuspended) {
-    const bool checkpointed =
-        !preempt_ || preempt_->checkpoint_mode() == CheckpointMode::kCheckpoint;
-    if (checkpointed) overhead += kRecovery;
-  }
+  // A waiting task pays the context switch; a suspended one resumes.
+  const SimTime overhead =
+      in_state == TaskState::kSuspended ? resume_charge() : kCtxSwitch;
   nodes_.remove_waiting(node, incoming, tasks_);
   start_task(node, incoming, overhead);
   return PreemptResult::kOk;
@@ -814,29 +777,34 @@ bool Engine::evict_running(Gid g) {
 }
 
 bool Engine::migrate_task(Gid g, int to_node) {
-  TaskRt& r = tasks_.rt(g);
-  if (r.state != TaskState::kWaiting && r.state != TaskState::kSuspended)
-    return false;
+  const TaskRt& r = tasks_.rt(g);
+  if (!queued(r.state)) return false;
   if (!nodes_.in_range(to_node) || to_node == r.node) return false;
-  ClusterState::Node& dst = nodes_.node_mut(to_node);
-  if (!dst.up || !cluster_.node(static_cast<std::size_t>(to_node))
-                      .capacity.fits(task_info(g).demand))
+  if (!nodes_.node(to_node).up ||
+      !cluster_.node(static_cast<std::size_t>(to_node))
+           .capacity.fits(task_info(g).demand))
     return false;
+  move_queued(g, to_node, 0);
+  return true;
+}
 
+void Engine::move_queued(Gid g, int to_node, std::uint8_t flags) {
+  TaskRt& r = tasks_.rt(g);
   const int from = r.node;
   nodes_.remove_waiting(from, g, tasks_);
   ClusterState::Node& src = nodes_.node_mut(from);
   src.backlog_mi = std::max(0.0, src.backlog_mi - task_info(g).size_mi);
   r.node = to_node;
+  ClusterState::Node& dst = nodes_.node_mut(to_node);
   dst.backlog_mi += task_info(g).size_mi;
   nodes_.insert_waiting(to_node, g, tasks_);
   emit_event({.kind = obs::EventKind::kTaskMigrate,
+              .flags = flags,
               .job = tasks_.job_of(g),
               .task = g,
               .node = n16(from),
               .node2 = n16(to_node)});
   if (dst.free_slots > 0) fill_slots(to_node);
-  return true;
 }
 
 void Engine::on_finish(Gid g, std::uint32_t token) {
@@ -850,9 +818,7 @@ void Engine::on_finish(Gid g, std::uint32_t token) {
   r.executed_mi = task_info(g).size_mi;
   ++r.token;
   n.busy_us += static_cast<double>(now_ - r.last_dispatch);
-  n.available += task_info(g).demand;
-  ++n.free_slots;
-  n.running.erase(std::find(n.running.begin(), n.running.end(), g));
+  release_slot(n, g);
   n.backlog_mi = std::max(0.0, n.backlog_mi - task_info(g).size_mi);
 
   last_finish_ = std::max(last_finish_, now_);
@@ -926,8 +892,7 @@ void Engine::complete_job(JobId j) {
 
 void Engine::mark_ready_if_queued(Gid g) {
   const TaskRt& r = tasks_.rt(g);
-  if (r.state == TaskState::kWaiting || r.state == TaskState::kSuspended)
-    nodes_.mark_ready(r.node, g, tasks_);
+  if (queued(r.state)) nodes_.mark_ready(r.node, g, tasks_);
 }
 
 }  // namespace dsp

@@ -11,7 +11,11 @@
 //   - ClusterState   where things run (nodes, slots, waiting queues),
 //   - TaskRuntime    what progress was made (per-task/job records).
 // Policies never touch the components directly: the Engine re-exports
-// const-correct read views and owns every mutation.
+// const-correct read views and owns every mutation. The rules that read
+// and write those records (progress since dispatch, the waiting clock,
+// slot occupancy, finish arming, the checkpoint rule and resume charge,
+// cross-node queue moves, remaining-time rounding) each have one private
+// Engine member, the only code that applies them (DESIGN.md §16.1).
 //
 // Execution model
 //   - A node k runs up to `slots` tasks concurrently, each at rate g(k)
@@ -124,6 +128,9 @@ class Engine {
   }
 
   /// Installs a failure/straggler injection plan. Call before run().
+  /// Throws std::invalid_argument, installing nothing, when an event
+  /// names a node outside the cluster (the message names the node and
+  /// the cluster size).
   void set_failure_plan(const FailurePlan& plan);
 
   /// True while node `k` is up (failed nodes accept no work).
@@ -174,15 +181,20 @@ class Engine {
   /// stored when it was queued stays exact. Defined only while `g` is
   /// waiting or suspended.
   double queued_remaining_mi(Gid g) const {
-    assert(tasks_.rt(g).state == TaskState::kWaiting ||
-           tasks_.rt(g).state == TaskState::kSuspended);
+    assert(queued(tasks_.rt(g).state));
     return tasks_.queued_remaining_mi(g);
+  }
+  /// Time to execute `mi` at `rate` MIPS, rounded to SimTime. A rate that
+  /// offers no progress (a fully degraded node, an empty cluster)
+  /// saturates at kMaxTime instead of converting infinity.
+  static SimTime time_at_rate(double mi, double rate) {
+    return rate > 0.0 ? from_seconds(mi / rate) : kMaxTime;
   }
   /// Remaining execution time at the task's assigned node's rate
   /// (falls back to the cluster mean rate while unassigned).
   SimTime remaining_time(Gid g) const;
   /// Time since the task last entered the waiting queue (0 if not waiting).
-  SimTime waiting_time(Gid g) const;
+  SimTime waiting_time(Gid g) const { return waiting_stretch(tasks_.rt(g)); }
   /// Total time the task has spent waiting across its whole life,
   /// including the current stretch. Priority formulas use this: a task
   /// that earned priority by waiting keeps it while running, which
@@ -359,7 +371,35 @@ class Engine {
   void start_task(int node, Gid g, SimTime resume_overhead);
   /// Suspends running task `g`; applies the checkpoint mode.
   void suspend_task(int node, Gid g);
+  /// Moves queued `g` to `to_node`'s queue with its backlog, emits the
+  /// migration (with `flags`) and fills `to_node`'s free slots.
+  void move_queued(Gid g, int to_node, std::uint8_t flags);
   void complete_job(JobId j);
+
+  // ---- The kernel rules (DESIGN.md §16.1), one home each ------------
+  /// MI running task `r` has executed since its last dispatch, at its
+  /// node's current rate: slot time minus the dispatch overhead window,
+  /// never negative.
+  double progress_mi(const TaskRt& r) const;
+  /// Credits progress_mi(r) to running task `g`, capped at its size.
+  void bank_progress(Gid g, TaskRt& r);
+  /// Time since `r` was last queued; 0 unless it is queued.
+  SimTime waiting_stretch(const TaskRt& r) const;
+  /// A queued task takes a slot: its waiting stretch joins total_wait_s.
+  void stop_waiting_clock(TaskRt& r);
+  /// True when a preempted task keeps its progress: always without a
+  /// policy, otherwise unless the policy restarts (SRPT).
+  bool checkpointed() const;
+  /// What a suspended task pays to resume: t^r + sigma from a checkpoint,
+  /// sigma alone when it restarts.
+  SimTime resume_charge() const;
+  /// `g` takes a slot and its demand on `n`, joining its occupants.
+  void occupy_slot(ClusterState::Node& n, Gid g);
+  /// `g` gives its slot and demand back to `n`, leaving its occupants.
+  void release_slot(ClusterState::Node& n, Gid g);
+  /// Invalidates `g`'s in-flight event and schedules its finish after the
+  /// current overhead window plus its remaining work at the node's rate.
+  void arm_finish(Gid g, TaskRt& r);
   bool all_jobs_finished() const { return finished_jobs_ == jobs_.size(); }
 
   ClusterSpec cluster_;

@@ -111,7 +111,7 @@ std::vector<std::string> check_run_invariants(const TimelineRecorder& recorder,
       // Rule 4: a task's own intervals must not overlap.
       const auto ivs = recorder.intervals_for_task(g);
       for (std::size_t i = 1; i < ivs.size(); ++i) {
-        if (ivs[i].begin + options.time_tol < ivs[i - 1].end) {
+        if (ivs[i].begin + kInvariantTimeTol < ivs[i - 1].end) {
           problems.push_back(violation(
               "job %zu task %u occupies two slots at once (t=%lld)", j, t,
               static_cast<long long>(ivs[i].begin)));
@@ -125,7 +125,7 @@ std::vector<std::string> check_run_invariants(const TimelineRecorder& recorder,
         const SimTime parent_finish =
             recorder.finish_time(gids.gid(static_cast<JobId>(j), p));
         if (parent_finish == kNoTime) continue;  // reported separately
-        if (first_run + options.time_tol < parent_finish) {
+        if (first_run + kInvariantTimeTol < parent_finish) {
           problems.push_back(violation(
               "job %zu task %u ran at %lld before parent %u finished at %lld",
               j, t, static_cast<long long>(first_run), p,
@@ -142,7 +142,7 @@ std::vector<std::string> check_run_invariants(const TimelineRecorder& recorder,
                            cluster.rate(static_cast<std::size_t>(iv.node));
         const double size = job.task(t).size_mi;
         if (std::abs(executed_mi - size) >
-            std::max(1.0, size * options.work_rel_tol)) {
+            std::max(1.0, size * kInvariantWorkRelTol)) {
           problems.push_back(violation(
               "job %zu task %u executed %.1f MI but its size is %.1f MI", j, t,
               executed_mi, size));
@@ -165,7 +165,7 @@ std::vector<std::string> check_run_invariants(const TimelineRecorder& recorder,
     for (TaskIndex t = 0; t < jobs[j].task_count(); ++t)
       last_finish = std::max(
           last_finish, recorder.finish_time(gids.gid(static_cast<JobId>(j), t)));
-    if (std::abs(it->second - last_finish) > options.time_tol)
+    if (std::abs(it->second - last_finish) > kInvariantTimeTol)
       problems.push_back(violation(
           "job %zu completion %lld != last task finish %lld", j,
           static_cast<long long>(it->second),

@@ -27,15 +27,16 @@
 
 namespace dsp {
 
+/// Tolerance of check_run_invariants' time comparisons, in microseconds.
+inline constexpr SimTime kInvariantTimeTol = 2;
+/// Relative tolerance of its work-conservation check.
+inline constexpr double kInvariantWorkRelTol = 1e-3;
+
 /// Options for check_run_invariants.
 struct InvariantOptions {
   /// Verify work conservation (rule 6). Disable for restart-mode policies
   /// (SRPT), whose preempted tasks legitimately re-execute work.
   bool check_work_conservation = true;
-  /// Tolerance for time comparisons, in microseconds.
-  SimTime time_tol = 2;
-  /// Relative tolerance for work-conservation checks.
-  double work_rel_tol = 1e-3;
 };
 
 /// Validates a recorded run. `jobs` must be the same (finalized) workload

@@ -2,11 +2,13 @@
 //
 // One of the four layers of the simulation kernel (see DESIGN.md §16).
 // TaskRuntime owns the flat Gid index over all tasks of all jobs, each
-// task's lifecycle record (progress, checkpoint/recovery bookkeeping,
-// preemption counts, waiting clocks) and per-job completion tracking. It
-// holds no cluster or calendar state: time and node rates are passed in
-// where a computation needs them, so the layer stays independently
-// testable.
+// task's lifecycle record (executed work, dispatch and overhead times,
+// waiting-clock fields, preemption counts, event tokens) and per-job
+// completion tracking. It stores the records and applies no rule to them:
+// progress since dispatch, the waiting clock, checkpoint and resume
+// charges and finish arming are each one Engine member (DESIGN.md §16.1),
+// the only code that writes these records. It holds no cluster or
+// calendar state.
 //
 // Besides the records, two compact per-task facts serve the
 // dependency-blind queue scans (DESIGN.md §10.5), which reject most

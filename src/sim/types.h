@@ -25,6 +25,12 @@ enum class TaskState : std::uint8_t {
 
 const char* to_string(TaskState s);
 
+/// True while the task sits in a node's waiting queue: waiting to start
+/// or suspended awaiting resume.
+constexpr bool queued(TaskState s) {
+  return s == TaskState::kWaiting || s == TaskState::kSuspended;
+}
+
 /// What happens to a task's completed work when it is preempted.
 enum class CheckpointMode : std::uint8_t {
   kCheckpoint,  ///< Resume from the last checkpoint (DSP, Amoeba, Natjam).

@@ -3,7 +3,13 @@
 // faults.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "core/dsp_system.h"
+#include "obs/events.h"
+#include "scenarios/standard.h"
 #include "sim/engine.h"
 #include "sim/failures.h"
 #include "sim/invariants.h"
@@ -178,6 +184,30 @@ TEST(FailureTest, TaskPlacedWhileEveryFittingNodeIsDownRunsAtRecovery) {
   EXPECT_EQ(m.tasks_finished, 2u);
   // From the arrival at 1 s to the recovery at 10.5 s, then 2 s of work.
   EXPECT_EQ(m.makespan, 11500 * kMillisecond);
+}
+
+TEST(FailureTest, PlanNamingANodeOutsideTheClusterIsRejected) {
+  // Node 2 does not exist on a 2-node cluster: the plan is refused as a
+  // whole, naming the node and the cluster size, and nothing is installed.
+  JobSet jobs;
+  jobs.push_back(make_independent_job(0, 1, 1000.0));
+  RoundRobinScheduler sched;
+  const ClusterSpec cluster = nodes(2);
+  Engine engine(cluster, std::move(jobs), sched, nullptr, fast_params());
+  FailurePlan plan;
+  plan.add_outage(0, 0, 10 * kMinute);
+  plan.add_outage(static_cast<int>(cluster.size()), kSecond, kSecond);
+  try {
+    engine.set_failure_plan(plan);
+    FAIL() << "set_failure_plan accepted node " << cluster.size();
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("node 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("2 nodes"), std::string::npos) << what;
+  }
+  const RunMetrics m = engine.run();
+  EXPECT_EQ(m.node_failures, 0u);
+  EXPECT_EQ(m.tasks_finished, 1u);
 }
 
 TEST(FailureTest, NodeUpQueryReflectsState) {
@@ -437,6 +467,101 @@ TEST(FailureTest, FailuresIncreaseMakespan) {
     return engine.run().makespan;
   };
   EXPECT_GT(run_with(true), run_with(false));
+}
+
+// ---------------------------------------------------------------------
+// Failure paths pinned bit for bit
+// ---------------------------------------------------------------------
+
+/// A run's JSONL event stream reduced to its FNV-1a-64 digest, the number
+/// of task_migrate lines in it, and the run's metrics.
+struct HashedRun {
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::size_t migrations = 0;
+  RunMetrics metrics;
+};
+
+HashedRun run_hashed(const ScenarioSpec& spec) {
+  HashedRun out;
+  obs::EventLog log;
+  std::string line;
+  log.set_consumer([&](const obs::Event& e) {
+    line.clear();
+    obs::EventLog::append_jsonl(e, line);
+    for (const char c : line) {
+      out.digest ^= static_cast<unsigned char>(c);
+      out.digest *= 0x100000001b3ULL;
+    }
+    if (e.kind == obs::EventKind::kTaskMigrate) ++out.migrations;
+  });
+  out.metrics = run_standard_scenario(spec, &log);
+  return out;
+}
+
+/// Twelve jobs on six EC2 nodes under a dense random failure plan.
+ScenarioSpec failure_spec(SchedKind sched, PolicyKind policy,
+                          FailureRecipe::Kind kind) {
+  ScenarioSpec spec;
+  spec.name = "failure-path";
+  spec.cluster.profile = ClusterProfile::kEc2;
+  spec.cluster.nodes = 6;
+  spec.workload.job_count = 12;
+  spec.workload.task_scale = 0.02;
+  spec.sched = sched;
+  spec.policy = policy;
+  spec.failures.kind = kind;
+  spec.failures.mtbf_hours = 1.0;
+  spec.failures.mean_gap = 20 * kMinute;
+  return spec;
+}
+
+// No golden stream has an outage, a straggler or a lost checkpoint. These
+// runs pin fail_node, replace_waiting_task, rebase_running and
+// migrate_task: a change that moves one event, metric or decision on
+// those paths fails here.
+
+TEST(FailurePathTest, DspUnderOutagesIsPinned) {
+  const HashedRun r = run_hashed(failure_spec(
+      SchedKind::kDsp, PolicyKind::kDsp, FailureRecipe::Kind::kOutages));
+  EXPECT_GT(r.metrics.node_failures, 0u);
+  EXPECT_GT(r.metrics.tasks_killed_by_failure, 0u);
+  EXPECT_EQ(r.digest, 0x34c5aeb45c4bd795ULL);
+  EXPECT_EQ(r.metrics.work_lost_mi, 0x0p+0);
+  EXPECT_EQ(r.metrics.overhead_s, 0x1.7666666666675p+4);
+}
+
+TEST(FailurePathTest, DspUnderOutagesWithoutCheckpointsIsPinned) {
+  ScenarioSpec spec = failure_spec(SchedKind::kDsp, PolicyKind::kDsp,
+                                   FailureRecipe::Kind::kOutages);
+  spec.engine.checkpoints_survive_failure = false;
+  const HashedRun r = run_hashed(spec);
+  EXPECT_GT(r.metrics.node_failures, 0u);
+  EXPECT_GT(r.metrics.tasks_killed_by_failure, 0u);
+  EXPECT_EQ(r.digest, 0x4726ed66ae73e4a1ULL);
+  EXPECT_EQ(r.metrics.work_lost_mi, 0x1.9da395a0c49bap+20);
+  EXPECT_EQ(r.metrics.overhead_s, 0x1.91999999999aap+4);
+}
+
+TEST(FailurePathTest, DspStragglerMitigationIsPinned) {
+  ScenarioSpec spec = failure_spec(SchedKind::kDsp, PolicyKind::kDsp,
+                                   FailureRecipe::Kind::kStragglers);
+  spec.dsp.straggler_mitigation = true;
+  const HashedRun r = run_hashed(spec);
+  EXPECT_GT(r.migrations, 0u);
+  EXPECT_EQ(r.digest, 0x91b8f40c72180f81ULL);
+  EXPECT_EQ(r.metrics.work_lost_mi, 0x0p+0);
+  EXPECT_EQ(r.metrics.overhead_s, 0x1.88cccccccccdbp+4);
+}
+
+TEST(FailurePathTest, SrptOnTetrisUnderOutagesIsPinned) {
+  const HashedRun r = run_hashed(failure_spec(SchedKind::kTetrisNoDep,
+                                              PolicyKind::kSrpt,
+                                              FailureRecipe::Kind::kOutages));
+  EXPECT_GT(r.metrics.node_failures, 0u);
+  EXPECT_GT(r.metrics.tasks_killed_by_failure, 0u);
+  EXPECT_EQ(r.digest, 0x2f9fc5d0e1a7fe5bULL);
+  EXPECT_EQ(r.metrics.work_lost_mi, 0x1.a4140110346ddp+23);
+  EXPECT_EQ(r.metrics.overhead_s, 0x1.5ccccccccccfep+4);
 }
 
 }  // namespace

@@ -363,6 +363,27 @@ TEST(RelaxRoundTest, ProducesFeasibleSchedule) {
   expect_feasible_schedule(p, r);
 }
 
+TEST(RelaxRoundTest, LoadRowsCountPreemptionPadding) {
+  // Two independent 1 s tasks, each padded by one 1 s preemption. Loads
+  // counted without padding (1 s per task) fit both on machine 0 under
+  // L = 2 s, the LP then rounds them together and the list pass runs them
+  // back to back (4 s); counted with it they split, 2 s each.
+  IlpProblem p;
+  p.machine_rates = {1000.0, 1000.0};
+  p.recovery_s = 1.0;
+  for (int i = 0; i < 2; ++i) {
+    IlpTask t;
+    t.size_mi = 1000.0;
+    t.n_preempt = 1;
+    p.tasks.push_back(t);
+  }
+  const IlpScheduleResult r = solve_relax_round(p);
+  ASSERT_TRUE(r.ok());
+  expect_feasible_schedule(p, r);
+  EXPECT_NE(r.machine_of[0], r.machine_of[1]);
+  EXPECT_DOUBLE_EQ(r.makespan_s, 2.0);
+}
+
 TEST(RelaxRoundTest, WithinFactorOfExactOnSmallInstances) {
   Rng rng(71);
   for (int trial = 0; trial < 6; ++trial) {

@@ -353,17 +353,15 @@ TEST(TetrisTest, Names) {
 // ---------------------------------------------------------------------
 
 TEST(AaloTest, QueueLevelsEscalateWithService) {
-  AaloScheduler::Options opts;
-  opts.queue_count = 4;
-  opts.first_threshold_mi = 100.0;
-  opts.threshold_factor = 10.0;
-  AaloScheduler aalo(opts);
-  EXPECT_EQ(aalo.queue_level(0.0), 0);
-  EXPECT_EQ(aalo.queue_level(99.0), 0);
-  EXPECT_EQ(aalo.queue_level(100.0), 1);
-  EXPECT_EQ(aalo.queue_level(999.0), 1);
-  EXPECT_EQ(aalo.queue_level(1000.0), 2);
-  EXPECT_EQ(aalo.queue_level(1.0e9), 3);  // clamps at the last queue
+  const double first = kAaloFirstThresholdMi;
+  const double second = first * kAaloThresholdFactor;
+  EXPECT_EQ(AaloScheduler::queue_level(0.0), 0);
+  EXPECT_EQ(AaloScheduler::queue_level(0.99 * first), 0);
+  EXPECT_EQ(AaloScheduler::queue_level(first), 1);
+  EXPECT_EQ(AaloScheduler::queue_level(0.99 * second), 1);
+  EXPECT_EQ(AaloScheduler::queue_level(second), 2);
+  // Clamps at the last queue.
+  EXPECT_EQ(AaloScheduler::queue_level(1.0e30), kAaloQueueCount - 1);
 }
 
 TEST(AaloTest, CompletesWorkloadWithoutDisorders) {
@@ -380,19 +378,21 @@ TEST(AaloTest, CompletesWorkloadWithoutDisorders) {
 TEST(AaloTest, FreshJobOutranksServicedJob) {
   // Job 0 is large and gets serviced first; when job 1 arrives later, its
   // level-0 tasks must be dispatched ahead of job 0's remaining tasks.
+  // Each of job 0's tasks is larger than queue 0's ceiling, so job 0
+  // demotes after its first task.
+  const double big_mi = 1.5 * kAaloFirstThresholdMi;
+  const double big_s = big_mi / 1800.0;
   JobSet jobs;
-  jobs.push_back(make_independent_job(0, 6, 30000.0, 0));
+  jobs.push_back(make_independent_job(0, 6, big_mi, 0));
   jobs.push_back(make_independent_job(1, 2, 1000.0, from_seconds(1.5)));
-  AaloScheduler::Options opts;
-  opts.first_threshold_mi = 20000.0;  // job 0 demotes after its first task
-  AaloScheduler sched(opts);
+  AaloScheduler sched;
   Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 1), std::move(jobs), sched,
                 nullptr, fast_params());
   const RunMetrics m = engine.run();
   ASSERT_EQ(m.job_waiting_s.size(), 2u);
-  // The small job (index 1 completes first -> first waiting entry) must
-  // not have waited for all of job 0 (6 x 30 s).
-  EXPECT_LT(m.job_waiting_s.front(), 120.0);
+  // The small job (index 1 completes first -> first waiting entry) waits
+  // out job 0's first task, not all six.
+  EXPECT_LT(m.job_waiting_s.front(), 2.0 * big_s);
 }
 
 }  // namespace

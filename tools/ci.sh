@@ -35,10 +35,13 @@
 #            bench/BENCH_hotpath.json baseline via bench_diff; the
 #            threshold is generous (CI machines are noisy) — it
 #            catches order-of-magnitude slips, not drift
-#   report-smoke  flight recorder end to end: quickstart with
-#            DSP_EVENT_LOG, dsp_report --json validated by json_check,
-#            and a first-divergence diff of two same-seed quickstart
-#            logs, which must report zero divergence
+#   report-smoke  flight recorder end to end, for quickstart and for
+#            failure_drill (node outages, a slowdown, failover
+#            migrations and preemption decisions): each runs twice with
+#            DSP_EVENT_LOG, its dsp_report --json is validated by
+#            json_check, and a first-divergence diff of the two
+#            same-seed logs must report zero divergence; failure_drill's
+#            stream must also replay clean under dsp_analyze audit
 #   sweep-smoke  dsp_sweep over a small scenario grid at --threads 1
 #            and 4: the two --json reports must be byte-identical (the
 #            grid runner's determinism contract) and pass json_check;
@@ -233,21 +236,31 @@ if ! skipped report-smoke; then
   REPORT=build/tools/dsp_report
   JSON_CHECK=build/tools/json_check
 
-  echo "quickstart with DSP_EVENT_LOG (two same-seed runs)"
-  DSP_EVENT_LOG="$report_tmp/a.jsonl" build/examples/quickstart >/dev/null
-  DSP_EVENT_LOG="$report_tmp/b.jsonl" build/examples/quickstart >/dev/null
+  for ex in quickstart failure_drill; do
+    echo "$ex with DSP_EVENT_LOG (two same-seed runs)"
+    DSP_EVENT_LOG="$report_tmp/$ex-a.jsonl" build/examples/$ex >/dev/null
+    DSP_EVENT_LOG="$report_tmp/$ex-b.jsonl" build/examples/$ex >/dev/null
 
-  echo "dsp_report --json"
-  "$REPORT" "$report_tmp/a.jsonl" --json "$report_tmp/report.json" >/dev/null
-  "$JSON_CHECK" "$report_tmp/report.json" \
-    report events jobs.count jobs.completed queueing_delay_s.count \
-    preempt_latency_s.count preempt.decisions utilization.epochs \
-    utilization.mean per_job
+    echo "dsp_report --json ($ex)"
+    "$REPORT" "$report_tmp/$ex-a.jsonl" --json "$report_tmp/report.json" >/dev/null
+    "$JSON_CHECK" "$report_tmp/report.json" \
+      report events jobs.count jobs.completed queueing_delay_s.count \
+      preempt_latency_s.count preempt.decisions utilization.epochs \
+      utilization.mean per_job
 
-  echo "dsp_report diff (same seed, two runs: must be identical)"
-  "$REPORT" diff "$report_tmp/a.jsonl" "$report_tmp/b.jsonl" \
-    --json "$report_tmp/diff.json"
-  "$JSON_CHECK" "$report_tmp/diff.json" report divergence events_a events_b
+    echo "dsp_report diff ($ex, same seed, two runs: must be identical)"
+    "$REPORT" diff "$report_tmp/$ex-a.jsonl" "$report_tmp/$ex-b.jsonl" \
+      --json "$report_tmp/diff.json"
+    "$JSON_CHECK" "$report_tmp/diff.json" report divergence events_a events_b
+  done
+
+  grep -q '"kind":"node_down"' "$report_tmp/failure_drill-a.jsonl" || {
+    echo "ci: the failure_drill stream has no node_down event"; exit 1; }
+  echo "dsp_analyze audit on the failure_drill stream"
+  build/tools/dsp_analyze audit "$report_tmp/failure_drill-a.jsonl" \
+    >"$report_tmp/audit.txt" || {
+    echo "ci: the failure_drill stream did not replay clean"
+    head "$report_tmp/audit.txt"; exit 1; }
   rm -rf "$report_tmp"
 fi
 
